@@ -8,6 +8,7 @@ error rates, power, and event-number planning.
 
 from .errors import (
     ConfigError,
+    CutoffOrder,
     DegenerateVariance,
     DuosurvError,
     InconsistentSnapshots,
@@ -23,6 +24,7 @@ from .harness import (
     MetricsRow,
     PlanResult,
     Scenario,
+    analyze_cohort,
     default_designs,
     fwer_sweep,
     metrics_csv_text,

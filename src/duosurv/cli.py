@@ -17,15 +17,14 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, DuosurvError
-from .harness import (DROPOUT_RATE, Scenario, default_designs, fwer_sweep,
-                      metrics_csv_text, null_scenario, plan_events,
-                      power_scenario, power_sweep, run_experiment)
-from .logrank import covariance_matrix, logrank
+from .harness import (DROPOUT_RATE, Scenario, analyze_cohort,
+                      default_designs, fwer_sweep, metrics_csv_text,
+                      null_scenario, plan_events, power_scenario, power_sweep,
+                      run_experiment, write_metrics_csv)
 from .multistate import (ArmModel, Cohort, DropoutSpec, FrailtySpec,
                          RecruitmentSpec, TransitionIntensities)
-from .testing import AnalysisInputs, PROCEDURES, run_procedure
-from .trialdata import (OS, PFS, CutoffTargets, event_cutoff,
-                        information_fraction, snapshot)
+from .testing import PROCEDURES, run_procedure
+from .trialdata import CutoffTargets
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,6 +88,11 @@ def _integer(block, key, where, default=None, required=False):
     if value != int(value):
         raise ConfigError(f"'{where}.{key}' must be an integer")
     return int(value)
+
+
+def _entries(values, key, where, rule) -> list:
+    """Each entry of the list ``values`` checked by ``_number``/``_integer``."""
+    return [rule({key: v}, key, where, required=True) for v in values]
 
 
 def _intensities(block, key, where, required=True):
@@ -218,13 +222,11 @@ def _execution(config: dict, args) -> dict:
 
 
 def _emit_csv(rows, out_path) -> None:
-    text = metrics_csv_text(rows)
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_metrics_csv(out_path, rows)
         print(f"wrote {out_path} ({len(rows)} rows)")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(metrics_csv_text(rows))
 
 
 def cmd_simulate(args) -> int:
@@ -252,7 +254,8 @@ def cmd_simulate(args) -> int:
             raise ConfigError("'scenario.sizes' must be a non-empty list")
         rows = fwer_sweep(_integer(scenario_block, "model", "scenario",
                                    required=True),
-                          [int(n) for n in sizes], execution["n_reps"],
+                          _entries(sizes, "sizes", "scenario", _integer),
+                          execution["n_reps"],
                           execution["seed"], designs=designs,
                           workers=execution["workers"])
     else:
@@ -262,7 +265,8 @@ def cmd_simulate(args) -> int:
             raise ConfigError("'scenario.weights' must be a non-empty list")
         rows = power_sweep(_integer(scenario_block, "model", "scenario",
                                     required=True),
-                           [float(w) for w in weights], execution["n_reps"],
+                           _entries(weights, "weights", "scenario", _number),
+                           execution["n_reps"],
                            execution["seed"], designs=designs,
                            workers=execution["workers"],
                            frailty=_frailty(scenario_block, "scenario").enabled)
@@ -329,29 +333,11 @@ def cmd_analyze(args) -> int:
         d_os=_integer(targets_block, "d_os", "targets", required=True))
     targets.validate()
 
-    cohort = read_cohort(args.data)
-    t_interim = event_cutoff(cohort, PFS, targets.d_pfs)
-    t_final = event_cutoff(cohort, OS, targets.d_os)
-    if t_interim >= t_final:
-        raise ConfigError(
-            f"interim cutoff {t_interim:.4f} not before final {t_final:.4f}; "
-            "check the event targets")
-    kept = cohort.restricted_to(cohort.entry <= t_final)
-    interim = snapshot(kept, t_interim)
-    final = snapshot(kept, t_final)
-    cov = covariance_matrix(interim, final)
-    z = {
-        "z_pfs_interim": logrank(interim, PFS).require_z(),
-        "z_os_interim": logrank(interim, OS).require_z(),
-        "z_pfs_final": logrank(final, PFS).require_z(),
-        "z_os_final": logrank(final, OS).require_z(),
-    }
-    inputs = AnalysisInputs(
-        z_pfs_interim=z["z_pfs_interim"], z_os_interim=z["z_os_interim"],
-        z_os_final=z["z_os_final"], covariance=cov,
-        os_fraction_interim=information_fraction(interim, OS, targets.d_os),
-        z_pfs_final=z["z_pfs_final"])
+    inputs, interim, final = analyze_cohort(read_cohort(args.data), targets)
     outcome = run_procedure(design, inputs)
+    t_interim, t_final = interim.calendar_time, final.calendar_time
+    z = {k: getattr(inputs, k) for k in ("z_pfs_interim", "z_os_interim",
+                                         "z_pfs_final", "z_os_final")}
 
     yes = {True: "yes", False: "no"}
     print(f"procedure        {design.procedure}")
@@ -360,7 +346,7 @@ def cmd_analyze(args) -> int:
     print("z values         " + "  ".join(f"{k}={v:.4f}" for k, v in z.items()))
     print(f"os information   {inputs.os_fraction_interim:.4f}")
     print("correlation matrix (pfs@interim, os@interim, pfs@final, os@final)")
-    print(_format_matrix(cov.corr))
+    print(_format_matrix(inputs.covariance.corr))
     if outcome.inflation_factors:
         print("inflation        " + "  ".join(
             f"{k}={v:.5f}" for k, v in sorted(outcome.inflation_factors.items())))
@@ -405,7 +391,7 @@ def cmd_plan(args) -> int:
     if bracket is not None:
         if (not isinstance(bracket, list) or len(bracket) != 2):
             raise ConfigError("'plan.bracket' must be [low, high]")
-        bracket = (int(bracket[0]), int(bracket[1]))
+        bracket = tuple(_entries(bracket, "bracket", "plan", _integer))
 
     execution = _execution(config, args)
     n_reps = execution["n_reps"] if execution["n_reps"] is not None else 10000

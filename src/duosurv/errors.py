@@ -36,3 +36,8 @@ class NoSolution(DuosurvError):
 class ConfigError(DuosurvError):
     """Raised for malformed run configuration (unknown keys, bad types,
     values out of range)."""
+
+
+class CutoffOrder(ConfigError):
+    """Raised when a cohort reaches the final event target no later than
+    the interim one, so the two analyses are out of order."""

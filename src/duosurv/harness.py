@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateVariance, InsufficientEvents,
-                     NoSolution)
+from .errors import (ConfigError, CutoffOrder, DegenerateVariance,
+                     InsufficientEvents, NoSolution)
 from .logrank import covariance_matrix, logrank
 from .multistate import (ArmModel, DropoutSpec, FrailtySpec, RecruitmentSpec,
                          TransitionIntensities, simulate_cohort)
@@ -41,6 +41,7 @@ __all__ = [
     "power_scenario",
     "null_scenario",
     "default_designs",
+    "analyze_cohort",
     "simulate_replication",
     "run_experiment",
     "fwer_sweep",
@@ -161,6 +162,34 @@ def default_designs(procedures=PROCEDURES, alpha: float = 0.025,
                        rho_os=rho_os) for p in procedures]
 
 
+def analyze_cohort(cohort, targets: CutoffTargets):
+    """Event-driven cutoffs, snapshots and statistics of one cohort.
+
+    Returns ``(inputs, interim, final)``: the testing layer's inputs plus
+    the two snapshots, whose calendar times are the cutoffs.  Raises
+    ``InsufficientEvents``, ``CutoffOrder`` or ``DegenerateVariance``.
+    """
+    t_interim = event_cutoff(cohort, PFS, targets.d_pfs)
+    t_final = event_cutoff(cohort, OS, targets.d_os)
+    if t_interim >= t_final:
+        raise CutoffOrder(
+            f"interim cutoff {t_interim:.4f} not before final {t_final:.4f}; "
+            "check the event targets")
+    kept = cohort.restricted_to(cohort.entry <= t_final)
+    interim = snapshot(kept, t_interim)
+    final = snapshot(kept, t_final)
+    lr = [logrank(interim, PFS), logrank(interim, OS),
+          logrank(final, PFS), logrank(final, OS)]
+    cov = covariance_matrix(interim, final)
+    z = [r.require_z() for r in lr]
+    inputs = AnalysisInputs(
+        z_pfs_interim=z[0], z_os_interim=z[1], z_os_final=z[3],
+        covariance=cov,
+        os_fraction_interim=information_fraction(interim, OS, targets.d_os),
+        z_pfs_final=z[2])
+    return inputs, interim, final
+
+
 def simulate_replication(scenario: Scenario, seed: int, replication: int,
                          want_statistics: bool = False):
     """One cohort reduced to analysis statistics.
@@ -174,33 +203,18 @@ def simulate_replication(scenario: Scenario, seed: int, replication: int,
                              scenario.dropout, scenario.frailty, seed,
                              replication)
     try:
-        t_interim = event_cutoff(cohort, PFS, scenario.targets.d_pfs)
-        t_final = event_cutoff(cohort, OS, scenario.targets.d_os)
+        inputs, interim, final = analyze_cohort(cohort, scenario.targets)
     except InsufficientEvents:
         return None, "insufficient_events", None
-    if t_interim >= t_final:
+    except CutoffOrder:
         return None, "cutoff_order", None
-
-    kept = cohort.restricted_to(cohort.entry <= t_final)
-    interim = snapshot(kept, t_interim)
-    final = snapshot(kept, t_final)
-    try:
-        lr = [logrank(interim, PFS), logrank(interim, OS),
-              logrank(final, PFS), logrank(final, OS)]
-        cov = covariance_matrix(interim, final)
-        z = [r.require_z() for r in lr]
     except DegenerateVariance:
         return None, "degenerate_variance", None
-
-    inputs = AnalysisInputs(
-        z_pfs_interim=z[0], z_os_interim=z[1], z_os_final=z[3],
-        covariance=cov,
-        os_fraction_interim=information_fraction(interim, OS,
-                                                 scenario.targets.d_os),
-        z_pfs_final=z[2])
     record = None
     if want_statistics:
-        record = (np.array([r.u for r in lr]), cov.matrix)
+        u = [logrank(snap, endpoint).u for snap in (interim, final)
+             for endpoint in (PFS, OS)]
+        record = (np.array(u), inputs.covariance.matrix)
     return inputs, None, record
 
 

@@ -137,11 +137,9 @@ class _EndpointCurves:
         )
 
         # pooled hazard jumps on the distinct event-time grid
-        event_pos = np.flatnonzero(ds)
-        grid_first = np.unique(group_first[event_pos])
+        counts = np.bincount(group_first[np.flatnonzero(ds)], minlength=m)
+        grid_first = np.flatnonzero(counts)
         grid_times = xs[grid_first]
-        counts = np.zeros(m)
-        np.add.at(counts, group_first[event_pos], 1.0)
         d_lambda = counts[grid_first] / suffix_total[grid_first]
         # opposite-arm share per group at the grid: mu_g = 1 - Y_g / Y
         mu1 = 1.0 - share1[grid_first]
@@ -156,9 +154,10 @@ class _EndpointCurves:
         # per-patient residuals mu^{(z_i)}(x_i) * d_i - psi^{(z_i)}(x_i),
         # scattered back into cohort positions (0 for absent patients)
         mu_own_sorted = np.where(zs, 1.0 - share1, 1.0 - share0)
-        psi0_step = StepFunction(grid_times, self.psi0)
-        psi1_step = StepFunction(grid_times, self.psi1)
-        psi_own_sorted = np.where(zs, psi1_step(xs), psi0_step(xs))
+        # both psi curves jump on the same grid: one lookup serves both
+        at = np.searchsorted(grid_times, xs, side="right")
+        psi_own_sorted = np.where(zs, np.append(0.0, self.psi1)[at],
+                                  np.append(0.0, self.psi0)[at])
         resid_sorted = mu_own_sorted * ds - psi_own_sorted
         resid = np.empty(m)
         resid[order] = resid_sorted

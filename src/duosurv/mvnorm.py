@@ -17,11 +17,10 @@ continuation events) exhausts a target level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import InvalidCorrelation, NoSolution
 
@@ -37,10 +36,10 @@ _EIGEN_TOL = 1e-8        # matrices below -tol are rejected as not PSD
 _EIGEN_FLOOR = 1e-10     # smaller eigenvalues are floored (repair)
 XI_TOL = 1e-6            # absolute bisection tolerance on xi
 
-
-@lru_cache(maxsize=None)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+# Gauss-Legendre rules on [-1, 1]: 20 nodes for the bivariate angle
+# integral, 16 per segment for the conditioning integrals
+_GL20 = np.polynomial.legendre.leggauss(20)
+_GL16 = np.polynomial.legendre.leggauss(16)
 
 
 def _segments(lo: float, hi: float, cuts=(-6.0, -4.5, -3.5, -2.5, -2.0, -1.5,
@@ -60,10 +59,10 @@ def _bvn_upper(h, k, rho: float):
     k = np.asarray(k, dtype=float)
     if rho < 0.0:
         # reflect the second coordinate
-        return norm.sf(h) - _bvn_upper(h, -k, -rho)
+        return ndtr(-h) - _bvn_upper(h, -k, -rho)
     if rho >= 1.0:
-        return norm.sf(np.maximum(h, k))
-    base = norm.sf(h) * norm.sf(k)
+        return ndtr(-np.maximum(h, k))
+    base = ndtr(-h) * ndtr(-k)
     if rho == 0.0:
         return base
 
@@ -82,17 +81,20 @@ def _bvn_upper(h, k, rho: float):
             bounds.append(theta_max - gap)
         bounds.append(theta_max)
 
-    nodes, weights = _leggauss(20)
-    total = np.zeros(np.broadcast(h, k).shape)
+    nodes, weights = _GL20
+    a, b = np.array(bounds[:-1]), np.array(bounds[1:])
+    mid, half = 0.5 * (a + b)[:, None], 0.5 * (b - a)[:, None]
     hk = h * k
     hk_sq = h * h + k * k
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        for t, w in zip(nodes, weights):
-            theta = mid + half * t
-            sin_t = np.sin(theta)
-            cos2 = np.cos(theta) ** 2
-            total += (w * half) * np.exp(-(hk_sq - 2.0 * sin_t * hk) / (2.0 * cos2))
+    # one row per (segment, node), added up sequentially (np.sum adds
+    # pairwise and moves last bits); float_power is libm pow, like scalar **
+    theta = (mid + half * nodes).reshape((-1,) + (1,) * hk.ndim)
+    cos2 = np.float_power(np.cos(theta), 2)
+    terms = (weights * half).reshape(theta.shape) * np.exp(
+        -(hk_sq - 2.0 * np.sin(theta) * hk) / (2.0 * cos2))
+    total = np.zeros(hk.shape)
+    for term in terms:
+        total += term
     return base + total / (2.0 * np.pi)
 
 
@@ -107,7 +109,7 @@ def _trivariate_upper(b, corr) -> float:
     lo = max(b[0], -_TAIL_CUT)
     if lo >= _TAIL_CUT:
         return 0.0
-    nodes, weights = _leggauss(16)
+    nodes, weights = _GL16
     xs, ws = [], []
     for a, c in _segments(lo, _TAIL_CUT):
         mid, half = 0.5 * (a + c), 0.5 * (c - a)
@@ -131,7 +133,7 @@ def _quadrivariate_upper(b, corr) -> float:
     lo = max(b[0], -_TAIL_CUT)
     if lo >= _TAIL_CUT:
         return 0.0
-    nodes, weights = _leggauss(16)
+    nodes, weights = _GL16
     total = 0.0
     for a, c in _segments(lo, _TAIL_CUT):
         mid, half = 0.5 * (a + c), 0.5 * (c - a)
@@ -174,6 +176,10 @@ class OrthantQuery:
     corr: np.ndarray
 
 
+class _ValidatedQuery(OrthantQuery):
+    """Query whose ``corr`` is validated already (by ``solve_inflation``)."""
+
+
 def mvn_upper_orthant(query: OrthantQuery) -> float:
     """Probability that every component exceeds its bound.
 
@@ -181,7 +187,8 @@ def mvn_upper_orthant(query: OrthantQuery) -> float:
     the orthant empty.  Supported dimensions after dropping: 0 to 4.
     """
     lower = np.asarray(query.lower_z, dtype=float)
-    corr = _validated_correlation(query.corr)
+    corr = (query.corr if isinstance(query, _ValidatedQuery)
+            else _validated_correlation(query.corr))
     if corr.shape[0] != lower.shape[0]:
         raise InvalidCorrelation("bounds and correlation sizes differ")
     if np.any(np.isposinf(lower)):
@@ -193,14 +200,18 @@ def mvn_upper_orthant(query: OrthantQuery) -> float:
     if dim == 0:
         return 1.0
     if dim == 1:
-        return float(norm.sf(lower[0]))
-    if dim == 2:
-        return float(_bvn_upper(lower[0], lower[1], float(corr[0, 1])))
-    if dim == 3:
-        return _trivariate_upper(lower, corr)
-    if dim == 4:
-        return _quadrivariate_upper(lower, corr)
-    raise InvalidCorrelation(f"orthant dimension {dim} not supported (max 4)")
+        p = ndtr(-lower[0])
+    elif dim == 2:
+        p = _bvn_upper(lower[0], lower[1], float(corr[0, 1]))
+    elif dim == 3:
+        p = _trivariate_upper(lower, corr)
+    elif dim == 4:
+        p = _quadrivariate_upper(lower, corr)
+    else:
+        raise InvalidCorrelation(
+            f"orthant dimension {dim} not supported (max 4)")
+    # quadrature round-off near singular matrices can leave [0, 1] by ~1e-17
+    return min(max(float(p), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -224,14 +235,8 @@ class InflationProblem:
 
 
 def _rejection_probability(xi: float, levels, fixed, corr) -> float:
-    bounds = tuple(norm.ppf(xi * a) for a in levels) + tuple(fixed)
-    return 1.0 - mvn_upper_orthant(OrthantQuery(lower_z=bounds, corr=corr))
-
-
-# procedures frequently pose the same problem twice per trial (shared
-# interim solves); memoize on the exact float inputs
-_solve_memo: dict = {}
-_SOLVE_MEMO_MAX = 4096
+    bounds = tuple(ndtri(xi * a) for a in levels) + tuple(fixed)
+    return 1.0 - mvn_upper_orthant(_ValidatedQuery(lower_z=bounds, corr=corr))
 
 
 def solve_inflation(problem: InflationProblem) -> float:
@@ -252,11 +257,6 @@ def solve_inflation(problem: InflationProblem) -> float:
     target = float(problem.target)
     if not 0.0 < target < 0.5:
         raise NoSolution(f"target {target} must lie in (0, 0.5)")
-    key = (levels, tuple(float(f) for f in problem.fixed_thresholds),
-           np.asarray(problem.corr, dtype=float).tobytes(), target)
-    hit = _solve_memo.get(key)
-    if hit is not None:
-        return hit
     corr = _validated_correlation(problem.corr)
     n_total = len(levels) + len(problem.fixed_thresholds)
     if corr.shape[0] != n_total:
@@ -269,7 +269,8 @@ def solve_inflation(problem: InflationProblem) -> float:
              if not np.isneginf(f)]
     if not keep:
         raise NoSolution("no active components")
-    corr = corr[np.ix_(keep, keep)]
+    # the same matrix an orthant query would validate, validated once
+    corr = _validated_correlation(corr[np.ix_(keep, keep)])
     fixed = tuple(f for f in problem.fixed_thresholds if not np.isneginf(f))
     levels = tuple(a for a in levels if a > 0.0)
     if not levels:
@@ -285,28 +286,21 @@ def solve_inflation(problem: InflationProblem) -> float:
             f"rejection probability {f_lo:.6g} at xi=1 already exceeds "
             f"target {target:.6g}")
     if abs(f_lo - target) <= 1e-12:
-        result = 1.0
-    elif xi_max <= 1.0:
+        return 1.0
+    if xi_max <= 1.0:
         raise NoSolution("bracket empty: max level too close to 0.5")
-    else:
-        lo, hi = 1.0, 1.0
-        step = 0.25
-        f_hi = f_lo
-        while f_hi < target and hi < xi_max:
-            lo = hi
-            hi = min(hi + step, xi_max)
-            f_hi = f(hi)
-            step *= 2.0
-        if f_hi < target - 1e-12:
-            raise NoSolution(
-                f"target {target:.6g} unreachable: rejection probability at "
-                f"xi={hi:.6g} is {f_hi:.6g}")
-        if f_hi < target:
-            result = hi
-        else:
-            result = float(brentq(lambda x: f(x) - target, lo, hi,
-                                  xtol=XI_TOL))
-    if len(_solve_memo) >= _SOLVE_MEMO_MAX:
-        _solve_memo.clear()
-    _solve_memo[key] = result
-    return result
+    lo, hi = 1.0, 1.0
+    step = 0.25
+    f_hi = f_lo
+    while f_hi < target and hi < xi_max:
+        lo = hi
+        hi = min(hi + step, xi_max)
+        f_hi = f(hi)
+        step *= 2.0
+    if f_hi < target - 1e-12:
+        raise NoSolution(
+            f"target {target:.6g} unreachable: rejection probability at "
+            f"xi={hi:.6g} is {f_hi:.6g}")
+    if f_hi < target:
+        return hi
+    return float(brentq(lambda x: f(x) - target, lo, hi, xtol=XI_TOL))

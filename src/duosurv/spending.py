@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError
 
@@ -37,7 +37,7 @@ _MIN_FRACTION = 1e-9
 def _obf(s: float, level: float) -> float:
     if level <= 0.0:
         return 0.0
-    return 2.0 * norm.sf(norm.ppf(1.0 - 0.5 * level) / (s ** 0.5))
+    return 2.0 * ndtr(-(ndtri(1.0 - 0.5 * level) / (s ** 0.5)))
 
 
 @dataclass(frozen=True)

@@ -27,15 +27,19 @@ The exhaustive procedures track the closed-test cases explicitly: case 1
 means the intersection hypothesis fell at the interim (1.1 if the
 elementary OS test also rejected there, 1.2 otherwise), case 2 means the
 intersection survived to the final analysis.  A trial stops early exactly
-when the OS hypothesis is rejected at the interim.
+when the OS hypothesis is rejected at the interim.  An OS rejection always
+requires the elementary OS test to reject as well, in every case; only
+when that test has no interim look (``ex_last``) does the intersection's
+final threshold already imply it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import ConfigError
 from .logrank import CovarianceEstimate
@@ -174,21 +178,34 @@ def _corr2(r: float) -> np.ndarray:
     return np.array([[1.0, r], [r, 1.0]])
 
 
-def _final_os_threshold(scaled_level, fixed, corr, target, xi_store, tag):
-    """Quantile for the last OS look exhausting ``target`` overall.
+def _solve(inputs: AnalysisInputs, problem: InflationProblem) -> float:
+    """``solve_inflation``, cached on the trial's inputs: procedures run on
+    one trial share solves, and the cache goes with the trial (as log-rank
+    curves go with their snapshot)."""
+    cache = inputs.__dict__.setdefault("_solve_cache", {})
+    key = (tuple(problem.base_levels), tuple(problem.fixed_thresholds),
+           np.asarray(problem.corr, dtype=float).tobytes(), problem.target)
+    if key not in cache:
+        cache[key] = solve_inflation(problem)
+    return cache[key]
+
+
+def _final_os_threshold(inputs, scaled_level, fixed, corr, target):
+    """``(xi, quantile)`` for the last OS look exhausting ``target`` overall.
 
     ``fixed`` holds quantiles of looks already taken (components after the
     scaled one in ``corr``).  A non-positive remaining level means the
-    budget is gone: threshold -inf, nothing to solve.
+    budget is gone: threshold -inf, nothing to solve.  The whole target
+    left with no earlier look taken is a single test at its own level.
     """
     if scaled_level <= 0.0:
-        xi_store[tag] = 0.0
-        return -np.inf
-    xi = solve_inflation(InflationProblem(
+        return 0.0, -np.inf
+    if scaled_level == target and all(np.isneginf(f) for f in fixed):
+        return 1.0, ndtri(target)
+    xi = _solve(inputs, InflationProblem(
         base_levels=(scaled_level,), corr=corr, target=target,
         fixed_thresholds=tuple(fixed)))
-    xi_store[tag] = xi
-    return norm.ppf(xi * scaled_level)
+    return xi, ndtri(xi * scaled_level)
 
 
 def _correlations(cov: CovarianceEstimate) -> dict:
@@ -214,27 +231,20 @@ def run_design_one(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
 
     alpha, pa, oa = design.alpha, design.level_pfs, design.level_os
     zp1, zo2 = inputs.z_pfs_interim, inputs.z_os_final
-    common = dict(
-        z_values={"pfs_interim": zp1, "os_interim": inputs.z_os_interim,
-                  "os_final": zo2},
-        correlations=_correlations(inputs.covariance),
-    )
-
     if design.procedure == "os":
-        rej = bool(zo2 <= norm.ppf(alpha))
-        return TrialOutcome(
-            procedure="os", rejected_pfs=False, rejected_os=rej,
-            rejected_global=rej, early_stop=False, case_label="final",
-            analysis_of_os_rejection="final" if rej else None, **common)
-
-    rej_pfs = bool(zp1 <= norm.ppf(pa))
-    os_level = alpha if (design.procedure == "rec" and rej_pfs) else oa
-    rej_os = bool(zo2 <= norm.ppf(os_level))
+        rej_pfs, os_level = False, alpha
+    else:
+        rej_pfs = bool(zp1 <= ndtri(pa))
+        os_level = alpha if (design.procedure == "rec" and rej_pfs) else oa
+    rej_os = bool(zo2 <= ndtri(os_level))
     return TrialOutcome(
         procedure=design.procedure, rejected_pfs=rej_pfs, rejected_os=rej_os,
         rejected_global=rej_pfs or rej_os,
         early_stop=False, case_label="final",
-        analysis_of_os_rejection="final" if rej_os else None, **common)
+        analysis_of_os_rejection="final" if rej_os else None,
+        z_values={"pfs_interim": zp1, "os_interim": inputs.z_os_interim,
+                  "os_final": zo2},
+        correlations=_correlations(inputs.covariance))
 
 
 def run_design_two(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
@@ -252,17 +262,17 @@ def run_design_two(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
     b1 = design.os_stream().spend(tau, oa)
     xi = {}
 
-    rej_pfs = bool(zp1 <= norm.ppf(pa))
-    rej_os_interim = bool(zo1 <= norm.ppf(b1))
+    rej_pfs = bool(zp1 <= ndtri(pa))
+    rej_os_interim = bool(zo1 <= ndtri(b1))
     rej_os = rej_os_interim
     when = "interim" if rej_os_interim else None
     if not rej_os_interim:
         recycled = design.procedure == "rec_gs" and rej_pfs
         target = alpha if recycled else oa
-        thr = _final_os_threshold(
-            target - b1, (norm.ppf(b1),),
-            _corr2(corr["os_interim_os_final"]), target, xi,
-            "final_os_recycled" if recycled else "final_os")
+        tag = "final_os_recycled" if recycled else "final_os"
+        xi[tag], thr = _final_os_threshold(
+            inputs, target - b1, (ndtri(b1),),
+            _corr2(corr["os_interim_os_final"]), target)
         rej_os = bool(zo2 <= thr)
         when = "final" if rej_os else None
 
@@ -276,95 +286,110 @@ def run_design_two(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
         correlations=corr)
 
 
+class _ExhaustiveThresholds:
+    """Thresholds of one exhaustive closed test on one trial, for the
+    decision rule and the consonance check.  Each is computed on first use,
+    so no case solves for a look it does not take; ``xi`` collects the
+    inflation factors computed so far."""
+
+    def __init__(self, design: DesignSpec, inputs: AnalysisInputs):
+        self.design, self.inputs = design, inputs
+        self.corr = _correlations(inputs.covariance)
+        tau = inputs.os_fraction_interim
+        self.b1 = design.os_stream().spend(tau, design.level_os)
+        self.e1 = design.elementary_os_spending().spend(tau, design.alpha)
+        # interim quantile of the elementary OS test; -inf without a look
+        self.thr_e1 = ndtri(self.e1) if self.e1 > 0.0 else -np.inf
+        self.xi = {}
+
+    @cached_property
+    def interim(self) -> tuple:
+        """Interim intersection test's PFS and OS quantiles: both shares
+        inflated jointly until the interim budget pa + b1 is exhausted."""
+        pa, b1 = self.design.level_pfs, self.b1
+        if b1 <= 0.0:
+            self.xi["interim_joint"] = 1.0
+            return ndtri(pa), -np.inf
+        xi1 = _solve(self.inputs, InflationProblem(
+            base_levels=(pa, b1),
+            corr=_corr2(self.corr["pfs_interim_os_interim"]),
+            target=pa + b1))
+        self.xi["interim_joint"] = xi1
+        return ndtri(xi1 * pa), ndtri(xi1 * b1)
+
+    @cached_property
+    def final_intersection(self) -> float:
+        """Last OS component of the intersection test, inflated until the
+        whole test exhausts alpha given the interim thresholds it used."""
+        d, c = self.design, self.corr
+        thr_p1, thr_o1 = self.interim
+        if self.b1 > 0.0:
+            r_p1o1, r_p1o2, r_o1o2 = (c["pfs_interim_os_interim"],
+                                      c["pfs_interim_os_final"],
+                                      c["os_interim_os_final"])
+            corr3 = np.array([
+                [1.0, r_p1o2, r_o1o2],
+                [r_p1o2, 1.0, r_p1o1],
+                [r_o1o2, r_p1o1, 1.0],
+            ])
+            self.xi["final_joint"], thr = _final_os_threshold(
+                self.inputs, d.level_os - self.b1, (thr_p1, thr_o1), corr3,
+                d.alpha)
+        else:
+            self.xi["final_joint"], thr = _final_os_threshold(
+                self.inputs, d.level_os, (thr_p1,),
+                _corr2(c["pfs_interim_os_final"]), d.alpha)
+        return thr
+
+    @cached_property
+    def elementary_final(self) -> float:
+        """Final quantile of the elementary OS test at full alpha."""
+        alpha = self.design.alpha
+        self.xi["elementary_final"], thr = _final_os_threshold(
+            self.inputs, alpha - self.e1, (self.thr_e1,),
+            _corr2(self.corr["os_interim_os_final"]), alpha)
+        return thr
+
+    def elementary_rejection(self, zo1: float, zo2: float) -> str | None:
+        """Analysis at which the elementary OS test rejects, if any."""
+        if self.e1 > 0.0 and zo1 <= self.thr_e1:
+            return "interim"
+        if zo2 <= self.elementary_final:
+            return "final"
+        return None
+
+
 def _run_exhaustive(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
-    alpha, pa, oa = design.alpha, design.level_pfs, design.level_os
     zp1, zo1, zo2 = (inputs.z_pfs_interim, inputs.z_os_interim,
                      inputs.z_os_final)
-    corr = _correlations(inputs.covariance)
-    r_p1o1 = corr["pfs_interim_os_interim"]
-    r_p1o2 = corr["pfs_interim_os_final"]
-    r_o1o2 = corr["os_interim_os_final"]
-    tau = inputs.os_fraction_interim
-    b1 = design.os_stream().spend(tau, oa)
-    e1 = design.elementary_os_spending().spend(tau, alpha)
-    xi = {}
-
-    # interim intersection test: both shares inflated jointly until the
-    # interim budget pa + b1 is exhausted
-    if b1 > 0.0:
-        xi1 = solve_inflation(InflationProblem(
-            base_levels=(pa, b1), corr=_corr2(r_p1o1), target=pa + b1))
-    else:
-        xi1 = 1.0
-    xi["interim_joint"] = xi1
-    thr_p1 = norm.ppf(xi1 * pa)
-    thr_o1 = norm.ppf(xi1 * b1) if b1 > 0.0 else -np.inf
-
+    thresholds = _ExhaustiveThresholds(design, inputs)
+    thr_p1, thr_o1 = thresholds.interim
     rej_pfs = bool(zp1 <= thr_p1)
-    interim_global = rej_pfs or bool(zo1 <= thr_o1)
-
-    def elementary_interim() -> bool:
-        return bool(zo1 <= norm.ppf(e1)) if e1 > 0.0 else False
-
-    def elementary_final() -> bool:
-        thr = _final_os_threshold(
-            alpha - e1, (norm.ppf(e1),) if e1 > 0.0 else (),
-            _corr2(r_o1o2) if e1 > 0.0 else np.eye(1), alpha, xi,
-            "elementary_final")
-        return bool(zo2 <= thr)
-
-    if interim_global:
+    if rej_pfs or zo1 <= thr_o1:
         # case 1: the intersection fell at the interim; the elementary OS
         # test runs on its own schedule, interim then final
-        if elementary_interim():
-            return TrialOutcome(
-                procedure=design.procedure, rejected_pfs=rej_pfs,
-                rejected_os=True, rejected_global=True, early_stop=True,
-                case_label="1.1", analysis_of_os_rejection="interim",
-                inflation_factors=xi,
-                z_values={"pfs_interim": zp1, "os_interim": zo1,
-                          "os_final": zo2},
-                correlations=corr)
-        rej_os = elementary_final()
-        return TrialOutcome(
-            procedure=design.procedure, rejected_pfs=rej_pfs,
-            rejected_os=rej_os, rejected_global=True, early_stop=False,
-            case_label="1.2",
-            analysis_of_os_rejection="final" if rej_os else None,
-            inflation_factors=xi,
-            z_values={"pfs_interim": zp1, "os_interim": zo1, "os_final": zo2},
-            correlations=corr)
-
-    # case 2: the intersection survives to the final analysis; its last OS
-    # component is inflated until the whole test exhausts alpha, given the
-    # interim thresholds it already used
-    if b1 > 0.0:
-        corr3 = np.array([
-            [1.0, r_p1o2, r_o1o2],
-            [r_p1o2, 1.0, r_p1o1],
-            [r_o1o2, r_p1o1, 1.0],
-        ])
-        thr_g2 = _final_os_threshold(
-            oa - b1, (thr_p1, thr_o1), corr3, alpha, xi, "final_joint")
+        rej_global = True
+        when = thresholds.elementary_rejection(zo1, zo2)
+        case = "1.1" if when == "interim" else "1.2"
     else:
-        thr_g2 = _final_os_threshold(
-            oa, (thr_p1,), _corr2(r_p1o2), alpha, xi, "final_joint")
-    final_global = bool(zo2 <= thr_g2)
-
-    # the elementary OS test still gates the OS rejection; without an
-    # interim OS look it reduces to a full-alpha final test that the
-    # intersection threshold already satisfies
-    rej_os = final_global
-    if final_global and design.is_group_sequential:
-        rej_os = elementary_interim() or elementary_final()
+        # case 2: the intersection survives to the final analysis.  The
+        # elementary OS test still gates the OS rejection; without an
+        # interim look it is a full-alpha final test that the intersection
+        # threshold already satisfies
+        rej_global = bool(zo2 <= thresholds.final_intersection)
+        when = None
+        if rej_global and (thresholds.e1 <= 0.0 or
+                           thresholds.elementary_rejection(zo1, zo2)):
+            when = "final"
+        case = "2"
 
     return TrialOutcome(
-        procedure=design.procedure, rejected_pfs=False, rejected_os=rej_os,
-        rejected_global=final_global, early_stop=False, case_label="2",
-        analysis_of_os_rejection="final" if rej_os else None,
-        inflation_factors=xi,
+        procedure=design.procedure, rejected_pfs=rej_pfs,
+        rejected_os=when is not None, rejected_global=rej_global,
+        early_stop=when == "interim", case_label=case,
+        analysis_of_os_rejection=when, inflation_factors=thresholds.xi,
         z_values={"pfs_interim": zp1, "os_interim": zo1, "os_final": zo2},
-        correlations=corr)
+        correlations=thresholds.corr)
 
 
 def check_consonance(design: DesignSpec, inputs: AnalysisInputs) -> bool:
@@ -378,32 +403,6 @@ def check_consonance(design: DesignSpec, inputs: AnalysisInputs) -> bool:
     """
     if design.procedure not in _EXHAUSTIVE:
         return True
-    alpha, pa, oa = design.alpha, design.level_pfs, design.level_os
-    cov = inputs.covariance
-    r_p1o1 = cov.correlation(_P1, _O1)
-    r_p1o2 = cov.correlation(_P1, _O2)
-    r_o1o2 = cov.correlation(_O1, _O2)
-    tau = inputs.os_fraction_interim
-    b1 = design.os_stream().spend(tau, oa)
-    e1 = design.elementary_os_spending().spend(tau, alpha)
-    xi = {}
-
-    if b1 > 0.0:
-        xi1 = solve_inflation(InflationProblem(
-            base_levels=(pa, b1), corr=_corr2(r_p1o1), target=pa + b1))
-        corr3 = np.array([
-            [1.0, r_p1o2, r_o1o2],
-            [r_p1o2, 1.0, r_p1o1],
-            [r_o1o2, r_p1o1, 1.0],
-        ])
-        thr_g2 = _final_os_threshold(
-            oa - b1, (norm.ppf(xi1 * pa), norm.ppf(xi1 * b1)), corr3,
-            alpha, xi, "final_joint")
-    else:
-        thr_g2 = _final_os_threshold(
-            oa, (norm.ppf(pa),), _corr2(r_p1o2), alpha, xi, "final_joint")
-    thr_elem = _final_os_threshold(
-        alpha - e1, (norm.ppf(e1),) if e1 > 0.0 else (),
-        _corr2(r_o1o2) if e1 > 0.0 else np.eye(1), alpha, xi,
-        "elementary_final")
-    return bool(thr_g2 <= thr_elem + 1e-9)
+    thresholds = _ExhaustiveThresholds(design, inputs)
+    return bool(thresholds.final_intersection
+                <= thresholds.elementary_final + 1e-9)

@@ -151,6 +151,24 @@ execution:
     assert fragment in err
 
 
+@pytest.mark.parametrize("command, text, key", [
+    ("simulate", "mode: fwer\nscenario:\n  model: 1\n  sizes: [abc]\n",
+     "scenario.sizes"),
+    ("simulate", "mode: power\nscenario:\n  model: 1\n  weights: [1.0, w]\n",
+     "scenario.weights"),
+    ("plan", STEEP_SCENARIO + "design:\n  procedures: [os]\nplan:\n"
+     "  target_power: 0.6\n  bracket: [x, 60]\n", "plan.bracket"),
+])
+def test_non_numeric_list_entries_are_config_errors(tmp_path, capsys,
+                                                    command, text, key):
+    cfg = write(tmp_path / "bad.yaml",
+                text + "execution:\n  n_reps: 5\n  seed: 7\n")
+    assert cli.main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert key in err
+
+
 def test_simulate_requires_n_reps(tmp_path, capsys):
     cfg = write(tmp_path / "bad.yaml", STEEP_SCENARIO + "mode: single\n")
     assert cli.main(["simulate", "--config", cfg]) == 2

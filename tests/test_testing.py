@@ -247,6 +247,38 @@ def test_case2_never_rejects_pfs():
         assert out.rejected_global
 
 
+def test_ex_first_os_rejection_requires_its_elementary_test():
+    # r_p1o1 = 0.2, r_p1o2 = 0.6, r_o1o2 = 0.5 at tau = 0.3: the final
+    # intersection threshold (about -2.0175) lies above the elementary final
+    # threshold (about -2.0283), and the elementary interim test at ppf(pa)
+    # does not reject at z_os_interim = 0; so z_os_final = -2.0273 rejects
+    # the intersection but not OS
+    corr = np.array([
+        [1.0, 0.2, 0.8, 0.6],
+        [0.2, 1.0, 0.2, 0.5],
+        [0.8, 0.2, 1.0, 0.6],
+        [0.6, 0.5, 0.6, 1.0],
+    ])
+    inputs = AnalysisInputs(
+        z_pfs_interim=0.0, z_os_interim=0.0, z_os_final=-2.0273,
+        covariance=CovarianceEstimate(matrix=corr.copy(), corr=corr,
+                                      clamped=False),
+        os_fraction_interim=0.3)
+    out = run_procedure(DesignSpec("ex_first"), inputs)
+    assert out.case_label == "2" and out.rejected_global
+    assert not out.rejected_os
+    assert out.analysis_of_os_rejection is None
+    xi = out.inflation_factors
+    assert norm.ppf(xi["final_joint"] * 0.02) == pytest.approx(-2.0175,
+                                                               abs=1e-4)
+    assert norm.ppf(xi["elementary_final"] * 0.02) == pytest.approx(
+        -2.0283, abs=1e-4)
+    assert not check_consonance(DesignSpec("ex_first"), inputs)
+    # ex_last has no elementary interim look: its final test at full alpha
+    # follows from the intersection rejection
+    assert run_procedure(DesignSpec("ex_last"), inputs).rejected_os
+
+
 def test_consonance_check():
     inputs = make_inputs(0.0, 0.0, 0.0)
     for proc in PROCEDURES:
