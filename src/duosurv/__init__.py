@@ -32,29 +32,22 @@ from .harness import (
     plan_events,
     power_scenario,
     power_sweep,
-    relative_to_baseline,
     run_experiment,
     simulate_replication,
     table_intensities,
-    write_metrics_csv,
 )
 from .logrank import (
     CovarianceEstimate,
-    GroupShare,
     LogrankResult,
-    StepFunction,
     covariance_matrix,
     cross_covariance,
-    group_share,
     logrank,
-    nelson_aalen,
 )
 from .multistate import (
     ArmModel,
     Cohort,
     DropoutSpec,
     FrailtySpec,
-    PatientPath,
     RecruitmentSpec,
     TransitionIntensities,
     effective_intensities,
@@ -73,8 +66,6 @@ from .testing import (
     DesignSpec,
     TrialOutcome,
     check_consonance,
-    run_design_one,
-    run_design_two,
     run_procedure,
 )
 from .trialdata import (
@@ -83,7 +74,6 @@ from .trialdata import (
     CutoffTargets,
     ObservedRecord,
     Snapshot,
-    at_risk,
     event_cutoff,
     information_fraction,
     snapshot,

@@ -20,7 +20,7 @@ from .errors import ConfigError, DuosurvError
 from .harness import (DROPOUT_RATE, Scenario, analyze_cohort,
                       default_designs, fwer_sweep, metrics_csv_text,
                       null_scenario, plan_events, power_scenario, power_sweep,
-                      run_experiment, write_metrics_csv)
+                      run_experiment)
 from .multistate import (ArmModel, Cohort, DropoutSpec, FrailtySpec,
                          RecruitmentSpec, TransitionIntensities)
 from .testing import PROCEDURES, run_procedure
@@ -218,15 +218,17 @@ def _execution(config: dict, args) -> dict:
     seed = args.seed if args.seed is not None else _integer(
         block, "seed", "execution", 0)
     out = args.out if getattr(args, "out", None) else block.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError("'execution.out' must be a file path")
     return {"n_reps": n_reps, "seed": seed, "workers": workers, "out": out}
 
 
-def _emit_csv(rows, out_path) -> None:
-    if out_path:
-        write_metrics_csv(out_path, rows)
-        print(f"wrote {out_path} ({len(rows)} rows)")
-    else:
-        sys.stdout.write(metrics_csv_text(rows))
+def _write_output(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -270,8 +272,28 @@ def cmd_simulate(args) -> int:
                            execution["seed"], designs=designs,
                            workers=execution["workers"],
                            frailty=_frailty(scenario_block, "scenario").enabled)
-    _emit_csv(rows, execution["out"])
+    if execution["out"]:
+        _write_output(execution["out"], metrics_csv_text(rows))
+        print(f"wrote {execution['out']} ({len(rows)} rows)")
+    else:
+        sys.stdout.write(metrics_csv_text(rows))
     return EXIT_OK
+
+
+def _cohort_row_problem(values) -> str | None:
+    """Why a parsed ``arm entry t_pfs t_os dropout`` row is no patient."""
+    arm, entry, t_pfs, t_os, dropout = values
+    if any(np.isnan(v) for v in values):
+        return "nan value"
+    if arm not in (0.0, 1.0):
+        return "arm must be 0 or 1"
+    if not np.isfinite(entry):
+        return "entry must be finite"
+    if min(t_pfs, t_os, dropout) < 0.0:
+        return "t_pfs, t_os and dropout must not be negative"
+    if t_pfs > t_os:
+        return "t_pfs exceeds t_os"
+    return None
 
 
 def read_cohort(path: str) -> Cohort:
@@ -280,7 +302,9 @@ def read_cohort(path: str) -> Cohort:
     One patient per line with five whitespace-separated columns
     ``arm entry t_pfs t_os dropout``; ``#`` comments and blank lines are
     skipped.  Times are latent (uncensored) and relative to entry except
-    for ``entry`` itself, which is a calendar date.
+    for ``entry`` itself, which is a calendar date.  Latent times and
+    drop-out may be ``inf``; no value may be ``nan`` or negative, ``entry``
+    must be finite, and ``t_pfs`` may not exceed ``t_os``.
     """
     rows = []
     try:
@@ -298,8 +322,9 @@ def read_cohort(path: str) -> Cohort:
                     values = [float(p) for p in parts]
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-                if values[0] not in (0.0, 1.0):
-                    raise ConfigError(f"{path}:{lineno}: arm must be 0 or 1")
+                problem = _cohort_row_problem(values)
+                if problem:
+                    raise ConfigError(f"{path}:{lineno}: {problem}")
                 rows.append(values)
     except OSError as exc:
         raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
@@ -414,8 +439,7 @@ def cmd_plan(args) -> int:
         lines += [f"{d},{result.evaluations[d]:.6f}"
                   for d in sorted(result.evaluations)]
         lines.append(f"# selected={result.d_os}")
-        with open(execution["out"], "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_output(execution["out"], "\n".join(lines) + "\n")
         print(f"wrote {execution['out']}")
     return EXIT_OK
 

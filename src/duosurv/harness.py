@@ -46,10 +46,8 @@ __all__ = [
     "run_experiment",
     "fwer_sweep",
     "power_sweep",
-    "relative_to_baseline",
     "plan_events",
     "metrics_csv_text",
-    "write_metrics_csv",
 ]
 
 # 10% annual dropout, time unit one month
@@ -401,32 +399,6 @@ def power_sweep(index: int, weights, n_reps: int, seed: int,
     return rows
 
 
-def relative_to_baseline(rows, baseline: str = "bon") -> list:
-    """Per-scenario rate ratios against a baseline procedure's row."""
-    by_scenario = {}
-    for row in rows:
-        if row.procedure == baseline:
-            by_scenario[row.scenario] = row
-    out = []
-    for row in rows:
-        base = by_scenario.get(row.scenario)
-        if base is None or row.procedure == baseline:
-            continue
-
-        def ratio(a, b):
-            return a / b if b > 0 else math.nan
-
-        out.append({
-            "scenario": row.scenario,
-            "procedure": row.procedure,
-            "baseline": baseline,
-            "rel_rej_os": ratio(row.rej_os, base.rej_os),
-            "rel_disjunctive": ratio(row.disjunctive, base.disjunctive),
-            "rel_conjunctive": ratio(row.conjunctive, base.conjunctive),
-        })
-    return out
-
-
 @dataclass(frozen=True)
 class PlanResult:
     d_os: int
@@ -500,8 +472,3 @@ def metrics_csv_text(rows) -> str:
     lines = [",".join(CSV_COLUMNS)]
     lines.extend(",".join(r.formatted()) for r in rows)
     return "\n".join(lines) + "\n"
-
-
-def write_metrics_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(metrics_csv_text(rows))

@@ -23,31 +23,14 @@ from .errors import DegenerateVariance, InconsistentSnapshots
 from .trialdata import OS, PFS, Snapshot
 
 __all__ = [
-    "StepFunction",
     "LogrankResult",
-    "GroupShare",
     "CovarianceEstimate",
-    "nelson_aalen",
     "logrank",
-    "group_share",
     "cross_covariance",
     "covariance_matrix",
 ]
 
 CORRELATION_CLAMP = 0.9999
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Right-continuous cumulative step function, 0 before the first jump."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __call__(self, s):
-        idx = np.searchsorted(self.times, s, side="right") - 1
-        padded = np.concatenate(([0.0], self.values))
-        return padded[idx + 1]
 
 
 @dataclass(frozen=True)
@@ -71,24 +54,6 @@ class LogrankResult:
             raise DegenerateVariance(
                 f"variance estimate is 0 with {self.n_events} events")
         return self.z
-
-
-@dataclass(frozen=True)
-class GroupShare:
-    """Arm-wise opposite-share curve and its hazard integral on the event grid.
-
-    ``mu`` holds 1 - Y_arm / Y at each pooled event time, ``psi`` the running
-    integral of ``mu`` against the Nelson-Aalen increments up to and including
-    that time.
-    """
-
-    arm: int
-    times: np.ndarray
-    mu: np.ndarray
-    psi: np.ndarray
-
-    def psi_at(self, s):
-        return StepFunction(self.times, self.psi)(s)
 
 
 class _EndpointCurves:
@@ -144,20 +109,16 @@ class _EndpointCurves:
         # opposite-arm share per group at the grid: mu_g = 1 - Y_g / Y
         mu1 = 1.0 - share1[grid_first]
         mu0 = 1.0 - share0[grid_first]
-        self.grid_times = grid_times
-        self.d_lambda = d_lambda
-        self.mu0_grid = mu0
-        self.mu1_grid = mu1
-        self.psi0 = np.cumsum(mu0 * d_lambda)
-        self.psi1 = np.cumsum(mu1 * d_lambda)
+        psi0 = np.cumsum(mu0 * d_lambda)
+        psi1 = np.cumsum(mu1 * d_lambda)
 
         # per-patient residuals mu^{(z_i)}(x_i) * d_i - psi^{(z_i)}(x_i),
-        # scattered back into cohort positions (0 for absent patients)
+        # back in record order
         mu_own_sorted = np.where(zs, 1.0 - share1, 1.0 - share0)
         # both psi curves jump on the same grid: one lookup serves both
         at = np.searchsorted(grid_times, xs, side="right")
-        psi_own_sorted = np.where(zs, np.append(0.0, self.psi1)[at],
-                                  np.append(0.0, self.psi0)[at])
+        psi_own_sorted = np.where(zs, np.append(0.0, psi1)[at],
+                                  np.append(0.0, psi0)[at])
         resid_sorted = mu_own_sorted * ds - psi_own_sorted
         resid = np.empty(m)
         resid[order] = resid_sorted
@@ -171,12 +132,6 @@ def _curves(snap: Snapshot, endpoint: str) -> _EndpointCurves:
     return cache[endpoint]
 
 
-def nelson_aalen(snap: Snapshot, endpoint: str) -> StepFunction:
-    """Pooled cumulative-hazard estimate; tied events share a single jump."""
-    c = _curves(snap, endpoint)
-    return StepFunction(c.grid_times, np.cumsum(c.d_lambda))
-
-
 def logrank(snap: Snapshot, endpoint: str) -> LogrankResult:
     """Calendar-time log-rank score and variance at this snapshot.
 
@@ -186,16 +141,6 @@ def logrank(snap: Snapshot, endpoint: str) -> LogrankResult:
     package.  Events with an empty at-risk group contribute zero (0/0 := 0).
     """
     return _curves(snap, endpoint).result
-
-
-def group_share(snap: Snapshot, endpoint: str, arm: int) -> GroupShare:
-    """Opposite-share curve ``1 - Y_arm/Y`` with its hazard integral."""
-    if arm not in (0, 1):
-        raise ValueError(f"arm must be 0 or 1, got {arm!r}")
-    c = _curves(snap, endpoint)
-    mu = c.mu1_grid if arm == 1 else c.mu0_grid
-    psi = c.psi1 if arm == 1 else c.psi0
-    return GroupShare(arm=arm, times=c.grid_times, mu=mu, psi=psi)
 
 
 def _check_compatible(a: Snapshot, b: Snapshot) -> None:
@@ -212,9 +157,10 @@ def _check_compatible(a: Snapshot, b: Snapshot) -> None:
         raise InconsistentSnapshots("snapshots do not come from the same cohort")
 
 
-def _scatter(values: np.ndarray, index: np.ndarray, n_ref: int) -> np.ndarray:
-    out = np.zeros(n_ref)
-    out[index] = values
+def _residuals(snap: Snapshot, endpoint: str) -> np.ndarray:
+    """Endpoint residuals in cohort positions, 0 for absent patients."""
+    out = np.zeros(snap.n_ref)
+    out[snap.index] = _curves(snap, endpoint).resid
     return out
 
 
@@ -227,8 +173,7 @@ def cross_covariance(snap_pfs: Snapshot, snap_os: Snapshot) -> float:
     the value is 0 whenever either side has no events yet.
     """
     _check_compatible(snap_pfs, snap_os)
-    r_pfs = _scatter(_curves(snap_pfs, PFS).resid, snap_pfs.index, snap_pfs.n_ref)
-    r_os = _scatter(_curves(snap_os, OS).resid, snap_os.index, snap_os.n_ref)
+    r_pfs, r_os = _residuals(snap_pfs, PFS), _residuals(snap_os, OS)
     return float(r_pfs @ r_os) / snap_pfs.n_ref
 
 
@@ -271,10 +216,13 @@ def covariance_matrix(snap_interim: Snapshot, snap_final: Snapshot) -> Covarianc
     v_o1 = logrank(snap_interim, OS).var
     v_p2 = logrank(snap_final, PFS).var
     v_o2 = logrank(snap_final, OS).var
-    c11 = cross_covariance(snap_interim, snap_interim)
-    c12 = cross_covariance(snap_interim, snap_final)
-    c21 = cross_covariance(snap_final, snap_interim)
-    c22 = cross_covariance(snap_final, snap_final)
+    # cross_covariance for each (PFS time, OS time) pair, checked once
+    r_p1, r_o1 = _residuals(snap_interim, PFS), _residuals(snap_interim, OS)
+    r_p2, r_o2 = _residuals(snap_final, PFS), _residuals(snap_final, OS)
+    c11 = float(r_p1 @ r_o1) / snap_interim.n_ref
+    c12 = float(r_p1 @ r_o2) / snap_interim.n_ref
+    c21 = float(r_p2 @ r_o1) / snap_interim.n_ref
+    c22 = float(r_p2 @ r_o2) / snap_interim.n_ref
 
     m = np.array([
         [v_p1, c11, v_p1, c12],

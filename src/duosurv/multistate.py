@@ -24,7 +24,6 @@ __all__ = [
     "FrailtySpec",
     "RecruitmentSpec",
     "DropoutSpec",
-    "PatientPath",
     "Cohort",
     "effective_intensities",
     "simulate_cohort",
@@ -118,25 +117,9 @@ class DropoutSpec:
             raise InvalidModel("drop-out rate must be non-negative")
 
 
-@dataclass(frozen=True)
-class PatientPath:
-    """Latent (uncensored) outcome of one simulated patient."""
-
-    arm: int
-    entry: float
-    t_pfs: float
-    t_os: float
-    dropout: float
-    frailty: float
-    progressed: bool
-
-
 class Cohort:
-    """Array-backed collection of patient paths.
-
-    Behaves as a read-only sequence of :class:`PatientPath` while keeping
-    contiguous numpy arrays for the simulation pipeline.
-    """
+    """Latent (uncensored) patient paths as contiguous numpy arrays, one
+    entry per cohort position."""
 
     def __init__(self, arm, entry, t_pfs, t_os, dropout, frailty, progressed):
         self.arm = np.asarray(arm, dtype=np.int8)
@@ -149,17 +132,6 @@ class Cohort:
 
     def __len__(self) -> int:
         return self.arm.shape[0]
-
-    def __getitem__(self, i: int) -> PatientPath:
-        return PatientPath(
-            arm=int(self.arm[i]),
-            entry=float(self.entry[i]),
-            t_pfs=float(self.t_pfs[i]),
-            t_os=float(self.t_os[i]),
-            dropout=float(self.dropout[i]),
-            frailty=float(self.frailty[i]),
-            progressed=bool(self.progressed[i]),
-        )
 
     def restricted_to(self, mask: np.ndarray) -> "Cohort":
         """Sub-cohort of the patients selected by a boolean mask."""

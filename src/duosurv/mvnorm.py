@@ -1,12 +1,14 @@
 """Deterministic multivariate-normal orthant probabilities and the
 inflation-factor solver.
 
-Upper-orthant probabilities P[Z_k > c_k for all k] are needed for up to four
-jointly normal standardized statistics.  Dimension two uses Gauss-Legendre
-quadrature of the classical single-integral identity; dimensions three and
-four condition on the first component and integrate the conditional orthant
-with a composite rule.  Everything is deterministic and accurate to well
-below 1e-7 absolutely, so level computations never jitter between runs.
+Upper-orthant probabilities P[Z_k > c_k for all k] are needed for up to three
+jointly normal standardized statistics: no procedure tests more than PFS at
+the interim and OS at the interim and at the final analysis.  Dimension two
+uses Gauss-Legendre quadrature of the classical single-integral identity;
+dimension three conditions on the first component and integrates the
+conditional orthant with a composite rule.  Everything is deterministic and
+accurate to well below 1e-7 absolutely, so level computations never jitter
+between runs.
 
 The inflation solver finds the factor xi >= 1 by which a set of nominal
 levels can be blown up until the probability of rejecting at least one of
@@ -121,29 +123,6 @@ def _trivariate_upper(b, corr) -> float:
     return float(np.sum(w * _phi(x) * inner))
 
 
-def _quadrivariate_upper(b, corr) -> float:
-    """P[Z > b] in dimension 4 by conditioning on the first component."""
-    b = np.asarray(b, dtype=float)
-    r0 = corr[0, 1:]
-    s = np.sqrt(np.maximum(1.0 - r0 * r0, 1e-14))
-    cond = (corr[1:, 1:] - np.outer(r0, r0)) / np.outer(s, s)
-    cond = np.clip(cond, -1.0, 1.0)
-    np.fill_diagonal(cond, 1.0)
-
-    lo = max(b[0], -_TAIL_CUT)
-    if lo >= _TAIL_CUT:
-        return 0.0
-    nodes, weights = _GL16
-    total = 0.0
-    for a, c in _segments(lo, _TAIL_CUT):
-        mid, half = 0.5 * (a + c), 0.5 * (c - a)
-        for t, w in zip(nodes, weights):
-            x = mid + half * t
-            shifted = (b[1:] - r0 * x) / s
-            total += half * w * _phi(x) * _trivariate_upper(shifted, cond)
-    return total
-
-
 def _validated_correlation(corr) -> np.ndarray:
     m = np.asarray(corr, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -184,7 +163,7 @@ def mvn_upper_orthant(query: OrthantQuery) -> float:
     """Probability that every component exceeds its bound.
 
     Components with bound -inf are certain and dropped; any +inf bound makes
-    the orthant empty.  Supported dimensions after dropping: 0 to 4.
+    the orthant empty.  Supported dimensions after dropping: 0 to 3.
     """
     lower = np.asarray(query.lower_z, dtype=float)
     corr = (query.corr if isinstance(query, _ValidatedQuery)
@@ -205,11 +184,9 @@ def mvn_upper_orthant(query: OrthantQuery) -> float:
         p = _bvn_upper(lower[0], lower[1], float(corr[0, 1]))
     elif dim == 3:
         p = _trivariate_upper(lower, corr)
-    elif dim == 4:
-        p = _quadrivariate_upper(lower, corr)
     else:
         raise InvalidCorrelation(
-            f"orthant dimension {dim} not supported (max 4)")
+            f"orthant dimension {dim} not supported (max 3)")
     # quadrature round-off near singular matrices can leave [0, 1] by ~1e-17
     return min(max(float(p), 0.0), 1.0)
 
@@ -257,6 +234,7 @@ def solve_inflation(problem: InflationProblem) -> float:
     target = float(problem.target)
     if not 0.0 < target < 0.5:
         raise NoSolution(f"target {target} must lie in (0, 0.5)")
+    # validated once: any principal submatrix of the result is valid too
     corr = _validated_correlation(problem.corr)
     n_total = len(levels) + len(problem.fixed_thresholds)
     if corr.shape[0] != n_total:
@@ -269,8 +247,7 @@ def solve_inflation(problem: InflationProblem) -> float:
              if not np.isneginf(f)]
     if not keep:
         raise NoSolution("no active components")
-    # the same matrix an orthant query would validate, validated once
-    corr = _validated_correlation(corr[np.ix_(keep, keep)])
+    corr = corr[np.ix_(keep, keep)]
     fixed = tuple(f for f in problem.fixed_thresholds if not np.isneginf(f))
     levels = tuple(a for a in levels if a > 0.0)
     if not levels:

@@ -52,8 +52,6 @@ __all__ = [
     "AnalysisInputs",
     "TrialOutcome",
     "run_procedure",
-    "run_design_one",
-    "run_design_two",
     "check_consonance",
 ]
 
@@ -217,18 +215,15 @@ def _correlations(cov: CovarianceEstimate) -> dict:
 
 
 def run_procedure(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
-    if design.is_group_sequential:
-        return run_design_two(design, inputs)
-    return run_design_one(design, inputs)
-
-
-def run_design_one(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
-    """Single OS look at the final analysis (plus PFS at the interim)."""
-    if design.is_group_sequential:
-        raise ConfigError(f"{design.procedure} plans an interim OS look")
     if design.procedure in _EXHAUSTIVE:
         return _run_exhaustive(design, inputs)
+    if design.is_group_sequential:
+        return _run_group_sequential(design, inputs)
+    return _run_single_look(design, inputs)
 
+
+def _run_single_look(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
+    """Single OS look at the final analysis (plus PFS at the interim)."""
     alpha, pa, oa = design.alpha, design.level_pfs, design.level_os
     zp1, zo2 = inputs.z_pfs_interim, inputs.z_os_final
     if design.procedure == "os":
@@ -247,13 +242,8 @@ def run_design_one(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
         correlations=_correlations(inputs.covariance))
 
 
-def run_design_two(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
+def _run_group_sequential(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
     """Interim and final OS looks along an error-spending schedule."""
-    if not design.is_group_sequential:
-        raise ConfigError(f"{design.procedure} has no interim OS look")
-    if design.procedure in _EXHAUSTIVE:
-        return _run_exhaustive(design, inputs)
-
     alpha, pa, oa = design.alpha, design.level_pfs, design.level_os
     zp1, zo1, zo2 = (inputs.z_pfs_interim, inputs.z_os_interim,
                      inputs.z_os_final)

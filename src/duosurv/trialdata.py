@@ -24,7 +24,6 @@ __all__ = [
     "CutoffTargets",
     "snapshot",
     "event_cutoff",
-    "at_risk",
     "information_fraction",
 ]
 
@@ -155,8 +154,7 @@ def snapshot(cohort: Cohort, calendar_time: float) -> Snapshot:
 
     columns = {}
     for endpoint, t_event in ((PFS, sub.t_pfs), (OS, sub.t_os)):
-        event_date = np.where(t_event <= sub.dropout, sub.entry + t_event, np.inf)
-        d = event_date <= calendar_time
+        d = _event_dates(sub, endpoint) <= calendar_time
         x = np.where(d, t_event, np.minimum(sub.dropout, exposure))
         columns[endpoint] = (x, d)
 
@@ -195,15 +193,6 @@ def event_cutoff(cohort: Cohort, endpoint: str, d_target: int) -> float:
         raise InsufficientEvents(
             f"{endpoint}: only {observed} events ever observed, target {d_target}")
     return float(cut)
-
-
-def at_risk(snap: Snapshot, endpoint: str, s: float, arm: int | None = None) -> int:
-    """Number of patients with endpoint time on study >= s, optionally by arm."""
-    x = snap.times(endpoint)
-    mask = x >= s
-    if arm is not None:
-        mask &= snap.arm == arm
-    return int(mask.sum())
 
 
 def information_fraction(snap: Snapshot, endpoint: str, d_target: int) -> float:

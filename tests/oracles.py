@@ -95,14 +95,3 @@ def cross_covariance(patients, t_pfs_cut, t_os_cut):
     for i in range(n):
         total += r_pfs.get(i, 0.0) * r_os.get(i, 0.0)
     return total / n
-
-
-def nelson_aalen(records, s):
-    """Pooled cumulative hazard at s, ties pooled per distinct time."""
-    total = 0.0
-    for u in sorted({x for _, x, d in records if d}):
-        if u > s:
-            break
-        events_at_u = sum(1 for _, x, d in records if d and x == u)
-        total += events_at_u / _risk(records, u)
-    return total

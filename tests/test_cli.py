@@ -312,6 +312,33 @@ def test_cohort_parsing_rules(tmp_path, capsys):
     assert cli.main(["analyze", "--data", not_num, "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("row, reason", [
+    ("0 nan 1.0 2.0 5.0", "nan value"),
+    ("1 0.5 1.0 nan 5.0", "nan value"),
+    ("0 inf 1.0 2.0 5.0", "entry must be finite"),
+    ("1 0.5 -1.0 2.0 5.0", "must not be negative"),
+    ("0 0.5 1.0 -inf 5.0", "must not be negative"),
+    ("1 0.5 1.0 2.0 -0.5", "must not be negative"),
+    ("0 0.5 3.0 2.0 5.0", "t_pfs exceeds t_os"),
+])
+def test_bad_cohort_rows_are_config_errors(tmp_path, capsys, row, reason):
+    lines = make_cohort_text().splitlines()
+    lines[4] = row
+    data = write(tmp_path / "c.txt", "\n".join(lines) + "\n")
+    cfg = write(tmp_path / "an.yaml", ANALYZE_CONFIG)
+    assert cli.main(["analyze", "--data", data, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{data}:5:" in err
+    assert reason in err
+
+
+def test_infinite_latent_times_and_dropout_are_allowed(tmp_path, capsys):
+    text = make_cohort_text() + "1 0.0 inf inf inf\n0 0.0 1.0 inf 2.0\n"
+    data = write(tmp_path / "c.txt", text)
+    cfg = write(tmp_path / "an.yaml", ANALYZE_CONFIG)
+    assert cli.main(["analyze", "--data", data, "--config", cfg]) == 0
+
+
 def plan_config(tmp_path, target, bracket, n_reps=40):
     return write(tmp_path / "plan.yaml", STEEP_SCENARIO + f"""\
 design:
@@ -339,6 +366,32 @@ def test_plan_reports_and_traces(tmp_path, capsys):
     assert lines[-1] == f"# selected={selected}"
     assert all("," in l for l in lines[1:-1])
     assert 15 <= selected <= 60
+
+
+@pytest.mark.parametrize("command, out_value, out_flag", [
+    ("simulate", "true", None),
+    ("simulate", "123", None),
+    ("simulate", "[a, b]", None),
+    ("plan", "true", None),
+    ("simulate", None, "missing/x.csv"),
+    ("plan", None, "missing/x.csv"),
+])
+def test_bad_output_paths_are_config_errors(tmp_path, capsys, command,
+                                            out_value, out_flag):
+    cfg = (simulate_config(tmp_path) if command == "simulate"
+           else plan_config(tmp_path, 0.6, "[15, 60]", n_reps=10))
+    argv = [command, "--config", cfg]
+    if out_value is not None:
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write(f"  out: {out_value}\n")
+        named = "execution.out"
+    else:
+        named = str(tmp_path / out_flag)
+        argv += ["--out", named]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert named in err
 
 
 def test_plan_unreachable_target_is_runtime_error(tmp_path, capsys):

@@ -13,12 +13,9 @@ from conftest import cohort_from_patients, micro_cutoffs, micro_patients
 from duosurv.errors import DegenerateVariance, InconsistentSnapshots
 from duosurv.logrank import (
     CORRELATION_CLAMP,
-    StepFunction,
     covariance_matrix,
     cross_covariance,
-    group_share,
     logrank,
-    nelson_aalen,
 )
 from duosurv.trialdata import OS, PFS, Snapshot, snapshot
 
@@ -78,43 +75,18 @@ def test_two_patient_hand_example():
     assert res_sw.var == pytest.approx(res.var, abs=TOL)
 
 
-def test_nelson_aalen_hand_example():
-    snap = two_arm_records([
-        (0, 1.0, 1, 1.0, 1),
-        (1, 1.5, 0, 1.5, 0),
-        (0, 2.0, 1, 2.0, 1),
-        (1, 3.0, 0, 3.0, 0),
-    ])
-    na = nelson_aalen(snap, OS)
-    assert na(0.5) == 0.0
-    assert na(1.0) == pytest.approx(0.25, abs=TOL)   # 1/4 at risk
-    assert na(1.9) == pytest.approx(0.25, abs=TOL)
-    assert na(2.0) == pytest.approx(0.75, abs=TOL)   # + 1/2 at risk
-    assert na(50.0) == pytest.approx(0.75, abs=TOL)
-
-
-def test_nelson_aalen_matches_oracle():
-    rng = np.random.default_rng(31)
-    for _ in range(100):
-        patients = micro_patients(rng)
-        t, _ = micro_cutoffs(rng)
-        snap = snapshot(cohort_from_patients(patients), t)
-        records = oracles.observe(patients, t, PFS)
-        na = nelson_aalen(snap, PFS)
-        for s in (0.25, 0.5, 1.0, 2.0, 5.0):
-            assert na(s) == pytest.approx(
-                oracles.nelson_aalen(records, s), abs=TOL)
-
-
 def test_tied_events_share_one_jump():
     snap = two_arm_records([
         (0, 1.0, 1, 1.0, 1),
         (1, 1.0, 1, 1.0, 1),
         (0, 2.0, 0, 2.0, 0),
     ])
-    na = nelson_aalen(snap, PFS)
-    assert len(na.times) == 1
-    assert na(1.0) == pytest.approx(2.0 / 3.0, abs=TOL)
+    # both tied events see the full risk set: Y=3, Y1=1
+    res = logrank(snap, PFS)
+    assert res.u == pytest.approx((1.0 / 3.0) / np.sqrt(3.0), abs=TOL)
+    assert res.var == pytest.approx(2.0 * (2.0 / 9.0) / 3.0, abs=TOL)
+    # one hazard jump of 2/3 at t=1 gives residuals 1/9, 2/9 and -2/9
+    assert cross_covariance(snap, snap) == pytest.approx(1.0 / 27.0, abs=TOL)
 
 
 def test_no_events_gives_degenerate_statistic():
@@ -164,40 +136,6 @@ def test_record_order_invariance():
     b = logrank(snapshot(cohort_from_patients(shuffled), t), PFS)
     assert b.u == pytest.approx(a.u, abs=TOL)
     assert b.var == pytest.approx(a.var, abs=TOL)
-
-
-def test_group_shares_sum_to_pooled_hazard():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        patients = micro_patients(rng)
-        t, _ = micro_cutoffs(rng)
-        snap = snapshot(cohort_from_patients(patients), t)
-        g0 = group_share(snap, OS, 0)
-        g1 = group_share(snap, OS, 1)
-        na = nelson_aalen(snap, OS)
-        if len(g0.times) == 0:
-            continue
-        # mu0 + mu1 = 1 at every grid point with both arms pooled, so the two
-        # hazard integrals partition the Nelson-Aalen estimate
-        total = g0.psi + g1.psi
-        assert np.allclose(total, np.cumsum(na.values - np.concatenate(
-            ([0.0], na.values[:-1]))), atol=TOL)
-        assert np.allclose(total, na.values, atol=TOL)
-
-
-def test_group_share_components_match_oracle():
-    rng = np.random.default_rng(97)
-    patients = micro_patients(rng, n=9)
-    t = 2.0
-    snap = snapshot(cohort_from_patients(patients), t)
-    records = oracles.observe(patients, t, OS)
-    for arm in (0, 1):
-        g = group_share(snap, OS, arm)
-        for s in (0.25, 0.75, 1.5, 3.0):
-            assert g.psi_at(s) == pytest.approx(
-                oracles.hazard_integral(records, arm, s), abs=TOL)
-    with pytest.raises(ValueError):
-        group_share(snap, OS, 2)
 
 
 def test_covariance_matrix_layout_and_symmetry():
@@ -292,12 +230,3 @@ def test_covariance_matrix_errors():
     with pytest.raises(DegenerateVariance):
         covariance_matrix(snapshot(early, 1.0), snapshot(early, 10.0))
 
-
-def test_step_function_basics():
-    f = StepFunction(times=np.array([1.0, 2.0]), values=np.array([0.3, 0.9]))
-    assert f(0.0) == 0.0
-    assert f(1.0) == 0.3
-    assert f(1.5) == 0.3
-    assert f(2.0) == 0.9
-    assert np.array_equal(f(np.array([0.5, 1.0, 3.0])),
-                          np.array([0.0, 0.3, 0.9]))

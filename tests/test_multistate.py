@@ -144,10 +144,6 @@ def test_cohort_indexing_and_restriction():
     rec = RecruitmentSpec(per_arm_rate=2.0, max_per_arm=6)
     cohort = simulate_cohort(same_both_arms(GOOD), rec, DropoutSpec(0.2),
                              FrailtySpec(), seed=2)
-    p = cohort[3]
-    assert p.arm == int(cohort.arm[3])
-    assert p.entry == cohort.entry[3]
-    assert p.t_os == cohort.t_os[3]
     sub = cohort.restricted_to(cohort.arm == 1)
     assert len(sub) == 6
     assert np.all(sub.arm == 1)

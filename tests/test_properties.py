@@ -1,20 +1,25 @@
-"""Closed-test properties of the nine procedures on random valid inputs.
+"""Closed-test properties of the nine procedures, and of the orthant layer
+beneath them, on random valid inputs.
 
 Correlations come from a two-factor model with positive loadings, which
 always yields a valid 4x4 correlation matrix of the kind the log-rank
 covariance estimator produces (all statistics positively related).  The
 properties are the procedure nesting, the global-test gate, the elementary
 OS gate of the exhaustive procedures, and that the per-trial solve cache
-never lets one procedure's run change another's outcome.
+never lets one procedure's run change another's outcome.  The orthant
+properties draw correlations of every rank in dimensions 1 to 3, so the
+singular ones go through the eigenvalue repair.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
 from duosurv.logrank import CovarianceEstimate
-from duosurv.mvnorm import InflationProblem, solve_inflation
+from duosurv.mvnorm import (InflationProblem, OrthantQuery, mvn_upper_orthant,
+                            solve_inflation)
 from duosurv.testing import (PROCEDURES, AnalysisInputs, DesignSpec,
                              run_procedure)
 
@@ -90,3 +95,73 @@ def test_outcome_does_not_depend_on_other_procedures(case):
     for design in DESIGNS.values():
         assert run_procedure(design, shared) == \
             run_procedure(design, make_inputs(*case))
+
+
+def factor_correlation(draw, dim):
+    """Correlation ``L L^T`` of unit rows of a ``dim x rank`` loading
+    matrix; any rank below ``dim`` makes it singular."""
+    rank = draw(st.integers(1, dim))
+    loadings = np.array(draw(st.lists(
+        st.floats(-1.0, 1.0), min_size=dim * rank,
+        max_size=dim * rank))).reshape(dim, rank)
+    norms = np.sqrt((loadings ** 2).sum(axis=1))
+    assume(norms.min() > 0.1)
+    loadings /= norms[:, None]
+    corr = loadings @ loadings.T
+    np.fill_diagonal(corr, 1.0)
+    return np.clip(corr, -1.0, 1.0)
+
+
+@st.composite
+def orthant_cases(draw):
+    """``(bounds, corr, k, step)``: a query plus a raise of bound ``k``."""
+    dim = draw(st.integers(1, 3))
+    corr = factor_correlation(draw, dim)
+    bound = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([-np.inf, np.inf]))
+    bounds = draw(st.lists(bound, min_size=dim, max_size=dim))
+    return bounds, corr, draw(st.integers(0, dim - 1)), draw(st.floats(0.0, 2.0))
+
+
+def upper(bounds, corr):
+    return mvn_upper_orthant(OrthantQuery(lower_z=tuple(bounds), corr=corr))
+
+
+@property_settings(150)
+@given(orthant_cases())
+def test_orthant_is_a_probability_non_increasing_in_each_bound(case):
+    bounds, corr, k, step = case
+    p = upper(bounds, corr)
+    assert 0.0 <= p <= 1.0
+    raised = list(bounds)
+    raised[k] += step
+    assert upper(raised, corr) <= p + 1e-9
+
+
+@st.composite
+def inflation_cases(draw):
+    """Scaled levels, fixed thresholds (some -inf, dropped by the solver)
+    and a full correlation; at most three components stay active."""
+    levels = draw(st.lists(st.floats(0.001, 0.02), min_size=1, max_size=2))
+    fixed = draw(st.lists(st.one_of(st.floats(-4.0, -2.5),
+                                    st.just(-np.inf)),
+                          min_size=0, max_size=2))
+    assume(len(levels) + sum(1 for f in fixed if np.isfinite(f)) <= 3)
+    corr = factor_correlation(draw, len(levels) + len(fixed))
+    return tuple(levels), tuple(fixed), corr, draw(st.floats(1e-4, 0.02))
+
+
+@property_settings(60)
+@given(inflation_cases())
+def test_inflation_round_trips_its_defining_equation(case):
+    levels, fixed, corr, excess = case
+
+    def rejection(xi):
+        return 1.0 - upper([norm.ppf(xi * a) for a in levels] + list(fixed),
+                           corr)
+
+    target = rejection(1.0) + excess
+    xi = solve_inflation(InflationProblem(
+        base_levels=levels, corr=corr, target=target,
+        fixed_thresholds=fixed))
+    assert xi >= 1.0
+    assert rejection(xi) == pytest.approx(target, abs=2e-6)

@@ -21,8 +21,6 @@ from duosurv.testing import (
     DesignSpec,
     TrialOutcome,
     check_consonance,
-    run_design_one,
-    run_design_two,
     run_procedure,
 )
 
@@ -287,12 +285,10 @@ def test_consonance_check():
 
 def test_dispatch_guards():
     inputs = make_inputs(0.0, 0.0, 0.0)
-    with pytest.raises(ConfigError, match="plans an interim"):
-        run_design_one(DesignSpec("bon_gs"), inputs)
-    with pytest.raises(ConfigError, match="no interim"):
-        run_design_two(DesignSpec("bon"), inputs)
     assert run_procedure(DesignSpec("bon"), inputs).case_label == "final"
     assert run_procedure(DesignSpec("bon_gs"), inputs).case_label == "final"
+    assert run_procedure(DesignSpec("ex_gs_last"), inputs).case_label in (
+        "1.1", "1.2", "2")
 
 
 def test_design_spec_validation_and_levels():

@@ -8,7 +8,6 @@ from duosurv.trialdata import (
     OS,
     PFS,
     CutoffTargets,
-    at_risk,
     event_cutoff,
     information_fraction,
     snapshot,
@@ -123,15 +122,6 @@ def test_cutoff_targets():
         CutoffTargets.from_rates(0.0, 0.5, 100)
     with pytest.raises(InvalidModel):
         CutoffTargets.from_rates(0.5, 1.2, 100)
-
-
-def test_at_risk_counts_boundary_inclusive():
-    snap = snapshot(cohort_from_patients(HAND_PATIENTS), 1.0)
-    # x_pfs at t=1: [1.0, 0.5, 0.25]; at-risk uses x >= s
-    assert at_risk(snap, PFS, 0.5) == 2
-    assert at_risk(snap, PFS, 0.5, arm=1) == 1
-    assert at_risk(snap, PFS, 1.0) == 1
-    assert at_risk(snap, PFS, 1.0001) == 0
 
 
 def test_information_fraction_not_capped():
