@@ -72,7 +72,6 @@ from .trialdata import (
     OS,
     PFS,
     CutoffTargets,
-    ObservedRecord,
     Snapshot,
     event_cutoff,
     information_fraction,

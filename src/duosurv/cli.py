@@ -116,7 +116,8 @@ def _frailty(block, where) -> FrailtySpec:
     if value is True:
         return FrailtySpec(enabled=True)
     if isinstance(value, dict):
-        _check_keys(value, ("shape", "rate"), f"{where}.frailty")
+        where = f"{where}.frailty"
+        _check_keys(value, ("shape", "rate"), where)
         return FrailtySpec(enabled=True,
                            shape=_number(value, "shape", where, 10.0),
                            rate=_number(value, "rate", where, 10.0))
@@ -220,7 +221,22 @@ def _execution(config: dict, args) -> dict:
     out = args.out if getattr(args, "out", None) else block.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("'execution.out' must be a file path")
+    if out:
+        _check_output(out)
     return {"n_reps": n_reps, "seed": seed, "workers": workers, "out": out}
+
+
+def _check_output(path: str) -> None:
+    """Fail before any work if ``path`` cannot be opened for writing; a
+    file that did not exist yet is removed again."""
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+    if not existed:
+        os.remove(path)
 
 
 def _write_output(path: str, text: str) -> None:

@@ -5,11 +5,6 @@ class DuosurvError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidModel(DuosurvError):
-    """Raised when multi-state model parameters are unusable (negative
-    intensities, empty event hazard out of state 0, bad frailty shape)."""
-
-
 class InsufficientEvents(DuosurvError):
     """Raised when a requested event count is never reached by a cohort."""
 
@@ -36,6 +31,12 @@ class NoSolution(DuosurvError):
 class ConfigError(DuosurvError):
     """Raised for malformed run configuration (unknown keys, bad types,
     values out of range)."""
+
+
+class InvalidModel(ConfigError):
+    """Raised when model, recruitment or event-target parameters are
+    unusable (negative intensities, empty event hazard out of state 0, bad
+    frailty shape, event targets below one)."""
 
 
 class CutoffOrder(ConfigError):

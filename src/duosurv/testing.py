@@ -1,19 +1,20 @@
 """Closed testing of a PFS and an OS hypothesis across two analyses.
 
-All procedures share the same anatomy.  PFS is tested once, at the interim
-analysis triggered by the PFS event target; OS is tested at the final
-analysis triggered by the OS event target, and for group-sequential
-variants also at the interim.  One-sided lower-tail tests throughout: a
-hypothesis is rejected when its standardized log-rank statistic falls at or
-below the normal quantile of the allotted level.
+PFS is tested once, at the interim analysis triggered by the PFS event
+target.  OS is tested by one error-spending test over the interim and the
+final analysis, triggered by the OS event target, whose final threshold is
+recalculated from the estimated correlation to use up the available level.
+One-sided lower-tail tests throughout: a hypothesis is rejected when its
+standardized log-rank statistic falls at or below the normal quantile of
+the allotted level.
 
 Levels come from splitting the one-sided alpha into a PFS share and an OS
-share.  The procedures differ in what happens to the PFS share once the
-PFS hypothesis is settled, and in how exactly the OS share is spread over
-the two analyses:
+share.  The ``_gs`` variants spend the OS share O'Brien-Fleming-type over
+both analyses, the others all at the final one.  The procedures differ in
+what happens to the PFS share once the PFS hypothesis is settled:
 
 * ``bon`` / ``bon_gs``: nothing is passed on; each hypothesis keeps its
-  share (``_gs`` spreads the OS share over both analyses).
+  share.
 * ``rec`` / ``rec_gs``: a rejected PFS hypothesis donates its share to the
   not-yet-spent part of the OS test.
 * ``ex_*``: closed testing with intersection levels inflated until the
@@ -21,7 +22,13 @@ the two analyses:
   between the standardized statistics.  ``_last`` releases the recycled
   PFS share to the OS test only at the final analysis, ``_first`` already
   at the interim.
-* ``os``: single final OS test at full alpha, as a reference.
+* ``os``: the OS test at full alpha and no PFS test, as a reference.
+
+Spending all at the final analysis, ``bon``, ``rec`` and ``os`` test OS
+once, at the quantile of their level.  Their decisions could differ from a
+single final test only at ``os_fraction_interim >= 1``, which the pipeline
+never produces: the interim cutoff falls strictly before the date of the
+``d_os``-th OS event, so fewer than ``d_os`` OS events are seen there.
 
 The exhaustive procedures track the closed-test cases explicitly: case 1
 means the intersection hypothesis fell at the interim (1.1 if the
@@ -70,6 +77,7 @@ PROCEDURES = (
 _GROUP_SEQUENTIAL = frozenset({"bon_gs", "rec_gs", "ex_gs_last", "ex_gs_first"})
 _EXHAUSTIVE = frozenset({"ex_last", "ex_first", "ex_gs_last", "ex_gs_first"})
 _FIRST = frozenset({"ex_first", "ex_gs_first"})
+_RECYCLING = frozenset({"rec", "rec_gs"})
 
 # covariance row order produced by logrank.covariance_matrix
 _P1, _O1, _P2, _O2 = 0, 1, 2, 3
@@ -77,20 +85,16 @@ _P1, _O1, _P2, _O2 = 0, 1, 2, 3
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """Procedure choice plus the level split and spending shapes.
+    """Procedure choice plus the level split.
 
     ``rho_pfs`` and ``rho_os`` are the fractions of ``alpha`` initially
-    allotted to PFS and OS; they must sum to one.  ``os_spending`` is the
-    cumulative spending of the OS share over its information fraction and
-    defaults to O'Brien-Fleming-type for group-sequential procedures and
-    to everything-at-the-end otherwise.
+    allotted to PFS and OS; they must sum to one.
     """
 
     procedure: str
     alpha: float = 0.025
     rho_pfs: float = 0.2
     rho_os: float = 0.8
-    os_spending: SpendingFunction | None = None
 
     def __post_init__(self):
         if self.procedure not in PROCEDURES:
@@ -101,11 +105,6 @@ class DesignSpec:
             raise ConfigError("level fractions must be positive")
         if abs(self.rho_pfs + self.rho_os - 1.0) > 1e-9:
             raise ConfigError("rho_pfs and rho_os must sum to one")
-        if self.os_spending is not None and \
-                self.os_spending.kind.endswith("_plus_step"):
-            raise ConfigError(
-                "os_spending is the plain OS share; step variants are "
-                "derived internally")
 
     @property
     def level_pfs(self) -> float:
@@ -119,23 +118,25 @@ class DesignSpec:
     def is_group_sequential(self) -> bool:
         return self.procedure in _GROUP_SEQUENTIAL
 
-    def os_stream(self) -> SpendingFunction:
-        if self.os_spending is not None:
-            return self.os_spending
-        kind = "obf_lan_demets" if self.is_group_sequential else "full_at_one"
-        return SpendingFunction(kind)
+    @property
+    def os_shape(self) -> SpendingFunction:
+        """Spending of an OS level over its information fraction:
+        O'Brien-Fleming-type with an interim look, all at the end without."""
+        return SpendingFunction("obf_lan_demets" if self.is_group_sequential
+                                else "full_at_one")
 
-    def elementary_os_spending(self) -> SpendingFunction:
-        """Spending of the full alpha by the elementary OS test.
+    def elementary_os_spend(self, tau: float) -> float:
+        """Full alpha spent by the elementary OS test by fraction ``tau``.
 
-        The recycled PFS share enters as a step: immediately for the
-        ``_first`` exhaustive variants, only at the end otherwise.
+        The recycled PFS share enters as a step, at once for the ``_first``
+        exhaustive variants and only at ``tau >= 1`` otherwise; the OS
+        shape spends the rest.
         """
-        when = 0.0 if self.procedure in _FIRST else 1.0
-        stepped = {"full_at_one": "full_at_one_plus_step",
-                   "obf_lan_demets": "obf_plus_step"}[self.os_stream().kind]
-        return SpendingFunction(stepped, step_time=when,
-                                step_level=self.level_pfs)
+        if tau <= 0.0:
+            return 0.0
+        pa = self.level_pfs
+        step = pa if self.procedure in _FIRST or tau >= 1.0 else 0.0
+        return step + self.os_shape.spend(tau, self.alpha - pa)
 
 
 @dataclass(frozen=True)
@@ -217,48 +218,30 @@ def _correlations(cov: CovarianceEstimate) -> dict:
 def run_procedure(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
     if design.procedure in _EXHAUSTIVE:
         return _run_exhaustive(design, inputs)
-    if design.is_group_sequential:
-        return _run_group_sequential(design, inputs)
-    return _run_single_look(design, inputs)
+    return _run_error_spending(design, inputs)
 
 
-def _run_single_look(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
-    """Single OS look at the final analysis (plus PFS at the interim)."""
-    alpha, pa, oa = design.alpha, design.level_pfs, design.level_os
-    zp1, zo2 = inputs.z_pfs_interim, inputs.z_os_final
-    if design.procedure == "os":
-        rej_pfs, os_level = False, alpha
-    else:
-        rej_pfs = bool(zp1 <= ndtri(pa))
-        os_level = alpha if (design.procedure == "rec" and rej_pfs) else oa
-    rej_os = bool(zo2 <= ndtri(os_level))
-    return TrialOutcome(
-        procedure=design.procedure, rejected_pfs=rej_pfs, rejected_os=rej_os,
-        rejected_global=rej_pfs or rej_os,
-        early_stop=False, case_label="final",
-        analysis_of_os_rejection="final" if rej_os else None,
-        z_values={"pfs_interim": zp1, "os_interim": inputs.z_os_interim,
-                  "os_final": zo2},
-        correlations=_correlations(inputs.covariance))
-
-
-def _run_group_sequential(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
-    """Interim and final OS looks along an error-spending schedule."""
-    alpha, pa, oa = design.alpha, design.level_pfs, design.level_os
+def _run_error_spending(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
+    """PFS at the interim, then the OS level spent over interim and final
+    along the design's shape; only group-sequential designs report their
+    final inflation factor."""
+    alpha = design.alpha
     zp1, zo1, zo2 = (inputs.z_pfs_interim, inputs.z_os_interim,
                      inputs.z_os_final)
     corr = _correlations(inputs.covariance)
-    tau = inputs.os_fraction_interim
-    b1 = design.os_stream().spend(tau, oa)
+    if design.procedure == "os":
+        rej_pfs, level = False, alpha
+    else:
+        rej_pfs, level = bool(zp1 <= ndtri(design.level_pfs)), design.level_os
+    b1 = design.os_shape.spend(inputs.os_fraction_interim, level)
     xi = {}
 
-    rej_pfs = bool(zp1 <= ndtri(pa))
     rej_os_interim = bool(zo1 <= ndtri(b1))
     rej_os = rej_os_interim
     when = "interim" if rej_os_interim else None
     if not rej_os_interim:
-        recycled = design.procedure == "rec_gs" and rej_pfs
-        target = alpha if recycled else oa
+        recycled = design.procedure in _RECYCLING and rej_pfs
+        target = alpha if recycled else level
         tag = "final_os_recycled" if recycled else "final_os"
         xi[tag], thr = _final_os_threshold(
             inputs, target - b1, (ndtri(b1),),
@@ -271,7 +254,8 @@ def _run_group_sequential(design: DesignSpec, inputs: AnalysisInputs) -> TrialOu
         rejected_global=rej_pfs or rej_os,
         early_stop=rej_os_interim,
         case_label="interim" if rej_os_interim else "final",
-        analysis_of_os_rejection=when, inflation_factors=xi,
+        analysis_of_os_rejection=when,
+        inflation_factors=xi if design.is_group_sequential else {},
         z_values={"pfs_interim": zp1, "os_interim": zo1, "os_final": zo2},
         correlations=corr)
 
@@ -286,10 +270,8 @@ class _ExhaustiveThresholds:
         self.design, self.inputs = design, inputs
         self.corr = _correlations(inputs.covariance)
         tau = inputs.os_fraction_interim
-        self.b1 = design.os_stream().spend(tau, design.level_os)
-        self.e1 = design.elementary_os_spending().spend(tau, design.alpha)
-        # interim quantile of the elementary OS test; -inf without a look
-        self.thr_e1 = ndtri(self.e1) if self.e1 > 0.0 else -np.inf
+        self.b1 = design.os_shape.spend(tau, design.level_os)
+        self.e1 = design.elementary_os_spend(tau)
         self.xi = {}
 
     @cached_property
@@ -336,13 +318,13 @@ class _ExhaustiveThresholds:
         """Final quantile of the elementary OS test at full alpha."""
         alpha = self.design.alpha
         self.xi["elementary_final"], thr = _final_os_threshold(
-            self.inputs, alpha - self.e1, (self.thr_e1,),
+            self.inputs, alpha - self.e1, (ndtri(self.e1),),
             _corr2(self.corr["os_interim_os_final"]), alpha)
         return thr
 
     def elementary_rejection(self, zo1: float, zo2: float) -> str | None:
         """Analysis at which the elementary OS test rejects, if any."""
-        if self.e1 > 0.0 and zo1 <= self.thr_e1:
+        if zo1 <= ndtri(self.e1):
             return "interim"
         if zo2 <= self.elementary_final:
             return "final"

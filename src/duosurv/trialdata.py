@@ -9,7 +9,7 @@ calendar dates of the interim and final analysis are themselves random.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .multistate import Cohort
 __all__ = [
     "PFS",
     "OS",
-    "ObservedRecord",
     "Snapshot",
     "CutoffTargets",
     "snapshot",
@@ -32,27 +31,15 @@ OS = "os"
 _ENDPOINTS = (PFS, OS)
 
 
-@dataclass(frozen=True)
-class ObservedRecord:
-    """One patient's observable data at a fixed calendar time."""
-
-    arm: int
-    entry: float
-    x_pfs: float
-    d_pfs: int
-    x_os: float
-    d_os: int
-
-
 @dataclass
 class Snapshot:
     """Observable data of all entered patients at one calendar time.
 
     ``n_ref`` is the reference cohort size used for the 1/sqrt(n) scalings of
-    the statistics; it defaults to the number of records but is set to the
-    cohort size by :func:`snapshot` so that statistics computed at different
-    calendar times of the same trial share one normalization.
-    ``index`` holds each record's position in that cohort.
+    the statistics; :func:`snapshot` sets it to the cohort size so that
+    statistics computed at different calendar times of the same trial share
+    one normalization.  ``index`` holds each record's position in that
+    cohort.
     """
 
     calendar_time: float
@@ -63,11 +50,7 @@ class Snapshot:
     x_os: np.ndarray
     d_os: np.ndarray
     index: np.ndarray
-    n_ref: int = field(default=0)
-
-    def __post_init__(self):
-        if self.n_ref == 0:
-            self.n_ref = len(self.arm)
+    n_ref: int
 
     def __len__(self) -> int:
         return len(self.arm)
@@ -82,30 +65,6 @@ class Snapshot:
 
     def n_events(self, endpoint: str) -> int:
         return int(self.events(endpoint).sum())
-
-    def records(self) -> list[ObservedRecord]:
-        return [
-            ObservedRecord(int(self.arm[i]), float(self.entry[i]),
-                           float(self.x_pfs[i]), int(self.d_pfs[i]),
-                           float(self.x_os[i]), int(self.d_os[i]))
-            for i in range(len(self))
-        ]
-
-    @classmethod
-    def from_records(cls, records, calendar_time: float,
-                     n_ref: int | None = None) -> "Snapshot":
-        recs = list(records)
-        return cls(
-            calendar_time=calendar_time,
-            arm=np.array([r.arm for r in recs], dtype=np.int8),
-            entry=np.array([r.entry for r in recs], dtype=float),
-            x_pfs=np.array([r.x_pfs for r in recs], dtype=float),
-            d_pfs=np.array([r.d_pfs for r in recs], dtype=bool),
-            x_os=np.array([r.x_os for r in recs], dtype=float),
-            d_os=np.array([r.d_os for r in recs], dtype=bool),
-            index=np.arange(len(recs)),
-            n_ref=n_ref if n_ref is not None else len(recs),
-        )
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,8 @@ execution:
      "scenario.weights"),
     ("plan", STEEP_SCENARIO + "design:\n  procedures: [os]\nplan:\n"
      "  target_power: 0.6\n  bracket: [x, 60]\n", "plan.bracket"),
+    ("simulate", STEEP_SCENARIO + "  frailty: {shape: abc}\n",
+     "scenario.frailty.shape"),
 ])
 def test_non_numeric_list_entries_are_config_errors(tmp_path, capsys,
                                                     command, text, key):
@@ -167,6 +169,33 @@ def test_non_numeric_list_entries_are_config_errors(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert key in err
+
+
+@pytest.mark.parametrize("command, old, new, fragment", [
+    ("simulate", "  d_os: 25\n", "  d_os: 25\n  frailty: {shape: 0}\n",
+     "frailty shape"),
+    ("simulate", "d_pfs: 10", "d_pfs: 0", "event targets"),
+    ("simulate", "  d_os: 25\n", "  d_os: 25\n  weight: 1.5\n",
+     "effect weight"),
+    ("simulate", "per_arm_rate: 25", "per_arm_rate: -2", "recruitment rate"),
+    ("analyze", "d_pfs: 8", "d_pfs: 0", "event targets"),
+], ids=["frailty_shape", "d_pfs", "weight", "per_arm_rate", "analyze_d_pfs"])
+def test_out_of_range_model_values_are_config_errors(tmp_path, capsys, command,
+                                                     old, new, fragment):
+    if command == "simulate":
+        argv = ["simulate", "--config", simulate_config(tmp_path)]
+    else:
+        argv = ["analyze", "--config", write(tmp_path / "an.yaml",
+                                             ANALYZE_CONFIG),
+                "--data", write(tmp_path / "trial.txt", make_cohort_text())]
+    cfg = tmp_path / ("sim.yaml" if command == "simulate" else "an.yaml")
+    text = cfg.read_text(encoding="utf-8")
+    assert old in text
+    cfg.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert fragment in err
 
 
 def test_simulate_requires_n_reps(tmp_path, capsys):
@@ -376,8 +405,13 @@ def test_plan_reports_and_traces(tmp_path, capsys):
     ("simulate", None, "missing/x.csv"),
     ("plan", None, "missing/x.csv"),
 ])
-def test_bad_output_paths_are_config_errors(tmp_path, capsys, command,
-                                            out_value, out_flag):
+def test_bad_output_paths_are_config_errors(tmp_path, capsys, monkeypatch,
+                                            command, out_value, out_flag):
+    def no_run(*args, **kwargs):
+        pytest.fail("the output path is checked before any replication")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    monkeypatch.setattr(cli, "plan_events", no_run)
     cfg = (simulate_config(tmp_path) if command == "simulate"
            else plan_config(tmp_path, 0.6, "[15, 60]", n_reps=10))
     argv = [command, "--config", cfg]
@@ -414,9 +448,12 @@ execution:
   n_reps: 15
   seed: 21
 """)
-    rc = cli.main(["plan", "--config", cfg])
+    trace = tmp_path / "trace.csv"
+    rc = cli.main(["plan", "--config", cfg, "--out", str(trace)])
     assert rc == 3
     assert "error: NoSolution" in capsys.readouterr().err
+    # checking the output path early leaves no file behind
+    assert not trace.exists()
 
 
 def test_plan_rejects_bad_bracket(tmp_path, capsys):

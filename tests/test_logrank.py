@@ -24,10 +24,13 @@ TOL = 1e-12
 
 def two_arm_records(items, n_ref=None):
     """Snapshot from (arm, x_pfs, d_pfs, x_os, d_os) rows at a fixed time."""
-    from duosurv.trialdata import ObservedRecord
-    recs = [ObservedRecord(arm=a, entry=0.0, x_pfs=xp, d_pfs=dp,
-                           x_os=xo, d_os=do) for a, xp, dp, xo, do in items]
-    return Snapshot.from_records(recs, calendar_time=100.0, n_ref=n_ref)
+    arm, x_pfs, d_pfs, x_os, d_os = (np.array(col) for col in zip(*items))
+    n = len(items)
+    return Snapshot(calendar_time=100.0, arm=arm.astype(np.int8),
+                    entry=np.zeros(n), x_pfs=x_pfs.astype(float),
+                    d_pfs=d_pfs.astype(bool), x_os=x_os.astype(float),
+                    d_os=d_os.astype(bool), index=np.arange(n),
+                    n_ref=n if n_ref is None else n_ref)
 
 
 def test_scores_match_oracle_on_micro_datasets():

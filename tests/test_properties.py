@@ -5,7 +5,8 @@ Correlations come from a two-factor model with positive loadings, which
 always yields a valid 4x4 correlation matrix of the kind the log-rank
 covariance estimator produces (all statistics positively related).  The
 properties are the procedure nesting, the global-test gate, the elementary
-OS gate of the exhaustive procedures, and that the per-trial solve cache
+OS gate of the exhaustive procedures, the single final look of the
+procedures without an interim OS look, and that the per-trial solve cache
 never lets one procedure's run change another's outcome.  The orthant
 properties draw correlations of every rank in dimensions 1 to 3, so the
 singular ones go through the eigenvalue repair.
@@ -35,14 +36,14 @@ def property_settings(max_examples):
 
 
 @st.composite
-def analysis_inputs(draw):
+def analysis_inputs(draw, taus=st.floats(0.2, 0.98)):
     """``(z_pfs_interim, z_os_interim, z_os_final, corr, tau)``."""
     loadings = np.array(draw(st.lists(
         st.floats(0.05, 0.69), min_size=8, max_size=8))).reshape(4, 2)
     corr = loadings @ loadings.T
     np.fill_diagonal(corr, 1.0)
     z = draw(st.tuples(*[st.floats(-4.0, 0.5)] * 3))
-    tau = draw(st.floats(0.2, 0.98))
+    tau = draw(taus)
     return (*z, corr, tau)
 
 
@@ -52,10 +53,22 @@ def make_inputs(zp1, zo1, zo2, corr, tau):
                           covariance=cov, os_fraction_interim=tau)
 
 
+def elementary_os_spend(design, tau) -> float:
+    """Interim spend of the elementary OS test, from its definition: the
+    PFS share as a step (at once for ``_first``, at tau >= 1 otherwise)
+    plus the OS shape's spending of the rest of alpha."""
+    pa, rest = design.level_pfs, design.alpha - design.level_pfs
+    step = pa if design.procedure.endswith("_first") or tau >= 1.0 else 0.0
+    if design.is_group_sequential:
+        s = min(tau, 1.0)
+        return step + 2.0 * norm.sf(norm.ppf(1.0 - rest / 2.0) / np.sqrt(s))
+    return step + (rest if tau >= 1.0 else 0.0)
+
+
 def elementary_os_rejects(design, zo1, zo2, corr, tau) -> bool:
     """The elementary OS test at full alpha, solved from its definition."""
     alpha = design.alpha
-    e1 = design.elementary_os_spending().spend(tau, alpha)
+    e1 = elementary_os_spend(design, tau)
     if e1 <= 0.0:
         return bool(zo2 <= norm.ppf(alpha))
     if zo1 <= norm.ppf(e1):
@@ -84,6 +97,24 @@ def test_closed_test_properties(case):
     for p in EXHAUSTIVE:
         if out[p].rejected_os:
             assert elementary_os_rejects(DESIGNS[p], zo1, zo2, corr, tau), p
+
+
+@property_settings(100)
+@given(analysis_inputs(taus=st.one_of(
+    st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))))
+def test_single_final_look_without_an_interim_os_look(case):
+    zp1, _, zo2, _, _ = case
+    inputs = make_inputs(*case)
+    pa, oa, alpha = DESIGNS["bon"].level_pfs, DESIGNS["bon"].level_os, 0.025
+    rej_pfs = bool(zp1 <= norm.ppf(pa))
+    expected = {"bon": (rej_pfs, zo2 <= norm.ppf(oa)),
+                "rec": (rej_pfs, zo2 <= norm.ppf(alpha if rej_pfs else oa)),
+                "os": (False, zo2 <= norm.ppf(alpha))}
+    for p, (pfs, os_) in expected.items():
+        out = run_procedure(DESIGNS[p], inputs)
+        assert (out.rejected_pfs, out.rejected_os) == (pfs, bool(os_)), p
+        assert not out.early_stop and out.case_label == "final", p
+        assert out.inflation_factors == {}, p
 
 
 @property_settings(30)

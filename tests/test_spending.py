@@ -1,4 +1,7 @@
-"""Spending-function shapes, the step variants and their validation."""
+"""Spending-function shapes, the elementary OS spending built on them, and
+their validation."""
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from scipy.stats import norm
 
 from duosurv.errors import ConfigError
 from duosurv.spending import SPENDING_KINDS, SpendingFunction
+from duosurv.testing import DesignSpec
 
 
 def obf_reference(s, level):
@@ -37,69 +41,54 @@ def test_obf_shape_matches_reference_formula():
 
 
 def test_spending_is_monotone_and_bounded():
+    # the two shapes at level 0.025, and the elementary OS spending of the
+    # exhaustive procedures, which spends alpha = 0.025 with a step
+    spends = [partial(SpendingFunction(kind).spend, level=0.025)
+              for kind in SPENDING_KINDS] + [
+        DesignSpec(p).elementary_os_spend
+        for p in ("ex_last", "ex_first", "ex_gs_last", "ex_gs_first")]
     taus = np.linspace(0.01, 1.3, 40)
-    for kind, kwargs in (("full_at_one", {}), ("obf_lan_demets", {}),
-                         ("full_at_one_plus_step",
-                          dict(step_time=0.5, step_level=0.004)),
-                         ("obf_plus_step",
-                          dict(step_time=0.5, step_level=0.004))):
-        f = SpendingFunction(kind, **kwargs)
-        values = [f.spend(t, 0.025) for t in taus]
+    for spend in spends:
+        values = [spend(t) for t in taus]
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
         assert all(0.0 <= v <= 0.025 + 1e-12 for v in values)
         assert values[-1] == pytest.approx(0.025, abs=1e-12)
 
 
-def test_step_variants_add_the_chunk_from_step_time_on():
-    f = SpendingFunction("full_at_one_plus_step", step_time=0.0,
-                         step_level=0.005)
-    # tau <= 0 short-circuits even with a step at time zero
-    assert f.spend(0.0, 0.025) == 0.0
-    assert f.spend(0.3, 0.025) == 0.005
-    assert f.spend(1.0, 0.025) == pytest.approx(0.025, abs=1e-15)
+def test_elementary_os_spend_adds_the_recycled_step():
+    # tau <= 0 short-circuits, even for the step at time zero of _first
+    for proc in ("ex_last", "ex_first", "ex_gs_last", "ex_gs_first"):
+        assert DesignSpec(proc).elementary_os_spend(0.0) == 0.0
+        assert DesignSpec(proc).elementary_os_spend(-0.5) == 0.0
 
-    late = SpendingFunction("full_at_one_plus_step", step_time=1.0,
-                            step_level=0.005)
-    assert late.spend(0.3, 0.025) == 0.0
-    assert late.spend(1.0, 0.025) == pytest.approx(0.025, abs=1e-15)
+    # _first: the step pa counts at any positive fraction
+    first = DesignSpec("ex_first")
+    assert first.elementary_os_spend(1e-12) == first.level_pfs
+    assert first.elementary_os_spend(0.3) == first.level_pfs
+    assert first.elementary_os_spend(1.0) == pytest.approx(0.025, abs=1e-15)
 
-    g = SpendingFunction("obf_plus_step", step_time=0.0, step_level=0.005)
-    assert g.spend(0.6, 0.025) == pytest.approx(
+    # _last: nothing before fraction one, then the step plus the rest
+    last = DesignSpec("ex_last")
+    assert last.elementary_os_spend(0.3) == 0.0
+    assert last.elementary_os_spend(0.999) == 0.0
+    assert last.elementary_os_spend(1.0) == pytest.approx(0.025, abs=1e-15)
+    assert last.elementary_os_spend(1.4) == pytest.approx(0.025, abs=1e-15)
+
+    gs_first = DesignSpec("ex_gs_first")
+    assert gs_first.elementary_os_spend(0.6) == pytest.approx(
         0.005 + obf_reference(0.6, 0.02), abs=1e-14)
-    g_late = SpendingFunction("obf_plus_step", step_time=1.0,
-                              step_level=0.005)
-    assert g_late.spend(0.6, 0.025) == pytest.approx(
+    gs_last = DesignSpec("ex_gs_last")
+    assert gs_last.elementary_os_spend(0.6) == pytest.approx(
         obf_reference(0.6, 0.02), abs=1e-14)
-    assert g_late.spend(1.0, 0.025) == pytest.approx(0.025, abs=1e-12)
-
-
-def test_zero_step_level_reduces_to_base_shape():
-    base = SpendingFunction("obf_lan_demets")
-    stepped = SpendingFunction("obf_plus_step", step_time=0.0, step_level=0.0)
-    for tau in (0.2, 0.644, 1.0):
-        assert stepped.spend(tau, 0.02) == base.spend(tau, 0.02)
+    assert gs_last.elementary_os_spend(1.0) == pytest.approx(0.025, abs=1e-12)
 
 
 def test_construction_validation():
-    assert set(SPENDING_KINDS) == {"full_at_one", "obf_lan_demets",
-                                   "full_at_one_plus_step", "obf_plus_step"}
+    assert set(SPENDING_KINDS) == {"full_at_one", "obf_lan_demets"}
     with pytest.raises(ConfigError, match="unknown spending kind"):
         SpendingFunction("pocock")
-    with pytest.raises(ConfigError, match="requires step_time"):
-        SpendingFunction("obf_plus_step")
-    with pytest.raises(ConfigError, match="requires step_time"):
-        SpendingFunction("obf_plus_step", step_time=0.5)
-    with pytest.raises(ConfigError, match="takes no step parameters"):
-        SpendingFunction("obf_lan_demets", step_time=0.5, step_level=0.001)
-    with pytest.raises(ConfigError, match="non-negative"):
-        SpendingFunction("obf_plus_step", step_time=-0.1, step_level=0.001)
-    with pytest.raises(ConfigError, match="non-negative"):
-        SpendingFunction("obf_plus_step", step_time=0.1, step_level=-0.001)
 
 
 def test_spend_validation():
-    f = SpendingFunction("obf_plus_step", step_time=0.0, step_level=0.01)
-    with pytest.raises(ConfigError, match="exceeds total level"):
-        f.spend(0.5, 0.005)
     with pytest.raises(ConfigError, match="must be non-negative"):
         SpendingFunction("obf_lan_demets").spend(0.5, -0.01)

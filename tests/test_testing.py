@@ -305,23 +305,22 @@ def test_design_spec_validation_and_levels():
         DesignSpec("bon", rho_pfs=0.2, rho_os=0.9)
     with pytest.raises(ConfigError, match="positive"):
         DesignSpec("bon", rho_pfs=0.0, rho_os=1.0)
-    with pytest.raises(ConfigError, match="derived internally"):
-        DesignSpec("bon", os_spending=SpendingFunction(
-            "obf_plus_step", step_time=0.0, step_level=0.001))
 
 
 def test_spending_streams_per_procedure():
-    assert DesignSpec("bon").os_stream().kind == "full_at_one"
-    assert DesignSpec("rec_gs").os_stream().kind == "obf_lan_demets"
-    e = DesignSpec("ex_last").elementary_os_spending()
-    assert e.kind == "full_at_one_plus_step"
-    assert e.step_time == 1.0 and e.step_level == pytest.approx(0.005)
-    e = DesignSpec("ex_first").elementary_os_spending()
-    assert e.step_time == 0.0
-    e = DesignSpec("ex_gs_first").elementary_os_spending()
-    assert e.kind == "obf_plus_step" and e.step_time == 0.0
-    e = DesignSpec("ex_gs_last").elementary_os_spending()
-    assert e.kind == "obf_plus_step" and e.step_time == 1.0
+    for proc in PROCEDURES:
+        design = DesignSpec(proc)
+        assert design.os_shape.kind == ("obf_lan_demets"
+                                        if design.is_group_sequential
+                                        else "full_at_one")
+    # step at tau >= 1 for _last, at once for _first; the shape spends the
+    # remaining alpha - pa on top
+    assert DesignSpec("ex_last").elementary_os_spend(0.5) == 0.0
+    pa = DesignSpec("ex_first").level_pfs
+    assert DesignSpec("ex_first").elementary_os_spend(0.5) == pa
+    obf = SpendingFunction("obf_lan_demets").spend(0.5, 0.025 - pa)
+    assert DesignSpec("ex_gs_last").elementary_os_spend(0.5) == obf
+    assert DesignSpec("ex_gs_first").elementary_os_spend(0.5) == pa + obf
 
 
 def test_outcome_convenience_properties():

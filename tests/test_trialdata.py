@@ -131,14 +131,3 @@ def test_information_fraction_not_capped():
     assert information_fraction(snap, PFS, 6) == pytest.approx(0.5)
     with pytest.raises(InvalidModel):
         information_fraction(snap, PFS, 0)
-
-
-def test_records_roundtrip_preserves_snapshot():
-    cohort = cohort_from_patients(HAND_PATIENTS)
-    snap = snapshot(cohort, 2.0)
-    clone = type(snap).from_records(snap.records(), snap.calendar_time,
-                                    n_ref=snap.n_ref)
-    assert np.array_equal(clone.arm, snap.arm)
-    assert np.array_equal(clone.x_pfs, snap.x_pfs)
-    assert np.array_equal(clone.d_os, snap.d_os)
-    assert clone.n_ref == snap.n_ref
