@@ -16,6 +16,7 @@ from .errors import (
     InvalidCorrelation,
     InvalidModel,
     NoSolution,
+    WorkerCrash,
 )
 from .harness import (
     CSV_COLUMNS,
@@ -26,12 +27,10 @@ from .harness import (
     Scenario,
     analyze_cohort,
     default_designs,
-    fwer_sweep,
     metrics_csv_text,
     null_scenario,
     plan_events,
     power_scenario,
-    power_sweep,
     run_experiment,
     simulate_replication,
     table_intensities,

@@ -18,9 +18,8 @@ import yaml
 
 from .errors import ConfigError, DuosurvError
 from .harness import (DROPOUT_RATE, Scenario, analyze_cohort,
-                      default_designs, fwer_sweep, metrics_csv_text,
-                      null_scenario, plan_events, power_scenario, power_sweep,
-                      run_experiment)
+                      default_designs, metrics_csv_text, null_scenario,
+                      plan_events, power_scenario, run_experiment)
 from .multistate import (ArmModel, Cohort, DropoutSpec, FrailtySpec,
                          RecruitmentSpec, TransitionIntensities)
 from .testing import PROCEDURES, run_procedure
@@ -90,8 +89,12 @@ def _integer(block, key, where, default=None, required=False):
     return int(value)
 
 
-def _entries(values, key, where, rule) -> list:
-    """Each entry of the list ``values`` checked by ``_number``/``_integer``."""
+def _entries(block, key, where, rule) -> list:
+    """The non-empty list ``block[key]``, each entry checked by ``rule``
+    (``_number`` or ``_integer``)."""
+    values = block.get(key)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"'{where}.{key}' must be a non-empty list")
     return [rule({key: v}, key, where, required=True) for v in values]
 
 
@@ -137,18 +140,20 @@ def _scenario_from_config(block: dict, where: str = "scenario") -> Scenario:
         _check_keys(block, _BUILDER_KEYS, where)
         index = _integer(block, "model", where, required=True)
         kind = block.get("kind", "power")
-        frailty = _frailty(block, where).enabled
+        if kind is None:  # YAML reads an unquoted ``kind: null`` as None
+            kind = "null"
+        frailty = _frailty(block, where)
         if kind == "power":
             if "n_total" in block:
                 raise ConfigError(f"'{where}.n_total' only applies to kind null")
             return power_scenario(index, _number(block, "weight", where, 1.0),
-                                  frailty=frailty)
+                                  frailty)
         if kind == "null":
             if "weight" in block:
                 raise ConfigError(f"'{where}.weight' only applies to kind power")
             return null_scenario(index,
                                  _integer(block, "n_total", where, required=True),
-                                 frailty=frailty)
+                                 frailty)
         raise ConfigError(f"'{where}.kind' must be 'power' or 'null'")
 
     _check_keys(block, _EXPLICIT_KEYS, where)
@@ -247,6 +252,23 @@ def _write_output(path: str, text: str) -> None:
         raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
+def _scenarios(mode: str, block: dict) -> list:
+    """Every scenario of a ``simulate`` run, built before any replication."""
+    if mode == "single":
+        return [_scenario_from_config(block)]
+    if mode == "fwer":
+        _check_keys(block, ("model", "sizes"), "scenario")
+        sizes = _entries(block, "sizes", "scenario", _integer)
+        index = _integer(block, "model", "scenario", required=True)
+        return [null_scenario(index, n, FrailtySpec(enabled=frailty))
+                for n in sizes for frailty in (False, True)]
+    _check_keys(block, ("model", "weights", "frailty"), "scenario")
+    weights = _entries(block, "weights", "scenario", _number)
+    index = _integer(block, "model", "scenario", required=True)
+    frailty = _frailty(block, "scenario")
+    return [power_scenario(index, w, frailty) for w in weights]
+
+
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     _check_keys(config, ("mode", "scenario", "design", "execution"), "config")
@@ -259,35 +281,12 @@ def cmd_simulate(args) -> int:
     if execution["n_reps"] is None:
         raise ConfigError("'execution.n_reps' is required for simulate")
 
-    scenario_block = _mapping(config.get("scenario"), "scenario")
-    if mode == "single":
-        scenario = _scenario_from_config(scenario_block)
-        result = run_experiment(scenario, designs, execution["n_reps"],
-                                execution["seed"], workers=execution["workers"])
-        rows = result.rows()
-    elif mode == "fwer":
-        _check_keys(scenario_block, ("model", "sizes"), "scenario")
-        sizes = scenario_block.get("sizes")
-        if not isinstance(sizes, list) or not sizes:
-            raise ConfigError("'scenario.sizes' must be a non-empty list")
-        rows = fwer_sweep(_integer(scenario_block, "model", "scenario",
-                                   required=True),
-                          _entries(sizes, "sizes", "scenario", _integer),
-                          execution["n_reps"],
-                          execution["seed"], designs=designs,
-                          workers=execution["workers"])
-    else:
-        _check_keys(scenario_block, ("model", "weights", "frailty"), "scenario")
-        weights = scenario_block.get("weights")
-        if not isinstance(weights, list) or not weights:
-            raise ConfigError("'scenario.weights' must be a non-empty list")
-        rows = power_sweep(_integer(scenario_block, "model", "scenario",
-                                    required=True),
-                           _entries(weights, "weights", "scenario", _number),
-                           execution["n_reps"],
-                           execution["seed"], designs=designs,
-                           workers=execution["workers"],
-                           frailty=_frailty(scenario_block, "scenario").enabled)
+    rows = []
+    for scenario in _scenarios(mode, _mapping(config.get("scenario"),
+                                              "scenario")):
+        rows += run_experiment(scenario, designs, execution["n_reps"],
+                               execution["seed"],
+                               workers=execution["workers"]).rows()
     if execution["out"]:
         _write_output(execution["out"], metrics_csv_text(rows))
         print(f"wrote {execution['out']} ({len(rows)} rows)")
@@ -430,9 +429,9 @@ def cmd_plan(args) -> int:
     target = _number(plan_block, "target_power", "plan", required=True)
     bracket = plan_block.get("bracket")
     if bracket is not None:
-        if (not isinstance(bracket, list) or len(bracket) != 2):
+        if not isinstance(bracket, list) or len(bracket) != 2:
             raise ConfigError("'plan.bracket' must be [low, high]")
-        bracket = tuple(_entries(bracket, "bracket", "plan", _integer))
+        bracket = tuple(_entries(plan_block, "bracket", "plan", _integer))
 
     execution = _execution(config, args)
     n_reps = execution["n_reps"] if execution["n_reps"] is not None else 10000

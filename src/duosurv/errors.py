@@ -42,3 +42,7 @@ class InvalidModel(ConfigError):
 class CutoffOrder(ConfigError):
     """Raised when a cohort reaches the final event target no later than
     the interim one, so the two analyses are out of order."""
+
+
+class WorkerCrash(DuosurvError):
+    """Raised when a worker process dies before returning its replications."""

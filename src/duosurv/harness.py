@@ -1,11 +1,11 @@
-"""Monte Carlo experiments: scenarios, replication loop, sweeps, planning.
+"""Monte Carlo experiments: scenarios, replication loop, planning.
 
 A scenario bundles everything the data generator needs (arm intensities,
 recruitment, dropout, frailty, event targets).  One replication simulates a
 cohort, locates the two event-triggered analysis times, freezes the two data
 snapshots, and reduces them to the statistics bundle the testing layer
-consumes.  Experiments aggregate pure counts per procedure, so results are
-independent of how replications are partitioned across worker processes.
+consumes.  Experiments keep one outcome row per replication and procedure,
+in replication order, so results do not depend on the worker count.
 
 Replication ``r`` of an experiment derives its random stream from
 ``(seed, r)`` alone; the frailty variates are drawn after the shared base
@@ -15,14 +15,16 @@ block, so runs with frailty on and off are coupled pairwise.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (ConfigError, CutoffOrder, DegenerateVariance,
-                     InsufficientEvents, NoSolution)
+                     InsufficientEvents, NoSolution, WorkerCrash)
 from .logrank import covariance_matrix, logrank
 from .multistate import (ArmModel, DropoutSpec, FrailtySpec, RecruitmentSpec,
                          TransitionIntensities, simulate_cohort)
@@ -44,8 +46,6 @@ __all__ = [
     "analyze_cohort",
     "simulate_replication",
     "run_experiment",
-    "fwer_sweep",
-    "power_sweep",
     "plan_events",
     "metrics_csv_text",
 ]
@@ -105,11 +105,11 @@ def table_intensities(index: int):
 
 def _scenario_name(index, kind, frailty, suffix):
     tag = f"m{index}_{kind}_{suffix}"
-    return tag + "_frailty" if frailty else tag
+    return tag + "_frailty" if frailty.enabled else tag
 
 
 def power_scenario(index: int, weight: float = 1.0,
-                   frailty: bool = False) -> Scenario:
+                   frailty: FrailtySpec = FrailtySpec()) -> Scenario:
     """Effect scenario: the inferior arm sits ``weight`` of the way out.
 
     The smaller-hazard table row stays fixed on arm 1 (a benefit there
@@ -132,12 +132,13 @@ def power_scenario(index: int, weight: float = 1.0,
         recruitment=RecruitmentSpec(per_arm_rate=_POWER_RATE_PER_ARM,
                                     max_per_arm=_POWER_CAP_PER_ARM),
         dropout=DropoutSpec(rate=DROPOUT_RATE),
-        frailty=FrailtySpec(enabled=frailty),
+        frailty=frailty,
         targets=CutoffTargets(d_pfs=d_pfs, d_os=d_os),
     )
 
 
-def null_scenario(index: int, n_total: int, frailty: bool = False) -> Scenario:
+def null_scenario(index: int, n_total: int,
+                  frailty: FrailtySpec = FrailtySpec()) -> Scenario:
     """Both arms at the good-arm intensities; targets scale with size."""
     if n_total < 2 or n_total % 2:
         raise ConfigError("n_total must be a positive even number")
@@ -148,7 +149,7 @@ def null_scenario(index: int, n_total: int, frailty: bool = False) -> Scenario:
         recruitment=RecruitmentSpec(per_arm_rate=n_total / (2 * _ACCRUAL_UNITS),
                                     max_per_arm=n_total // 2),
         dropout=DropoutSpec(rate=DROPOUT_RATE),
-        frailty=FrailtySpec(enabled=frailty),
+        frailty=frailty,
         targets=CutoffTargets.from_rates(_FWER_PFS_RATE, _FWER_OS_RATE,
                                          n_total),
     )
@@ -188,32 +189,24 @@ def analyze_cohort(cohort, targets: CutoffTargets):
     return inputs, interim, final
 
 
-def simulate_replication(scenario: Scenario, seed: int, replication: int,
-                         want_statistics: bool = False):
+def simulate_replication(scenario: Scenario, seed: int, replication: int):
     """One cohort reduced to analysis statistics.
 
-    Returns ``(inputs, failure, record)``: exactly one of ``inputs`` and
-    ``failure`` is set.  Failures are replications no trial of this design
-    could analyze: not enough events for a cutoff, analyses out of order,
-    or a degenerate variance.
+    Returns ``(inputs, failure)``: exactly one of the two is set.  Failures
+    are replications no trial of this design could analyze: not enough
+    events for a cutoff, analyses out of order, or a degenerate variance.
     """
     cohort = simulate_cohort(scenario.model, scenario.recruitment,
                              scenario.dropout, scenario.frailty, seed,
                              replication)
     try:
-        inputs, interim, final = analyze_cohort(cohort, scenario.targets)
+        return analyze_cohort(cohort, scenario.targets)[0], None
     except InsufficientEvents:
-        return None, "insufficient_events", None
+        return None, "insufficient_events"
     except CutoffOrder:
-        return None, "cutoff_order", None
+        return None, "cutoff_order"
     except DegenerateVariance:
-        return None, "degenerate_variance", None
-    record = None
-    if want_statistics:
-        u = [logrank(snap, endpoint).u for snap in (interim, final)
-             for endpoint in (PFS, OS)]
-        record = (np.array(u), inputs.covariance.matrix)
-    return inputs, None, record
+        return None, "degenerate_variance"
 
 
 def _outcome_bits(out) -> tuple:
@@ -223,30 +216,19 @@ def _outcome_bits(out) -> tuple:
             out.early_stop, out.rejected_global)
 
 
-def _run_chunk(scenario, designs, seed, start, stop, keep_outcomes,
-               keep_statistics):
-    counts = {d.procedure: np.zeros(5, dtype=np.int64) for d in designs}
-    failures = Counter()
-    outcomes = {d.procedure: [] for d in designs} if keep_outcomes else None
-    rep_ids = [] if keep_outcomes else None
-    stats = [] if keep_statistics else None
-
+def _run_chunk(scenario, designs, seed, start, stop):
+    """Analyzable replication ids in ``[start, stop)``, their outcome bits
+    (one row per design) and the failures by label."""
+    rep_ids, bits, failures = [], [], Counter()
     for rep in range(start, stop):
-        inputs, fail, record = simulate_replication(scenario, seed, rep,
-                                                    keep_statistics)
+        inputs, fail = simulate_replication(scenario, seed, rep)
         if fail is not None:
             failures[fail] += 1
             continue
-        if keep_statistics:
-            stats.append(record)
-        if keep_outcomes:
-            rep_ids.append(rep)
-        for d in designs:
-            bits = _outcome_bits(run_procedure(d, inputs))
-            counts[d.procedure] += np.array(bits[:5], dtype=np.int64)
-            if keep_outcomes:
-                outcomes[d.procedure].append(bits)
-    return counts, failures, outcomes, rep_ids, stats
+        rep_ids.append(rep)
+        bits.append([_outcome_bits(run_procedure(d, inputs)) for d in designs])
+    shape = (len(rep_ids), len(designs), 6)
+    return rep_ids, np.array(bits, dtype=bool).reshape(shape), failures
 
 
 @dataclass(frozen=True)
@@ -276,15 +258,20 @@ class MetricsRow:
 
 @dataclass
 class ExperimentResult:
+    """``outcomes[p][k]`` holds the pfs, os, disjunctive, conjunctive,
+    early-stop and global rejections of ``p`` in replication ``rep_ids[k]``."""
+
     scenario: str
     n_reps: int
     procedures: tuple
-    counts: dict
     failures: Counter
-    rep_ids: np.ndarray | None = None
-    outcomes: dict | None = None
-    u_statistics: np.ndarray | None = None
-    sigma_estimates: np.ndarray | None = None
+    rep_ids: np.ndarray
+    outcomes: dict
+
+    @property
+    def counts(self) -> dict:
+        return {p: m[:, :5].sum(axis=0, dtype=np.int64)
+                for p, m in self.outcomes.items()}
 
     @property
     def n_failures(self) -> int:
@@ -315,12 +302,17 @@ class ExperimentResult:
         return rows
 
 
+def _worker_count(workers: int, n_reps: int) -> int:
+    """Processes worth starting: at most one per replication and per CPU."""
+    return max(1, min(workers, n_reps, os.cpu_count() or 1))
+
+
 def run_experiment(scenario: Scenario, designs, n_reps: int, seed: int,
-                   workers: int = 1, keep_outcomes: bool = False,
-                   keep_statistics: bool = False) -> ExperimentResult:
+                   workers: int = 1) -> ExperimentResult:
     """Run ``n_reps`` replications of every design on shared cohorts.
 
-    Results are exact counts, so any worker count yields the same numbers.
+    Rows come back in replication order, so any worker count yields the
+    same result.  A worker process that dies raises ``WorkerCrash``.
     """
     scenario.validate()
     if n_reps <= 0:
@@ -329,74 +321,28 @@ def run_experiment(scenario: Scenario, designs, n_reps: int, seed: int,
     if len(set(procs)) != len(procs):
         raise ConfigError("duplicate procedures in design list")
 
-    if workers <= 1:
-        parts = [_run_chunk(scenario, designs, seed, 0, n_reps,
-                            keep_outcomes, keep_statistics)]
+    workers = _worker_count(workers, n_reps)
+    if workers == 1:
+        parts = [_run_chunk(scenario, designs, seed, 0, n_reps)]
     else:
         bounds = [i * n_reps // workers for i in range(workers + 1)]
-        spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-            futures = [pool.submit(_run_chunk, scenario, designs, seed, a, b,
-                                   keep_outcomes, keep_statistics)
-                       for a, b in spans]
-            parts = [f.result() for f in futures]
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(_run_chunk, scenario, designs, seed,
+                                       a, b)
+                           for a, b in zip(bounds[:-1], bounds[1:])]
+                parts = [f.result() for f in futures]
+        except BrokenProcessPool as exc:
+            raise WorkerCrash(f"a worker process died while running "
+                              f"scenario {scenario.name}") from exc
 
-    counts = {p: np.zeros(5, dtype=np.int64) for p in procs}
-    failures = Counter()
-    outcomes = {p: [] for p in procs} if keep_outcomes else None
-    rep_ids = [] if keep_outcomes else None
-    stats = [] if keep_statistics else None
-    for c_part, f_part, o_part, r_part, s_part in parts:
-        for p in procs:
-            counts[p] += c_part[p]
-        failures.update(f_part)
-        if keep_outcomes:
-            rep_ids.extend(r_part)
-            for p in procs:
-                outcomes[p].extend(o_part[p])
-        if keep_statistics:
-            stats.extend(s_part)
-
-    result = ExperimentResult(
+    bits = np.concatenate([b for _, b, _ in parts])
+    return ExperimentResult(
         scenario=scenario.name, n_reps=n_reps, procedures=procs,
-        counts=counts, failures=failures)
-    if keep_outcomes:
-        result.rep_ids = np.array(rep_ids, dtype=np.int64)
-        result.outcomes = {p: np.array(outcomes[p], dtype=bool).reshape(-1, 6)
-                           for p in procs}
-    if keep_statistics and stats:
-        result.u_statistics = np.array([s[0] for s in stats])
-        result.sigma_estimates = np.array([s[1] for s in stats])
-    return result
-
-
-def fwer_sweep(index: int, total_sizes, n_reps: int, seed: int,
-               designs=None, workers: int = 1) -> list:
-    """Null rejection rates over sample sizes, frailty off and on.
-
-    The same seed drives both members of a pair; the base event-history
-    draws coincide, isolating the frailty effect.
-    """
-    designs = default_designs() if designs is None else designs
-    rows = []
-    for n_total in total_sizes:
-        for frailty in (False, True):
-            sc = null_scenario(index, n_total, frailty=frailty)
-            rows.extend(run_experiment(sc, designs, n_reps, seed,
-                                       workers=workers).rows())
-    return rows
-
-
-def power_sweep(index: int, weights, n_reps: int, seed: int,
-                designs=None, workers: int = 1,
-                frailty: bool = False) -> list:
-    designs = default_designs() if designs is None else designs
-    rows = []
-    for w in weights:
-        sc = power_scenario(index, weight=w, frailty=frailty)
-        rows.extend(run_experiment(sc, designs, n_reps, seed,
-                                   workers=workers).rows())
-    return rows
+        failures=sum((f for _, _, f in parts), Counter()),
+        rep_ids=np.array([r for ids, _, _ in parts for r in ids],
+                         dtype=np.int64),
+        outcomes={p: bits[:, i] for i, p in enumerate(procs)})
 
 
 @dataclass(frozen=True)

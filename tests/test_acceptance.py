@@ -16,6 +16,7 @@ import oracles
 from conftest import cohort_from_patients, micro_cutoffs, micro_patients
 from duosurv import cli
 from duosurv.harness import (
+    analyze_cohort,
     default_designs,
     null_scenario,
     plan_events,
@@ -23,6 +24,7 @@ from duosurv.harness import (
     run_experiment,
 )
 from duosurv.logrank import cross_covariance, logrank
+from duosurv.multistate import FrailtySpec, simulate_cohort
 from duosurv.mvnorm import (
     InflationProblem,
     OrthantQuery,
@@ -42,7 +44,7 @@ REJ_OS, DISJ, CONJ, EARLY = 1, 2, 3, 4
 def full_effect_run():
     """Scenario 1 at full effect, all nine procedures on shared cohorts."""
     return run_experiment(power_scenario(1, 1.0), default_designs(),
-                          N_REPS, SEED, keep_outcomes=True)
+                          N_REPS, SEED)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +53,7 @@ def null_runs():
     out = {}
     for key, scenario in [
             ((1600, False), null_scenario(1, 1600)),
-            ((1600, True), null_scenario(1, 1600, frailty=True)),
+            ((1600, True), null_scenario(1, 1600, FrailtySpec(enabled=True))),
             ((128, False), null_scenario(1, 128))]:
         out[key] = run_experiment(scenario, designs, N_REPS, SEED)
     return out
@@ -87,11 +89,17 @@ def test_criterion_2_fwer_exhaustion_under_the_null(null_runs):
 
 
 def test_criterion_3_covariance_estimator_is_consistent():
-    result = run_experiment(null_scenario(1, 1600), [], 2_000, SEED,
-                            keep_statistics=True)
-    assert result.n_failures == 0
-    mean_sigma = result.sigma_estimates.mean(axis=0)
-    empirical = np.cov(result.u_statistics.T, ddof=1)
+    sc = null_scenario(1, 1600)
+    u, sigma = [], []
+    for r in range(2_000):
+        cohort = simulate_cohort(sc.model, sc.recruitment, sc.dropout,
+                                 sc.frailty, SEED, r)
+        inputs, interim, final = analyze_cohort(cohort, sc.targets)
+        u.append([logrank(snap, endpoint).u for snap in (interim, final)
+                  for endpoint in (PFS, OS)])
+        sigma.append(inputs.covariance.matrix)
+    mean_sigma = np.mean(sigma, axis=0)
+    empirical = np.cov(np.array(u).T, ddof=1)
     relative = np.abs(mean_sigma - empirical) / np.abs(empirical)
     assert relative.max() <= 0.10
 

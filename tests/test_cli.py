@@ -1,9 +1,11 @@
 """End-to-end CLI behaviour through in-process ``main`` calls."""
 
+import os
+
 import numpy as np
 import pytest
 
-from duosurv import cli
+from duosurv import cli, harness
 
 
 def write(path, text):
@@ -120,16 +122,102 @@ def test_simulate_power_mode(tmp_path, capsys):
 mode: power
 scenario:
   model: 1
-  weights: [1.0]
+  weights: [0.9, 1.0]
 design:
-  procedures: [os]
+  procedures: [os, bon]
 execution:
   n_reps: 5
   seed: 7
 """)
     assert cli.main(["simulate", "--config", cfg]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1].split(",")[0] == "m1_power_w100"
+    assert [tuple(l.split(",")[:2]) for l in lines[1:]] == [
+        ("m1_power_w090", "os"), ("m1_power_w090", "bon"),
+        ("m1_power_w100", "os"), ("m1_power_w100", "bon")]
+
+
+def builder_config(tmp_path, scenario, mode="single", n_reps=5):
+    """A table-model ``simulate`` config around the ``scenario`` lines."""
+    return write(tmp_path / "builder.yaml", f"""\
+mode: {mode}
+scenario:
+  model: 1
+{scenario}design:
+  procedures: [bon, ex_last, os]
+execution:
+  n_reps: {n_reps}
+  seed: 3
+""")
+
+
+@pytest.mark.parametrize("kind", ["null", "'null'"])
+def test_simulate_null_kind_quoted_or_not(tmp_path, capsys, kind):
+    cfg = builder_config(tmp_path, f"  kind: {kind}\n  n_total: 128\n")
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split(",")[0] for l in lines[1:]] == ["m1_null_n128"] * 3
+
+
+FRAILTY_FORMS = {"single": "  kind: power\n  frailty: {frailty}\n",
+                 "power": "  weights: [1.0]\n  frailty: {frailty}\n"}
+
+
+@pytest.mark.parametrize("mode", sorted(FRAILTY_FORMS))
+def test_builder_frailty_spec_is_validated(tmp_path, capsys, monkeypatch,
+                                           mode):
+    def no_run(*args, **kwargs):
+        pytest.fail("an invalid frailty is rejected before any replication")
+
+    monkeypatch.setattr(harness, "_run_chunk", no_run)
+    cfg = builder_config(tmp_path, FRAILTY_FORMS[mode].format(
+        frailty="{shape: 0}"), mode)
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    assert "frailty shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", sorted(FRAILTY_FORMS))
+def test_builder_frailty_spec_is_used(tmp_path, capsys, mode):
+    csv = {}
+    for frailty in ("true", "{shape: 2, rate: 2}", "{shape: 10, rate: 10}"):
+        cfg = builder_config(tmp_path, FRAILTY_FORMS[mode].format(
+            frailty=frailty), mode, n_reps=20)
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        csv[frailty] = capsys.readouterr().out
+    assert csv["true"] != csv["{shape: 2, rate: 2}"]
+    # the default spec spelled out is the plain flag
+    assert csv["true"] == csv["{shape: 10, rate: 10}"]
+
+
+@pytest.mark.parametrize("mode, scenario", [
+    ("fwer", "  sizes: [128, 127]\n"),
+    ("power", "  weights: [1.0, 1.5]\n"),
+], ids=["fwer_sizes", "power_weights"])
+def test_every_scenario_is_built_before_the_first_run(tmp_path, capsys,
+                                                      monkeypatch, mode,
+                                                      scenario):
+    def no_run(*args, **kwargs):
+        pytest.fail("a bad scenario is rejected before any replication")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    monkeypatch.setattr(harness, "_run_chunk", no_run)
+    cfg = builder_config(tmp_path, scenario, mode)
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def _dead_worker(*args):
+    os._exit(1)
+
+
+def test_crashed_worker_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    # two CPUs, so the replications really go to a process pool
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_run_chunk", _dead_worker)
+    cfg = simulate_config(tmp_path)
+    assert cli.main(["simulate", "--config", cfg, "--workers", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: WorkerCrash:")
+    assert "scenario steep" in err
 
 
 @pytest.mark.parametrize("mutation, fragment", [

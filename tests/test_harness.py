@@ -5,18 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from duosurv import harness
 from duosurv.errors import ConfigError, NoSolution
 from duosurv.harness import (
     CSV_COLUMNS,
     DROPOUT_RATE,
     Scenario,
     default_designs,
-    fwer_sweep,
     metrics_csv_text,
     null_scenario,
     plan_events,
     power_scenario,
-    power_sweep,
     run_experiment,
     simulate_replication,
     table_intensities,
@@ -66,8 +65,9 @@ def test_power_scenario_interpolates_the_inferior_arm():
     flat = power_scenario(1, weight=0.0)
     assert flat.model.control == good
 
-    frail = power_scenario(2, weight=1.0, frailty=True)
-    assert frail.frailty.enabled
+    spec = FrailtySpec(enabled=True, shape=2.0, rate=2.0)
+    frail = power_scenario(2, 1.0, spec)
+    assert frail.frailty == spec
     assert frail.name == "m2_power_w100_frailty"
 
     with pytest.raises(ConfigError, match="weight"):
@@ -84,7 +84,8 @@ def test_null_scenario_scales_with_size():
     assert (sc.targets.d_pfs, sc.targets.d_os) == (625, 950)
     assert sc.name == "m1_null_n1600"
 
-    small = null_scenario(1, 128, frailty=True)
+    small = null_scenario(1, 128, FrailtySpec(enabled=True))
+    assert small.frailty == FrailtySpec(enabled=True)
     assert small.recruitment.per_arm_rate == pytest.approx(2.0)
     assert small.recruitment.max_per_arm == 64
     assert (small.targets.d_pfs, small.targets.d_os) == (50, 76)
@@ -107,20 +108,13 @@ def test_default_designs_cover_all_procedures():
 
 def test_simulate_replication_produces_analysis_inputs():
     sc = null_scenario(1, 128)
-    inputs, failure, record = simulate_replication(sc, seed=0, replication=0)
-    assert failure is None and record is None
+    inputs, failure = simulate_replication(sc, seed=0, replication=0)
+    assert failure is None
     for z in (inputs.z_pfs_interim, inputs.z_os_interim, inputs.z_os_final,
               inputs.z_pfs_final):
         assert np.isfinite(z)
     assert 0.0 < inputs.os_fraction_interim <= 1.5
     assert inputs.covariance.matrix.shape == (4, 4)
-
-    with_stats = simulate_replication(sc, 0, 0, want_statistics=True)
-    u, sigma = with_stats[2]
-    assert u.shape == (4,) and sigma.shape == (4, 4)
-    # statistics are consistent: z = u / sqrt(diagonal)
-    assert u[0] / np.sqrt(sigma[0, 0]) == pytest.approx(inputs.z_pfs_interim)
-    assert u[3] / np.sqrt(sigma[3, 3]) == pytest.approx(inputs.z_os_final)
 
 
 def test_simulate_replication_failure_labels():
@@ -128,13 +122,13 @@ def test_simulate_replication_failure_labels():
     too_many = Scenario(name="x", model=sc.model, recruitment=sc.recruitment,
                         dropout=sc.dropout, frailty=sc.frailty,
                         targets=CutoffTargets(d_pfs=50, d_os=1000))
-    _, failure, _ = simulate_replication(too_many, 0, 0)
+    _, failure = simulate_replication(too_many, 0, 0)
     assert failure == "insufficient_events"
 
     swapped = Scenario(name="y", model=sc.model, recruitment=sc.recruitment,
                        dropout=sc.dropout, frailty=sc.frailty,
                        targets=CutoffTargets(d_pfs=100, d_os=1))
-    _, failure, _ = simulate_replication(swapped, 0, 0)
+    _, failure = simulate_replication(swapped, 0, 0)
     assert failure == "cutoff_order"
 
 
@@ -181,48 +175,32 @@ def test_run_experiment_validation():
                        n_reps=10, seed=1)
 
 
-def test_keep_outcomes_matrix():
+def test_outcome_matrix():
     sc = null_scenario(1, 128)
-    res = run_experiment(sc, default_designs(), n_reps=150, seed=3,
-                         keep_outcomes=True)
-    assert res.rep_ids is not None
+    res = run_experiment(sc, default_designs(), n_reps=150, seed=3)
     assert len(res.rep_ids) == res.n_effective
     assert np.all(np.diff(res.rep_ids) > 0)
     for proc in PROCEDURES:
         m = res.outcomes[proc]
-        assert m.shape == (res.n_effective, 6)
+        assert m.shape == (res.n_effective, 6) and m.dtype == bool
         # columns: pfs, os, disjunctive, conjunctive, early, global
         assert np.array_equal(m[:, 2], m[:, 0] | m[:, 1])
         assert np.array_equal(m[:, 3], m[:, 0] & m[:, 1])
         # an elementary rejection always came through the global test
         assert not np.any(m[:, 2] & ~m[:, 5])
-        assert np.array_equal(m[:, :5].sum(axis=0),
-                              res.counts[proc].astype(np.int64))
+        assert np.array_equal(m[:, :5].sum(axis=0), res.counts[proc])
+        assert res.counts[proc].dtype == np.int64
 
 
-def test_keep_statistics_matrix():
-    sc = null_scenario(1, 128)
-    res = run_experiment(sc, [DesignSpec("os")], n_reps=40, seed=5,
-                         keep_statistics=True)
-    assert res.u_statistics.shape == (res.n_effective, 4)
-    assert res.sigma_estimates.shape == (res.n_effective, 4, 4)
-
-
-def test_fwer_sweep_pairs_frailty_runs():
-    rows = fwer_sweep(1, [128], n_reps=40, seed=11,
-                      designs=default_designs(procedures=("bon", "os")))
-    assert len(rows) == 4
-    names = [r.scenario for r in rows]
-    assert names == ["m1_null_n128", "m1_null_n128",
-                     "m1_null_n128_frailty", "m1_null_n128_frailty"]
-    assert {r.procedure for r in rows} == {"bon", "os"}
-
-
-def test_power_sweep_and_relative_rates():
-    rows = power_sweep(1, [1.0], n_reps=30, seed=13,
-                       designs=default_designs(procedures=("bon", "rec")))
-    assert [r.scenario for r in rows] == ["m1_power_w100", "m1_power_w100"]
-    assert [r.procedure for r in rows] == ["bon", "rec"]
+def test_worker_count_is_capped_by_replications_and_cpus(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    assert harness._worker_count(1, 100) == 1
+    assert harness._worker_count(3, 100) == 3
+    assert harness._worker_count(64, 100) == 4
+    assert harness._worker_count(64, 2) == 2
+    assert harness._worker_count(0, 100) == 1
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert harness._worker_count(8, 100) == 1
 
 
 def test_metrics_csv_format():
