@@ -43,13 +43,10 @@ from .logrank import (
     logrank,
 )
 from .multistate import (
-    ArmModel,
     Cohort,
-    DropoutSpec,
+    CohortModel,
     FrailtySpec,
-    RecruitmentSpec,
     TransitionIntensities,
-    effective_intensities,
     simulate_cohort,
 )
 from .mvnorm import (

@@ -10,18 +10,19 @@ runtime failures such as an unreachable planning target.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 import yaml
 
-from .errors import ConfigError, DuosurvError
+from .errors import ConfigError, DuosurvError, InvalidModel
 from .harness import (DROPOUT_RATE, Scenario, analyze_cohort,
                       default_designs, metrics_csv_text, null_scenario,
                       plan_events, power_scenario, run_experiment)
-from .multistate import (ArmModel, Cohort, DropoutSpec, FrailtySpec,
-                         RecruitmentSpec, TransitionIntensities)
+from .multistate import (Cohort, CohortModel, FrailtySpec,
+                         TransitionIntensities)
 from .testing import PROCEDURES, run_procedure
 from .trialdata import CutoffTargets
 
@@ -77,6 +78,8 @@ def _number(block, key, where, default=None, required=False):
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{where}.{key}' must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"'{where}.{key}' must be finite")
     return float(value)
 
 
@@ -106,9 +109,9 @@ def _intensities(block, key, where, required=True):
     value = block[key]
     if (not isinstance(value, (list, tuple)) or len(value) != 3
             or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   for v in value)):
-        raise ConfigError(
-            f"'{where}.{key}' must be a list of three rates [l01, l02, l12]")
+                   or not math.isfinite(v) for v in value)):
+        raise ConfigError(f"'{where}.{key}' must be a list of three finite "
+                          "rates [l01, l02, l12]")
     return TransitionIntensities(*(float(v) for v in value))
 
 
@@ -157,20 +160,25 @@ def _scenario_from_config(block: dict, where: str = "scenario") -> Scenario:
         raise ConfigError(f"'{where}.kind' must be 'power' or 'null'")
 
     _check_keys(block, _EXPLICIT_KEYS, where)
-    control = _intensities(block, "control", where)
-    target = _intensities(block, "experimental_target", where, required=False)
-    model = ArmModel(control=control,
-                     experimental_target=control if target is None else target,
-                     weight=_number(block, "weight", where, 1.0))
+    c = _intensities(block, "control", where)
+    e = _intensities(block, "experimental_target", where, required=False) or c
+    e.validate()  # checked here, since weight 0 would hide a bad target
+    w = _number(block, "weight", where, 1.0)
+    if not 0.0 <= w <= 1.0:
+        raise InvalidModel("effect weight must lie in [0, 1]")
+    # arm 1 sits weight of the way from the control to the target
+    experimental = TransitionIntensities(
+        lambda_01=c.lambda_01 - w * (c.lambda_01 - e.lambda_01),
+        lambda_02=c.lambda_02 - w * (c.lambda_02 - e.lambda_02),
+        lambda_12=c.lambda_12 - w * (c.lambda_12 - e.lambda_12))
     return Scenario(
         name=str(block.get("name", "custom")),
-        model=model,
-        recruitment=RecruitmentSpec(
+        model=CohortModel(
+            control=c, experimental=experimental,
             per_arm_rate=_number(block, "per_arm_rate", where, required=True),
-            max_per_arm=_integer(block, "max_per_arm", where, required=True)),
-        dropout=DropoutSpec(rate=_number(block, "dropout_rate", where,
-                                         DROPOUT_RATE)),
-        frailty=_frailty(block, where),
+            max_per_arm=_integer(block, "max_per_arm", where, required=True),
+            dropout_rate=_number(block, "dropout_rate", where, DROPOUT_RATE),
+            frailty=_frailty(block, where)),
         targets=CutoffTargets(d_pfs=_integer(block, "d_pfs", where, required=True),
                               d_os=_integer(block, "d_os", where, required=True)),
     )
@@ -347,9 +355,7 @@ def read_cohort(path: str) -> Cohort:
         raise ConfigError(f"dataset {path} contains no patients")
     data = np.asarray(rows, dtype=float)
     return Cohort(arm=data[:, 0].astype(int), entry=data[:, 1],
-                  t_pfs=data[:, 2], t_os=data[:, 3], dropout=data[:, 4],
-                  frailty=np.ones(len(rows)),
-                  progressed=data[:, 2] < data[:, 3])
+                  t_pfs=data[:, 2], t_os=data[:, 3], dropout=data[:, 4])
 
 
 def _format_matrix(matrix) -> str:

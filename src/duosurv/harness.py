@@ -1,7 +1,7 @@
 """Monte Carlo experiments: scenarios, replication loop, planning.
 
-A scenario bundles everything the data generator needs (arm intensities,
-recruitment, dropout, frailty, event targets).  One replication simulates a
+A scenario pairs the cohort model (arm intensities, recruitment, dropout,
+frailty) with the two event targets.  One replication simulates a
 cohort, locates the two event-triggered analysis times, freezes the two data
 snapshots, and reduces them to the statistics bundle the testing layer
 consumes.  Experiments keep one outcome row per replication and procedure,
@@ -19,15 +19,15 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .errors import (ConfigError, CutoffOrder, DegenerateVariance,
                      InsufficientEvents, NoSolution, WorkerCrash)
 from .logrank import covariance_matrix, logrank
-from .multistate import (ArmModel, DropoutSpec, FrailtySpec, RecruitmentSpec,
-                         TransitionIntensities, simulate_cohort)
+from .multistate import (CohortModel, FrailtySpec, TransitionIntensities,
+                         simulate_cohort)
 from .testing import AnalysisInputs, DesignSpec, PROCEDURES, run_procedure
 from .trialdata import (OS, PFS, CutoffTargets, event_cutoff,
                         information_fraction, snapshot)
@@ -68,29 +68,16 @@ _POWER_CAP_PER_ARM = 800
 _FWER_PFS_RATE = 25.0 / 64.0
 _FWER_OS_RATE = 38.0 / 64.0
 
-CSV_COLUMNS = (
-    "scenario", "procedure", "n_reps", "rej_pfs", "rej_os", "disjunctive",
-    "conjunctive", "early_stop", "se_rej_pfs", "se_rej_os", "se_disj",
-    "se_conj", "se_early", "failures",
-)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Complete data-generating configuration plus analysis event targets."""
 
     name: str
-    model: ArmModel
-    recruitment: RecruitmentSpec
-    dropout: DropoutSpec
-    frailty: FrailtySpec
+    model: CohortModel
     targets: CutoffTargets
 
     def validate(self) -> None:
         self.model.validate()
-        self.recruitment.validate()
-        self.dropout.validate()
-        self.frailty.validate()
         self.targets.validate()
 
 
@@ -128,11 +115,10 @@ def power_scenario(index: int, weight: float = 1.0,
     return Scenario(
         name=_scenario_name(index, "power", frailty,
                             f"w{int(round(100 * weight)):03d}"),
-        model=ArmModel(control=worse, experimental_target=good, weight=1.0),
-        recruitment=RecruitmentSpec(per_arm_rate=_POWER_RATE_PER_ARM,
-                                    max_per_arm=_POWER_CAP_PER_ARM),
-        dropout=DropoutSpec(rate=DROPOUT_RATE),
-        frailty=frailty,
+        model=CohortModel(control=worse, experimental=good,
+                          per_arm_rate=_POWER_RATE_PER_ARM,
+                          max_per_arm=_POWER_CAP_PER_ARM,
+                          dropout_rate=DROPOUT_RATE, frailty=frailty),
         targets=CutoffTargets(d_pfs=d_pfs, d_os=d_os),
     )
 
@@ -145,11 +131,10 @@ def null_scenario(index: int, n_total: int,
     good, _, _, _ = table_intensities(index)
     return Scenario(
         name=_scenario_name(index, "null", frailty, f"n{n_total}"),
-        model=ArmModel(control=good, experimental_target=good, weight=0.0),
-        recruitment=RecruitmentSpec(per_arm_rate=n_total / (2 * _ACCRUAL_UNITS),
-                                    max_per_arm=n_total // 2),
-        dropout=DropoutSpec(rate=DROPOUT_RATE),
-        frailty=frailty,
+        model=CohortModel(control=good, experimental=good,
+                          per_arm_rate=n_total / (2 * _ACCRUAL_UNITS),
+                          max_per_arm=n_total // 2,
+                          dropout_rate=DROPOUT_RATE, frailty=frailty),
         targets=CutoffTargets.from_rates(_FWER_PFS_RATE, _FWER_OS_RATE,
                                          n_total),
     )
@@ -196,9 +181,7 @@ def simulate_replication(scenario: Scenario, seed: int, replication: int):
     are replications no trial of this design could analyze: not enough
     events for a cutoff, analyses out of order, or a degenerate variance.
     """
-    cohort = simulate_cohort(scenario.model, scenario.recruitment,
-                             scenario.dropout, scenario.frailty, seed,
-                             replication)
+    cohort = simulate_cohort(scenario.model, seed, replication)
     try:
         return analyze_cohort(cohort, scenario.targets)[0], None
     except InsufficientEvents:
@@ -249,11 +232,11 @@ class MetricsRow:
     failures: int
 
     def formatted(self) -> list:
-        vals = [self.rej_pfs, self.rej_os, self.disjunctive, self.conjunctive,
-                self.early_stop, self.se_rej_pfs, self.se_rej_os, self.se_disj,
-                self.se_conj, self.se_early]
-        return ([self.scenario, self.procedure, str(self.n_reps)]
-                + [f"{v:.6f}" for v in vals] + [str(self.failures)])
+        return [f"{v:.6f}" if isinstance(v, float) else str(v)
+                for v in astuple(self)]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
 @dataclass
@@ -293,12 +276,8 @@ class ExperimentResult:
             p = self.rates(proc)
             se = (np.sqrt(p * (1.0 - p) / n) if n > 0
                   else np.full(5, np.nan))
-            rows.append(MetricsRow(
-                scenario=self.scenario, procedure=proc, n_reps=self.n_reps,
-                rej_pfs=p[0], rej_os=p[1], disjunctive=p[2], conjunctive=p[3],
-                early_stop=p[4], se_rej_pfs=se[0], se_rej_os=se[1],
-                se_disj=se[2], se_conj=se[3], se_early=se[4],
-                failures=self.n_failures))
+            rows.append(MetricsRow(self.scenario, proc, self.n_reps, *p, *se,
+                                   self.n_failures))
         return rows
 
 
@@ -367,7 +346,7 @@ def plan_events(scenario: Scenario, design: DesignSpec, target_power: float,
     if not 0.0 <= target_power < 1.0:
         raise ConfigError("target_power must lie in [0, 1)")
     d0 = scenario.targets.d_os
-    n_max = 2 * scenario.recruitment.max_per_arm
+    n_max = 2 * scenario.model.max_per_arm
     cache: dict = {}
 
     def power_at(d: int) -> float:
@@ -382,7 +361,8 @@ def plan_events(scenario: Scenario, design: DesignSpec, target_power: float,
     if not 2 <= lo < hi <= n_max:
         raise ConfigError(f"bracket ({lo}, {hi}) invalid for cohort {n_max}")
     floor = lo
-    while power_at(hi) < target_power:
+    # an all-failed candidate has power nan, which must not count as reached
+    while not power_at(hi) >= target_power:
         if hi >= n_max:
             raise NoSolution(
                 f"target power {target_power} not reached by d_os={hi}")

@@ -3,11 +3,14 @@
 Patients move through three states: stable disease (0), progression (1) and
 death (2).  Transitions 0->1, 0->2 and 1->2 carry constant intensities, so
 sojourn times are exponential.  Progression-free survival is the waiting time
-in state 0, overall survival the waiting time until state 2.  An optional
-gamma frailty multiplies all three intensities of a patient, which is
-equivalent to dividing that patient's event times by the frailty draw.
-Recruitment is staggered on a deterministic grid and drop-out is an
-independent exponential censoring time that is not affected by the frailty.
+in state 0, overall survival the waiting time until state 2.
+
+One :class:`CohortModel` fixes everything a cohort is drawn from: the
+intensities of the control arm (0) and the experimental arm (1), a
+deterministic staggered entry grid, an exponential drop-out hazard and an
+optional gamma frailty.  The frailty multiplies all three intensities of a
+patient, which is equivalent to dividing that patient's event times by the
+frailty draw; entry and drop-out are not affected by it.
 """
 
 from __future__ import annotations
@@ -20,12 +23,9 @@ from .errors import InvalidModel
 
 __all__ = [
     "TransitionIntensities",
-    "ArmModel",
     "FrailtySpec",
-    "RecruitmentSpec",
-    "DropoutSpec",
+    "CohortModel",
     "Cohort",
-    "effective_intensities",
     "simulate_cohort",
 ]
 
@@ -50,27 +50,6 @@ class TransitionIntensities:
 
 
 @dataclass(frozen=True)
-class ArmModel:
-    """Per-arm intensities with a treatment-effect weight.
-
-    Arm 0 follows ``control``.  Arm 1 follows the interpolation
-    ``control - weight * (control - experimental_target)``, i.e. it moves from
-    the control intensities (weight 0) to the target intensities (weight 1).
-    """
-
-    control: TransitionIntensities
-    experimental_target: TransitionIntensities
-    weight: float = 1.0
-
-    def validate(self) -> None:
-        self.control.validate()
-        self.experimental_target.validate()
-        if not 0.0 <= self.weight <= 1.0:
-            raise InvalidModel("effect weight must lie in [0, 1]")
-        effective_intensities(self, 1).validate()
-
-
-@dataclass(frozen=True)
 class FrailtySpec:
     """Gamma frailty shared by all transitions of a patient.
 
@@ -89,84 +68,52 @@ class FrailtySpec:
 
 
 @dataclass(frozen=True)
-class RecruitmentSpec:
-    """Deterministic staggered entry.
+class CohortModel:
+    """Everything one cohort is drawn from.
 
-    Patient k of an arm (k = 0, 1, ...) enters at ``k / per_arm_rate``; the
-    two arms are interleaved so cohort positions alternate between arms.
+    Arm 0 follows ``control`` and arm 1 ``experimental``.  Patient k of an
+    arm (k = 0, 1, ...) enters at ``k / per_arm_rate``; the two arms are
+    interleaved so cohort positions alternate between arms.  A
+    ``dropout_rate`` of zero disables drop-out.
     """
 
+    control: TransitionIntensities
+    experimental: TransitionIntensities
     per_arm_rate: float
     max_per_arm: int
+    dropout_rate: float = 0.0
+    frailty: FrailtySpec = FrailtySpec()
 
     def validate(self) -> None:
+        self.control.validate()
+        self.experimental.validate()
         if self.per_arm_rate <= 0.0:
             raise InvalidModel("recruitment rate must be positive")
         if self.max_per_arm < 1:
             raise InvalidModel("need at least one patient per arm")
-
-
-@dataclass(frozen=True)
-class DropoutSpec:
-    """Exponential drop-out hazard; zero disables drop-out."""
-
-    rate: float = 0.0
-
-    def validate(self) -> None:
-        if self.rate < 0.0:
+        if self.dropout_rate < 0.0:
             raise InvalidModel("drop-out rate must be non-negative")
+        self.frailty.validate()
 
 
 class Cohort:
     """Latent (uncensored) patient paths as contiguous numpy arrays, one
     entry per cohort position."""
 
-    def __init__(self, arm, entry, t_pfs, t_os, dropout, frailty, progressed):
+    def __init__(self, arm, entry, t_pfs, t_os, dropout):
         self.arm = np.asarray(arm, dtype=np.int8)
         self.entry = np.asarray(entry, dtype=float)
         self.t_pfs = np.asarray(t_pfs, dtype=float)
         self.t_os = np.asarray(t_os, dtype=float)
         self.dropout = np.asarray(dropout, dtype=float)
-        self.frailty = np.asarray(frailty, dtype=float)
-        self.progressed = np.asarray(progressed, dtype=bool)
 
     def __len__(self) -> int:
         return self.arm.shape[0]
 
     def restricted_to(self, mask: np.ndarray) -> "Cohort":
         """Sub-cohort of the patients selected by a boolean mask."""
-        return Cohort(
-            self.arm[mask],
-            self.entry[mask],
-            self.t_pfs[mask],
-            self.t_os[mask],
-            self.dropout[mask],
-            self.frailty[mask],
-            self.progressed[mask],
-        )
-
-
-def effective_intensities(model: ArmModel, arm: int) -> TransitionIntensities:
-    """Intensities actually used for one arm.
-
-    Args:
-        model: arm model with control, target and effect weight.
-        arm: 0 for control, 1 for the experimental arm.
-
-    Returns:
-        ``control`` for arm 0; for arm 1 the componentwise interpolation
-        ``control - weight * (control - experimental_target)``.
-    """
-    if arm not in (0, 1):
-        raise InvalidModel(f"arm must be 0 or 1, got {arm!r}")
-    if arm == 0:
-        return model.control
-    c, e, w = model.control, model.experimental_target, model.weight
-    return TransitionIntensities(
-        lambda_01=c.lambda_01 - w * (c.lambda_01 - e.lambda_01),
-        lambda_02=c.lambda_02 - w * (c.lambda_02 - e.lambda_02),
-        lambda_12=c.lambda_12 - w * (c.lambda_12 - e.lambda_12),
-    )
+        return Cohort(self.arm[mask], self.entry[mask], self.t_pfs[mask],
+                      self.t_os[mask], self.dropout[mask])
 
 
 def _rng_for_replication(seed: int, replication: int) -> np.random.Generator:
@@ -183,22 +130,20 @@ def _exponential_from_uniform(u: np.ndarray, rate: np.ndarray | float) -> np.nda
         return np.where(np.asarray(rate) > 0.0, -np.log1p(-u) / rate, np.inf)
 
 
-def _sample_base_cohort(model: ArmModel, recruitment: RecruitmentSpec,
-                        dropout: DropoutSpec, rng: np.random.Generator) -> Cohort:
+def _sample_base_cohort(model: CohortModel, rng: np.random.Generator) -> Cohort:
     """Frailty-free cohort from a fixed block of uniforms.
 
     Exactly ``4 * n`` uniforms are consumed in one block of shape (n, 4), one
     row per cohort position, so that enabling the frailty afterwards does not
     disturb the base paths.
     """
-    k = recruitment.max_per_arm
+    k = model.max_per_arm
     n = 2 * k
-    grid = np.arange(k, dtype=float) / recruitment.per_arm_rate
+    grid = np.arange(k, dtype=float) / model.per_arm_rate
     entry = np.repeat(grid, 2)
     arm = np.tile(np.array([0, 1], dtype=np.int8), k)
 
-    lam0 = effective_intensities(model, 0)
-    lam1 = effective_intensities(model, 1)
+    lam0, lam1 = model.control, model.experimental
     lam01 = np.where(arm == 0, lam0.lambda_01, lam1.lambda_01)
     lam02 = np.where(arm == 0, lam0.lambda_02, lam1.lambda_02)
     lam12 = np.where(arm == 0, lam0.lambda_12, lam1.lambda_12)
@@ -209,28 +154,19 @@ def _sample_base_cohort(model: ArmModel, recruitment: RecruitmentSpec,
         progress_share = np.where(lam01 + lam02 > 0.0, lam01 / (lam01 + lam02), 0.0)
     progressed = u[:, 1] < progress_share
     sojourn1 = _exponential_from_uniform(u[:, 2], lam12)
-    drop = _exponential_from_uniform(u[:, 3], dropout.rate)
+    drop = _exponential_from_uniform(u[:, 3], model.dropout_rate)
 
     t_pfs = sojourn0
     t_os = np.where(progressed, sojourn0 + sojourn1, sojourn0)
-    return Cohort(arm, entry, t_pfs, t_os, drop,
-                  np.ones(n), progressed)
+    return Cohort(arm, entry, t_pfs, t_os, drop)
 
 
-def _draw_frailty(frailty: FrailtySpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.gamma(shape=frailty.shape, scale=1.0 / frailty.rate, size=n)
-
-
-def simulate_cohort(model: ArmModel, recruitment: RecruitmentSpec,
-                    dropout: DropoutSpec, frailty: FrailtySpec,
-                    seed: int, replication: int = 0) -> Cohort:
+def simulate_cohort(model: CohortModel, seed: int,
+                    replication: int = 0) -> Cohort:
     """Simulate one trial cohort.
 
     Args:
-        model: per-arm transition intensities.
-        recruitment: entry grid and per-arm cap.
-        dropout: exponential censoring hazard.
-        frailty: gamma frailty settings.
+        model: arm intensities, entry grid, drop-out and frailty.
         seed: experiment seed.
         replication: replication index; (seed, replication) fully determines
             the cohort regardless of execution order or worker count.
@@ -241,15 +177,12 @@ def simulate_cohort(model: ArmModel, recruitment: RecruitmentSpec,
         drop-out are untouched.
     """
     model.validate()
-    recruitment.validate()
-    dropout.validate()
-    frailty.validate()
-
     rng = _rng_for_replication(seed, replication)
-    cohort = _sample_base_cohort(model, recruitment, dropout, rng)
+    cohort = _sample_base_cohort(model, rng)
+    frailty = model.frailty
     if frailty.enabled:
-        gamma = _draw_frailty(frailty, len(cohort), rng)
-        cohort = Cohort(cohort.arm, cohort.entry,
-                        cohort.t_pfs / gamma, cohort.t_os / gamma,
-                        cohort.dropout, gamma, cohort.progressed)
+        gamma = rng.gamma(shape=frailty.shape, scale=1.0 / frailty.rate,
+                          size=len(cohort))
+        cohort = Cohort(cohort.arm, cohort.entry, cohort.t_pfs / gamma,
+                        cohort.t_os / gamma, cohort.dropout)
     return cohort

@@ -101,9 +101,10 @@ class DesignSpec:
             raise ConfigError(f"unknown procedure {self.procedure!r}")
         if not 0.0 < self.alpha < 0.5:
             raise ConfigError("alpha must lie in (0, 0.5)")
-        if min(self.rho_pfs, self.rho_os) <= 0.0:
+        # written so that a nan fraction fails the checks
+        if not (self.rho_pfs > 0.0 and self.rho_os > 0.0):
             raise ConfigError("level fractions must be positive")
-        if abs(self.rho_pfs + self.rho_os - 1.0) > 1e-9:
+        if not abs(self.rho_pfs + self.rho_os - 1.0) <= 1e-9:
             raise ConfigError("rho_pfs and rho_os must sum to one")
 
     @property
@@ -161,7 +162,6 @@ class TrialOutcome:
     case_label: str
     analysis_of_os_rejection: str | None
     inflation_factors: dict = field(default_factory=dict)
-    z_values: dict = field(default_factory=dict)
     correlations: dict = field(default_factory=dict)
 
     @property
@@ -256,7 +256,6 @@ def _run_error_spending(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutc
         case_label="interim" if rej_os_interim else "final",
         analysis_of_os_rejection=when,
         inflation_factors=xi if design.is_group_sequential else {},
-        z_values={"pfs_interim": zp1, "os_interim": zo1, "os_final": zo2},
         correlations=corr)
 
 
@@ -360,7 +359,6 @@ def _run_exhaustive(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
         rejected_os=when is not None, rejected_global=rej_global,
         early_stop=when == "interim", case_label=case,
         analysis_of_os_rejection=when, inflation_factors=thresholds.xi,
-        z_values={"pfs_interim": zp1, "os_interim": zo1, "os_final": zo2},
         correlations=thresholds.corr)
 
 
@@ -369,9 +367,11 @@ def check_consonance(design: DesignSpec, inputs: AnalysisInputs) -> bool:
 
     Statically the level split must exhaust alpha (enforced by DesignSpec
     already).  At runtime the final intersection threshold for OS must not
-    exceed what the elementary OS test grants at the final analysis; the
-    PFS side is consonant by construction because its elementary test at
-    full alpha is weaker than any intersection component at xi1 * pa.
+    exceed what the elementary OS test grants at the final analysis.  The
+    PFS side is not checked: PFS is rejected only by the intersection's
+    interim component, ``z_pfs_interim <= ndtri(xi1 * pa)``, and no
+    separate elementary PFS test runs.  Whether that rule is the paper's
+    is ROADMAP item 4.
     """
     if design.procedure not in _EXHAUSTIVE:
         return True

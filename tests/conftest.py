@@ -45,6 +45,4 @@ def micro_cutoffs(rng):
 def cohort_from_patients(patients) -> Cohort:
     data = np.asarray([p[:5] for p in patients], dtype=float)
     return Cohort(arm=data[:, 0].astype(int), entry=data[:, 1],
-                  t_pfs=data[:, 2], t_os=data[:, 3], dropout=data[:, 4],
-                  frailty=np.ones(len(patients)),
-                  progressed=data[:, 2] < data[:, 3])
+                  t_pfs=data[:, 2], t_os=data[:, 3], dropout=data[:, 4])

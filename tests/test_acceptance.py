@@ -92,8 +92,7 @@ def test_criterion_3_covariance_estimator_is_consistent():
     sc = null_scenario(1, 1600)
     u, sigma = [], []
     for r in range(2_000):
-        cohort = simulate_cohort(sc.model, sc.recruitment, sc.dropout,
-                                 sc.frailty, SEED, r)
+        cohort = simulate_cohort(sc.model, SEED, r)
         inputs, interim, final = analyze_cohort(cohort, sc.targets)
         u.append([logrank(snap, endpoint).u for snap in (interim, final)
                   for endpoint in (PFS, OS)])

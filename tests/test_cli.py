@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from duosurv import cli, harness
+from duosurv.multistate import TransitionIntensities
 
 
 def write(path, text):
@@ -220,6 +221,28 @@ def test_crashed_worker_is_a_runtime_error(tmp_path, capsys, monkeypatch):
     assert "scenario steep" in err
 
 
+def test_explicit_weight_interpolates_arm_1():
+    block = {"control": [0.10, 0.40, 0.30],
+             "experimental_target": [0.06, 0.30, 0.30],
+             "per_arm_rate": 25, "max_per_arm": 40, "d_pfs": 10, "d_os": 25}
+    full = cli._scenario_from_config(block).model
+    assert full.control == TransitionIntensities(0.10, 0.40, 0.30)
+    assert full.experimental == TransitionIntensities(0.06, 0.30, 0.30)
+
+    half = cli._scenario_from_config({**block, "weight": 0.5}).model
+    assert half.experimental.lambda_01 == pytest.approx(0.08)
+    assert half.experimental.lambda_02 == pytest.approx(0.35)
+    assert half.experimental.lambda_12 == pytest.approx(0.30)
+
+    none = cli._scenario_from_config({**block, "weight": 0}).model
+    assert none.experimental == none.control
+
+    # without a target arm 1 follows the control at any weight
+    del block["experimental_target"]
+    alone = cli._scenario_from_config({**block, "weight": 0.5}).model
+    assert alone.experimental == alone.control
+
+
 @pytest.mark.parametrize("mutation, fragment", [
     ("mode: telescope", "mode"),
     ("unexpected_key: 1", "unknown key"),
@@ -265,9 +288,22 @@ def test_non_numeric_list_entries_are_config_errors(tmp_path, capsys,
     ("simulate", "d_pfs: 10", "d_pfs: 0", "event targets"),
     ("simulate", "  d_os: 25\n", "  d_os: 25\n  weight: 1.5\n",
      "effect weight"),
+    ("simulate", "experimental_target: [0.05, 0.1, 0.1]",
+     "experimental_target: [0.0, 0.0, 0.1]\n  weight: 0",
+     "positive exit intensity"),
     ("simulate", "per_arm_rate: 25", "per_arm_rate: -2", "recruitment rate"),
     ("analyze", "d_pfs: 8", "d_pfs: 0", "event targets"),
-], ids=["frailty_shape", "d_pfs", "weight", "per_arm_rate", "analyze_d_pfs"])
+    ("simulate", "n_reps: 30", "n_reps: .inf", "'execution.n_reps' must be"),
+    ("simulate", "  procedures: [bon, os]\n",
+     "  procedures: [bon, os]\n  rho_pfs: .nan\n",
+     "'design.rho_pfs' must be finite"),
+    ("simulate", "dropout_rate: 0.0", "dropout_rate: .nan",
+     "'scenario.dropout_rate' must be finite"),
+    ("simulate", "control: [0.5, 0.8, 0.8]", "control: [.nan, 0.8, 0.8]",
+     "'scenario.control' must be"),
+], ids=["frailty_shape", "d_pfs", "weight", "target_at_weight_0",
+        "per_arm_rate", "analyze_d_pfs", "n_reps_inf", "rho_pfs_nan",
+        "dropout_rate_nan", "control_nan"])
 def test_out_of_range_model_values_are_config_errors(tmp_path, capsys, command,
                                                      old, new, fragment):
     if command == "simulate":

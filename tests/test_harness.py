@@ -20,9 +20,8 @@ from duosurv.harness import (
     simulate_replication,
     table_intensities,
 )
-from duosurv.multistate import (ArmModel, DropoutSpec, FrailtySpec,
-                                RecruitmentSpec, TransitionIntensities,
-                                effective_intensities)
+from duosurv.multistate import (CohortModel, FrailtySpec,
+                                TransitionIntensities)
 from duosurv.testing import PROCEDURES, DesignSpec
 from duosurv.trialdata import CutoffTargets
 
@@ -47,19 +46,19 @@ def test_power_scenario_interpolates_the_inferior_arm():
     sc = power_scenario(1, weight=1.0)
     good, bad, d_pfs, d_os = table_intensities(1)
     assert sc.model.control == bad
-    assert effective_intensities(sc.model, 1) == good
+    assert sc.model.experimental == good
     assert sc.name == "m1_power_w100"
-    assert sc.recruitment.per_arm_rate == 25.0
-    assert sc.recruitment.max_per_arm == 800
-    assert sc.dropout.rate == DROPOUT_RATE
-    assert not sc.frailty.enabled
+    assert sc.model.per_arm_rate == 25.0
+    assert sc.model.max_per_arm == 800
+    assert sc.model.dropout_rate == DROPOUT_RATE
+    assert not sc.model.frailty.enabled
     assert (sc.targets.d_pfs, sc.targets.d_os) == (d_pfs, d_os)
 
     half = power_scenario(1, weight=0.8)
     assert half.model.control.lambda_01 == pytest.approx(0.092)
     assert half.model.control.lambda_02 == pytest.approx(0.38)
     assert half.model.control.lambda_12 == pytest.approx(0.30)
-    assert effective_intensities(half.model, 1) == good
+    assert half.model.experimental == good
     assert half.name == "m1_power_w080"
 
     flat = power_scenario(1, weight=0.0)
@@ -67,7 +66,7 @@ def test_power_scenario_interpolates_the_inferior_arm():
 
     spec = FrailtySpec(enabled=True, shape=2.0, rate=2.0)
     frail = power_scenario(2, 1.0, spec)
-    assert frail.frailty == spec
+    assert frail.model.frailty == spec
     assert frail.name == "m2_power_w100_frailty"
 
     with pytest.raises(ConfigError, match="weight"):
@@ -78,16 +77,16 @@ def test_null_scenario_scales_with_size():
     sc = null_scenario(1, 1600)
     good = table_intensities(1)[0]
     assert sc.model.control == good
-    assert effective_intensities(sc.model, 1) == good
-    assert sc.recruitment.per_arm_rate == pytest.approx(25.0)
-    assert sc.recruitment.max_per_arm == 800
+    assert sc.model.experimental == good
+    assert sc.model.per_arm_rate == pytest.approx(25.0)
+    assert sc.model.max_per_arm == 800
     assert (sc.targets.d_pfs, sc.targets.d_os) == (625, 950)
     assert sc.name == "m1_null_n1600"
 
     small = null_scenario(1, 128, FrailtySpec(enabled=True))
-    assert small.frailty == FrailtySpec(enabled=True)
-    assert small.recruitment.per_arm_rate == pytest.approx(2.0)
-    assert small.recruitment.max_per_arm == 64
+    assert small.model.frailty == FrailtySpec(enabled=True)
+    assert small.model.per_arm_rate == pytest.approx(2.0)
+    assert small.model.max_per_arm == 64
     assert (small.targets.d_pfs, small.targets.d_os) == (50, 76)
     assert small.name == "m1_null_n128_frailty"
 
@@ -119,14 +118,12 @@ def test_simulate_replication_produces_analysis_inputs():
 
 def test_simulate_replication_failure_labels():
     sc = null_scenario(1, 128)
-    too_many = Scenario(name="x", model=sc.model, recruitment=sc.recruitment,
-                        dropout=sc.dropout, frailty=sc.frailty,
+    too_many = Scenario(name="x", model=sc.model,
                         targets=CutoffTargets(d_pfs=50, d_os=1000))
     _, failure = simulate_replication(too_many, 0, 0)
     assert failure == "insufficient_events"
 
-    swapped = Scenario(name="y", model=sc.model, recruitment=sc.recruitment,
-                       dropout=sc.dropout, frailty=sc.frailty,
+    swapped = Scenario(name="y", model=sc.model,
                        targets=CutoffTargets(d_pfs=100, d_os=1))
     _, failure = simulate_replication(swapped, 0, 0)
     assert failure == "cutoff_order"
@@ -224,14 +221,10 @@ def test_metrics_csv_format():
 
 def steep_scenario():
     """Tiny cohort with a drastic arm-1 benefit: power climbs fast in d_os."""
-    model = ArmModel(control=TransitionIntensities(0.5, 0.8, 0.8),
-                     experimental_target=TransitionIntensities(0.05, 0.1, 0.1),
-                     weight=1.0)
+    model = CohortModel(control=TransitionIntensities(0.5, 0.8, 0.8),
+                        experimental=TransitionIntensities(0.05, 0.1, 0.1),
+                        per_arm_rate=25.0, max_per_arm=40)
     return Scenario(name="steep", model=model,
-                    recruitment=RecruitmentSpec(per_arm_rate=25.0,
-                                                max_per_arm=40),
-                    dropout=DropoutSpec(0.0),
-                    frailty=FrailtySpec(),
                     targets=CutoffTargets(d_pfs=10, d_os=60))
 
 
@@ -259,6 +252,19 @@ def test_plan_events_unreachable_target():
     sc = null_scenario(1, 128)
     with pytest.raises(NoSolution, match="not reached"):
         plan_events(sc, DesignSpec("os"), target_power=0.9, n_reps=40, seed=3)
+
+
+def test_plan_events_all_failed_candidate_is_not_reached():
+    # with heavy drop-out no cohort of 120 reaches 120 OS events, so the
+    # largest candidate fails in every replication and its power is nan
+    good, bad, _, _ = table_intensities(1)
+    sc = Scenario(name="small", targets=CutoffTargets(d_pfs=30, d_os=40),
+                  model=CohortModel(control=bad, experimental=good,
+                                    per_arm_rate=25.0, max_per_arm=60,
+                                    dropout_rate=0.1))
+    with pytest.raises(NoSolution, match="not reached by d_os=120"):
+        plan_events(sc, DesignSpec("os"), target_power=0.999, n_reps=20,
+                    seed=0)
 
 
 def test_plan_events_validation():

@@ -1,16 +1,16 @@
 """Simulator behaviour: entry grid, path laws, frailty coupling, validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from duosurv.errors import InvalidModel
 from duosurv.multistate import (
-    ArmModel,
-    DropoutSpec,
+    CohortModel,
     FrailtySpec,
-    RecruitmentSpec,
     TransitionIntensities,
-    effective_intensities,
+    _rng_for_replication,
     simulate_cohort,
 )
 
@@ -18,14 +18,15 @@ GOOD = TransitionIntensities(0.06, 0.30, 0.30)
 BAD = TransitionIntensities(0.10, 0.40, 0.30)
 
 
-def same_both_arms(lam: TransitionIntensities) -> ArmModel:
-    return ArmModel(control=lam, experimental_target=lam, weight=1.0)
+def model(**overrides) -> CohortModel:
+    """GOOD on both arms, 25 patients per arm and time unit, no drop-out."""
+    base = CohortModel(control=GOOD, experimental=GOOD, per_arm_rate=25.0,
+                       max_per_arm=64)
+    return replace(base, **overrides)
 
 
 def test_entry_grid_is_interleaved_and_deterministic():
-    rec = RecruitmentSpec(per_arm_rate=25.0, max_per_arm=64)
-    cohort = simulate_cohort(same_both_arms(GOOD), rec, DropoutSpec(0.0),
-                             FrailtySpec(), seed=3)
+    cohort = simulate_cohort(model(), seed=3)
     assert len(cohort) == 128
     assert list(cohort.arm[:4]) == [0, 1, 0, 1]
     grid = np.repeat(np.arange(64) / 25.0, 2)
@@ -37,82 +38,67 @@ def test_entry_grid_is_interleaved_and_deterministic():
 def test_branch_probability_and_mean_sojourn():
     # With identical intensities on both arms every patient leaves state 0 at
     # rate 0.36 and progresses with probability 0.06 / 0.36.
-    rec = RecruitmentSpec(per_arm_rate=1.0, max_per_arm=60_000)
-    cohort = simulate_cohort(same_both_arms(GOOD), rec, DropoutSpec(0.0),
-                             FrailtySpec(), seed=11)
+    cohort = simulate_cohort(model(per_arm_rate=1.0, max_per_arm=60_000),
+                             seed=11)
     n = len(cohort)
     p = 0.06 / 0.36
-    phat = cohort.progressed.mean()
+    phat = (cohort.t_os > cohort.t_pfs).mean()
     assert abs(phat - p) < 4.0 * np.sqrt(p * (1 - p) / n)
     mean = 1.0 / 0.36
     assert abs(cohort.t_pfs.mean() - mean) < 4.0 * mean / np.sqrt(n)
 
 
 def test_os_equals_pfs_exactly_when_not_progressed():
-    rec = RecruitmentSpec(per_arm_rate=5.0, max_per_arm=2000)
-    cohort = simulate_cohort(ArmModel(BAD, GOOD, weight=1.0), rec,
-                             DropoutSpec(0.1), FrailtySpec(), seed=5)
+    cohort = simulate_cohort(model(control=BAD, per_arm_rate=5.0,
+                                   max_per_arm=2000, dropout_rate=0.1),
+                             seed=5)
     assert np.all(cohort.t_os >= cohort.t_pfs)
-    strict = cohort.t_os > cohort.t_pfs
-    assert np.array_equal(strict, cohort.progressed)
-    assert 0 < cohort.progressed.sum() < len(cohort)
+    # the branch uniform (column 1) decides progression against the share
+    # lambda_01 / (lambda_01 + lambda_02) of the patient's arm
+    u = _rng_for_replication(5, 0).random((len(cohort), 4))
+    share = np.where(cohort.arm == 0,
+                     BAD.lambda_01 / (BAD.lambda_01 + BAD.lambda_02),
+                     GOOD.lambda_01 / (GOOD.lambda_01 + GOOD.lambda_02))
+    progressed = u[:, 1] < share
+    assert np.array_equal(cohort.t_os > cohort.t_pfs, progressed)
+    assert 0 < progressed.sum() < len(cohort)
 
 
 def test_frailty_divides_event_times_and_nothing_else():
-    rec = RecruitmentSpec(per_arm_rate=25.0, max_per_arm=400)
-    base = simulate_cohort(ArmModel(BAD, GOOD), rec, DropoutSpec(0.05),
-                           FrailtySpec(enabled=False), seed=17, replication=9)
-    frail = simulate_cohort(ArmModel(BAD, GOOD), rec, DropoutSpec(0.05),
-                            FrailtySpec(enabled=True), seed=17, replication=9)
+    common = dict(control=BAD, max_per_arm=400, dropout_rate=0.05)
+    base = simulate_cohort(model(**common), seed=17, replication=9)
+    frail = simulate_cohort(model(frailty=FrailtySpec(enabled=True), **common),
+                            seed=17, replication=9)
     # The base path consumes a fixed block of uniforms, so enabling the
     # frailty leaves everything except the event times untouched.
     assert np.array_equal(base.arm, frail.arm)
     assert np.array_equal(base.entry, frail.entry)
     assert np.array_equal(base.dropout, frail.dropout)
-    assert np.array_equal(base.progressed, frail.progressed)
-    assert np.all(base.frailty == 1.0)
-    assert np.all(frail.frailty > 0.0)
-    assert np.array_equal(frail.t_pfs, base.t_pfs / frail.frailty)
-    assert np.array_equal(frail.t_os, base.t_os / frail.frailty)
-    # Gamma(10, 1/10): mean 1, variance 0.1.
+    assert np.array_equal(base.t_os > base.t_pfs, frail.t_os > frail.t_pfs)
+    # the gamma variates follow the (n, 4) block of uniforms in the stream
     n = len(frail)
-    assert abs(frail.frailty.mean() - 1.0) < 4.0 * np.sqrt(0.1 / n)
+    rng = _rng_for_replication(17, 9)
+    rng.random((n, 4))
+    gamma = rng.gamma(shape=10.0, scale=0.1, size=n)
+    assert np.all(gamma > 0.0)
+    assert np.array_equal(frail.t_pfs, base.t_pfs / gamma)
+    assert np.array_equal(frail.t_os, base.t_os / gamma)
+    # Gamma(10, 1/10): mean 1, variance 0.1.
+    assert abs(gamma.mean() - 1.0) < 4.0 * np.sqrt(0.1 / n)
 
 
 def test_replication_is_addressable_not_sequential():
-    rec = RecruitmentSpec(per_arm_rate=25.0, max_per_arm=50)
-    kwargs = dict(model=same_both_arms(GOOD), recruitment=rec,
-                  dropout=DropoutSpec(0.01), frailty=FrailtySpec(), seed=123)
-    a = simulate_cohort(replication=5, **kwargs)
-    b = simulate_cohort(replication=5, **kwargs)
-    c = simulate_cohort(replication=6, **kwargs)
+    m = model(max_per_arm=50, dropout_rate=0.01)
+    a = simulate_cohort(m, seed=123, replication=5)
+    b = simulate_cohort(m, seed=123, replication=5)
+    c = simulate_cohort(m, seed=123, replication=6)
     assert np.array_equal(a.t_os, b.t_os)
     assert np.array_equal(a.dropout, b.dropout)
     assert not np.array_equal(a.t_os, c.t_os)
 
 
-def test_effective_intensities_interpolation():
-    model = ArmModel(control=BAD, experimental_target=GOOD, weight=1.0)
-    assert effective_intensities(model, 0) == BAD
-    assert effective_intensities(model, 1) == GOOD
-
-    half = ArmModel(control=BAD, experimental_target=GOOD, weight=0.5)
-    lam = effective_intensities(half, 1)
-    assert lam.lambda_01 == pytest.approx(0.08)
-    assert lam.lambda_02 == pytest.approx(0.35)
-    assert lam.lambda_12 == pytest.approx(0.30)
-
-    none = ArmModel(control=BAD, experimental_target=GOOD, weight=0.0)
-    assert effective_intensities(none, 1) == BAD
-
-    with pytest.raises(InvalidModel):
-        effective_intensities(model, 2)
-
-
 def test_zero_dropout_rate_means_no_censoring():
-    rec = RecruitmentSpec(per_arm_rate=10.0, max_per_arm=20)
-    cohort = simulate_cohort(same_both_arms(GOOD), rec, DropoutSpec(0.0),
-                             FrailtySpec(), seed=1)
+    cohort = simulate_cohort(model(per_arm_rate=10.0, max_per_arm=20), seed=1)
     assert np.all(np.isinf(cohort.dropout))
 
 
@@ -126,24 +112,28 @@ def test_intensity_validation(bad_spec):
 
 
 def test_model_and_spec_validation():
-    with pytest.raises(InvalidModel):
-        ArmModel(GOOD, BAD, weight=1.5).validate()
-    with pytest.raises(InvalidModel):
-        RecruitmentSpec(per_arm_rate=0.0, max_per_arm=10).validate()
-    with pytest.raises(InvalidModel):
-        RecruitmentSpec(per_arm_rate=1.0, max_per_arm=0).validate()
-    with pytest.raises(InvalidModel):
-        DropoutSpec(rate=-0.1).validate()
-    with pytest.raises(InvalidModel):
-        FrailtySpec(enabled=True, shape=0.0).validate()
+    for overrides, message in [
+            (dict(control=TransitionIntensities(-0.1, 0.3, 0.3)),
+             "non-negative"),
+            (dict(experimental=TransitionIntensities(0.0, 0.0, 0.3)),
+             "positive exit intensity"),
+            (dict(per_arm_rate=0.0), "recruitment rate must be positive"),
+            (dict(max_per_arm=0), "need at least one patient per arm"),
+            (dict(dropout_rate=-0.1), "drop-out rate must be non-negative"),
+            (dict(frailty=FrailtySpec(enabled=True, shape=0.0)),
+             "frailty shape and rate must be positive")]:
+        with pytest.raises(InvalidModel, match=message):
+            model(**overrides).validate()
+        # simulate_cohort checks the model before drawing anything
+        with pytest.raises(InvalidModel, match=message):
+            simulate_cohort(model(**overrides), seed=1)
     # disabled frailty never looks at its parameters
-    FrailtySpec(enabled=False, shape=0.0).validate()
+    model(frailty=FrailtySpec(enabled=False, shape=0.0)).validate()
 
 
 def test_cohort_indexing_and_restriction():
-    rec = RecruitmentSpec(per_arm_rate=2.0, max_per_arm=6)
-    cohort = simulate_cohort(same_both_arms(GOOD), rec, DropoutSpec(0.2),
-                             FrailtySpec(), seed=2)
+    cohort = simulate_cohort(model(per_arm_rate=2.0, max_per_arm=6,
+                                   dropout_rate=0.2), seed=2)
     sub = cohort.restricted_to(cohort.arm == 1)
     assert len(sub) == 6
     assert np.all(sub.arm == 1)

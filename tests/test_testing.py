@@ -297,14 +297,21 @@ def test_design_spec_validation_and_levels():
     assert spec.level_os == pytest.approx(0.02)
     assert not spec.is_group_sequential
     assert DesignSpec("ex_gs_first").is_group_sequential
-    with pytest.raises(ConfigError, match="unknown procedure"):
-        DesignSpec("holm")
-    with pytest.raises(ConfigError, match="alpha"):
-        DesignSpec("bon", alpha=0.6)
-    with pytest.raises(ConfigError, match="sum to one"):
-        DesignSpec("bon", rho_pfs=0.2, rho_os=0.9)
-    with pytest.raises(ConfigError, match="positive"):
-        DesignSpec("bon", rho_pfs=0.0, rho_os=1.0)
+
+
+@pytest.mark.parametrize("fields, fragment", [
+    (dict(procedure="holm"), "unknown procedure"),
+    (dict(alpha=0.6), "alpha"),
+    (dict(alpha=float("nan")), "alpha"),
+    (dict(rho_pfs=0.2, rho_os=0.9), "sum to one"),
+    (dict(rho_pfs=0.0, rho_os=1.0), "positive"),
+    (dict(rho_pfs=float("nan"), rho_os=0.8), "positive"),
+    (dict(rho_pfs=0.2, rho_os=float("nan")), "positive"),
+], ids=["procedure", "alpha", "alpha_nan", "sum", "zero", "rho_pfs_nan",
+        "rho_os_nan"])
+def test_design_spec_config_errors(fields, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        DesignSpec(**{"procedure": "bon", **fields})
 
 
 def test_spending_streams_per_procedure():
