@@ -193,10 +193,16 @@ def _designs_from_config(block: dict, procedures_override=None):
         procedures = _parse_procedures(block["procedures"])
     else:
         procedures = PROCEDURES
+    rho_pfs = _number(block, "rho_pfs", "design", 0.2)
+    rho_os = _number(block, "rho_os", "design")
+    # OS gets what PFS leaves; a stated OS fraction must agree
+    if rho_os is not None and rho_os <= 0.0:
+        raise ConfigError("level fractions must be positive")
+    if rho_os is not None and abs(rho_pfs + rho_os - 1.0) > 1e-9:
+        raise ConfigError("rho_pfs and rho_os must sum to one")
     return default_designs(procedures=procedures,
                            alpha=_number(block, "alpha", "design", 0.025),
-                           rho_pfs=_number(block, "rho_pfs", "design", 0.2),
-                           rho_os=_number(block, "rho_os", "design", 0.8))
+                           rho_pfs=rho_pfs)
 
 
 def load_config(path: str) -> dict:
@@ -358,6 +364,13 @@ def read_cohort(path: str) -> Cohort:
                   t_pfs=data[:, 2], t_os=data[:, 3], dropout=data[:, 4])
 
 
+# report keys of the correlations the procedures read, with their indices
+# in the covariance order pfs@interim, os@interim, pfs@final, os@final
+_REPORTED_CORRELATIONS = {"os_interim_os_final": (1, 3),
+                          "pfs_interim_os_final": (0, 3),
+                          "pfs_interim_os_interim": (0, 1)}
+
+
 def _format_matrix(matrix) -> str:
     return "\n".join("  " + "  ".join(f"{v: .4f}" for v in row)
                      for row in np.asarray(matrix))
@@ -409,7 +422,8 @@ def cmd_analyze(args) -> int:
               "interim_time": f"{t_interim:.6f}",
               "final_time": f"{t_final:.6f}",
               **{k: f"{v:.6f}" for k, v in z.items()},
-              **{k: f"{v:.6f}" for k, v in sorted(outcome.correlations.items())},
+              **{k: f"{inputs.covariance.correlation(i, j):.6f}"
+                 for k, (i, j) in _REPORTED_CORRELATIONS.items()},
               **{k: f"{v:.6f}" for k, v in sorted(outcome.inflation_factors.items())},
               "case": outcome.case_label,
               "rejected_global": int(outcome.rejected_global),

@@ -141,9 +141,9 @@ def null_scenario(index: int, n_total: int,
 
 
 def default_designs(procedures=PROCEDURES, alpha: float = 0.025,
-                    rho_pfs: float = 0.2, rho_os: float = 0.8):
-    return [DesignSpec(procedure=p, alpha=alpha, rho_pfs=rho_pfs,
-                       rho_os=rho_os) for p in procedures]
+                    rho_pfs: float = 0.2):
+    return [DesignSpec(procedure=p, alpha=alpha, rho_pfs=rho_pfs)
+            for p in procedures]
 
 
 def analyze_cohort(cohort, targets: CutoffTargets):
@@ -193,10 +193,8 @@ def simulate_replication(scenario: Scenario, seed: int, replication: int):
 
 
 def _outcome_bits(out) -> tuple:
-    return (out.rejected_pfs, out.rejected_os,
-            out.rejected_pfs or out.rejected_os,
-            out.rejected_pfs and out.rejected_os,
-            out.early_stop, out.rejected_global)
+    return (out.rejected_pfs, out.rejected_os, out.rejected_any,
+            out.rejected_all, out.early_stop, out.rejected_global)
 
 
 def _run_chunk(scenario, designs, seed, start, stop):
@@ -338,10 +336,12 @@ def plan_events(scenario: Scenario, design: DesignSpec, target_power: float,
                 bracket: tuple | None = None) -> PlanResult:
     """Smallest OS event target whose OS rejection rate reaches the goal.
 
-    Every candidate is evaluated with the same seed, so the power curve is
-    monotone up to the treatment of replication failures and plain integer
-    bisection applies; a +-3 scan around the bisection answer guards
-    against local Monte Carlo wobble.
+    The power of a candidate is its OS rejections over all ``n_reps``
+    replications: a replication that cannot be analyzed (say, too few
+    events for the cutoff) counts as OS not rejected.  Every candidate is
+    evaluated with the same seed, so the power curve is monotone up to
+    Monte Carlo wobble and plain integer bisection applies; a +-3 scan
+    around the bisection answer guards against that wobble.
     """
     if not 0.0 <= target_power < 1.0:
         raise ConfigError("target_power must lie in [0, 1)")
@@ -354,15 +354,14 @@ def plan_events(scenario: Scenario, design: DesignSpec, target_power: float,
             sc = replace(scenario, targets=CutoffTargets(
                 d_pfs=scenario.targets.d_pfs, d_os=d))
             res = run_experiment(sc, [design], n_reps, seed, workers=workers)
-            cache[d] = float(res.rates(design.procedure)[1])
+            cache[d] = float(res.counts[design.procedure][1]) / n_reps
         return cache[d]
 
     lo, hi = bracket if bracket is not None else (max(2, int(0.7 * d0)), d0)
     if not 2 <= lo < hi <= n_max:
         raise ConfigError(f"bracket ({lo}, {hi}) invalid for cohort {n_max}")
     floor = lo
-    # an all-failed candidate has power nan, which must not count as reached
-    while not power_at(hi) >= target_power:
+    while power_at(hi) < target_power:
         if hi >= n_max:
             raise NoSolution(
                 f"target power {target_power} not reached by d_os={hi}")

@@ -1,43 +1,41 @@
 """Closed testing of a PFS and an OS hypothesis across two analyses.
 
 PFS is tested once, at the interim analysis triggered by the PFS event
-target.  OS is tested by one error-spending test over the interim and the
-final analysis, triggered by the OS event target, whose final threshold is
-recalculated from the estimated correlation to use up the available level.
-One-sided lower-tail tests throughout: a hypothesis is rejected when its
-standardized log-rank statistic falls at or below the normal quantile of
-the allotted level.
+target.  OS is tested over the interim and the final analysis, triggered
+by the OS event target.  One-sided lower-tail tests throughout: a
+hypothesis is rejected when its standardized log-rank statistic falls at
+or below the normal quantile of the allotted level.
 
-Levels come from splitting the one-sided alpha into a PFS share and an OS
-share.  The ``_gs`` variants spend the OS share O'Brien-Fleming-type over
-both analyses, the others all at the final one.  The procedures differ in
-what happens to the PFS share once the PFS hypothesis is settled:
+Every procedure is one closed test of H_PFS and H_OS.  The one-sided alpha
+splits into a PFS share ``pa`` and an OS share ``alpha - pa``; the ``_gs``
+variants spend the OS share O'Brien-Fleming-type over both analyses, the
+others all at the final one.  Two settings, both fixed by the procedure
+name, tell the nine procedures apart:
 
-* ``bon`` / ``bon_gs``: nothing is passed on; each hypothesis keeps its
-  share.
-* ``rec`` / ``rec_gs``: a rejected PFS hypothesis donates its share to the
-  not-yet-spent part of the OS test.
-* ``ex_*``: closed testing with intersection levels inflated until the
-  intersection test exhausts alpha exactly, given the estimated correlation
-  between the standardized statistics.  ``_last`` releases the recycled
-  PFS share to the OS test only at the final analysis, ``_first`` already
-  at the interim.
-* ``os``: the OS test at full alpha and no PFS test, as a reference.
+* the intersection test: uninflated (Bonferroni) for ``bon``, ``rec`` and
+  ``os``, each share tested at its own level; inflated for ``ex_*``, the
+  shares scaled up until the intersection test exhausts alpha exactly,
+  given the estimated correlation between the standardized statistics;
+* the elementary OS test: its budget is the OS share for ``bon`` /
+  ``bon_gs``, which recycle nothing, and all of alpha for the others, the
+  PFS share entering as a step on top of the OS spending.  ``_first``
+  releases that step already at the interim, all others only at the final
+  analysis.
 
-Spending all at the final analysis, ``bon``, ``rec`` and ``os`` test OS
-once, at the quantile of their level.  Their decisions could differ from a
-single final test only at ``os_fraction_interim >= 1``, which the pipeline
-never produces: the interim cutoff falls strictly before the date of the
-``d_os``-th OS event, so fewer than ``d_os`` OS events are seen there.
+``os`` is the reference with no PFS share: the OS test at full alpha.
+Without ``_gs`` the OS share is spent only at information fraction one,
+which the interim never reaches in the pipeline (its cutoff falls strictly
+before the ``d_os``-th OS event), so those procedures look at OS once, at
+the final analysis, apart from the step ``_first`` releases at the interim.
 
-The exhaustive procedures track the closed-test cases explicitly: case 1
-means the intersection hypothesis fell at the interim (1.1 if the
-elementary OS test also rejected there, 1.2 otherwise), case 2 means the
-intersection survived to the final analysis.  A trial stops early exactly
-when the OS hypothesis is rejected at the interim.  An OS rejection always
-requires the elementary OS test to reject as well, in every case; only
-when that test has no interim look (``ex_last``) does the intersection's
-final threshold already imply it.
+Decisions follow the closed-test cases: case 1 means the intersection
+hypothesis fell at the interim (1.1 if the elementary OS test also
+rejected there, 1.2 otherwise), case 2 means the intersection survived to
+the final analysis.  A trial stops early exactly when the OS hypothesis is
+rejected at the interim.  An OS rejection always requires the elementary
+OS test to reject as well, in every case; only when that test has no
+interim look does the intersection's final threshold already imply it.
+PFS is rejected by the intersection's interim component alone.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ PROCEDURES = (
 _GROUP_SEQUENTIAL = frozenset({"bon_gs", "rec_gs", "ex_gs_last", "ex_gs_first"})
 _EXHAUSTIVE = frozenset({"ex_last", "ex_first", "ex_gs_last", "ex_gs_first"})
 _FIRST = frozenset({"ex_first", "ex_gs_first"})
-_RECYCLING = frozenset({"rec", "rec_gs"})
+_BONFERRONI = frozenset({"bon", "bon_gs"})
 
 # covariance row order produced by logrank.covariance_matrix
 _P1, _O1, _P2, _O2 = 0, 1, 2, 3
@@ -87,33 +85,30 @@ _P1, _O1, _P2, _O2 = 0, 1, 2, 3
 class DesignSpec:
     """Procedure choice plus the level split.
 
-    ``rho_pfs`` and ``rho_os`` are the fractions of ``alpha`` initially
-    allotted to PFS and OS; they must sum to one.
+    ``rho_pfs`` is the fraction of ``alpha`` initially allotted to PFS; OS
+    gets the rest.  The ``os`` reference allots nothing to PFS.
     """
 
     procedure: str
     alpha: float = 0.025
     rho_pfs: float = 0.2
-    rho_os: float = 0.8
 
     def __post_init__(self):
         if self.procedure not in PROCEDURES:
             raise ConfigError(f"unknown procedure {self.procedure!r}")
         if not 0.0 < self.alpha < 0.5:
             raise ConfigError("alpha must lie in (0, 0.5)")
-        # written so that a nan fraction fails the checks
-        if not (self.rho_pfs > 0.0 and self.rho_os > 0.0):
+        # both fractions, rho_pfs and 1 - rho_pfs; a nan fails the check
+        if not 0.0 < self.rho_pfs < 1.0:
             raise ConfigError("level fractions must be positive")
-        if not abs(self.rho_pfs + self.rho_os - 1.0) <= 1e-9:
-            raise ConfigError("rho_pfs and rho_os must sum to one")
 
     @property
     def level_pfs(self) -> float:
-        return self.rho_pfs * self.alpha
+        return 0.0 if self.procedure == "os" else self.rho_pfs * self.alpha
 
     @property
     def level_os(self) -> float:
-        return self.rho_os * self.alpha
+        return self.alpha - self.level_pfs
 
     @property
     def is_group_sequential(self) -> bool:
@@ -126,18 +121,25 @@ class DesignSpec:
         return SpendingFunction("obf_lan_demets" if self.is_group_sequential
                                 else "full_at_one")
 
-    def elementary_os_spend(self, tau: float) -> float:
-        """Full alpha spent by the elementary OS test by fraction ``tau``.
+    @property
+    def elementary_os_level(self) -> float:
+        """Budget of the elementary OS test: the OS share for ``bon`` and
+        ``bon_gs``, which recycle nothing, all of alpha otherwise."""
+        return self.level_os if self.procedure in _BONFERRONI else self.alpha
 
-        The recycled PFS share enters as a step, at once for the ``_first``
+    def elementary_os_spend(self, tau: float) -> float:
+        """Level spent by the elementary OS test by fraction ``tau``.
+
+        A recycled PFS share enters as a step, at once for the ``_first``
         exhaustive variants and only at ``tau >= 1`` otherwise; the OS
-        shape spends the rest.
+        shape spends the OS share.
         """
         if tau <= 0.0:
             return 0.0
-        pa = self.level_pfs
-        step = pa if self.procedure in _FIRST or tau >= 1.0 else 0.0
-        return step + self.os_shape.spend(tau, self.alpha - pa)
+        recycled = (self.procedure not in _BONFERRONI
+                    and (self.procedure in _FIRST or tau >= 1.0))
+        step = self.level_pfs if recycled else 0.0
+        return step + self.os_shape.spend(tau, self.level_os)
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,6 @@ class TrialOutcome:
     case_label: str
     analysis_of_os_rejection: str | None
     inflation_factors: dict = field(default_factory=dict)
-    correlations: dict = field(default_factory=dict)
 
     @property
     def rejected_any(self) -> bool:
@@ -207,67 +208,18 @@ def _final_os_threshold(inputs, scaled_level, fixed, corr, target):
     return xi, ndtri(xi * scaled_level)
 
 
-def _correlations(cov: CovarianceEstimate) -> dict:
-    return {
-        "pfs_interim_os_interim": cov.correlation(_P1, _O1),
-        "pfs_interim_os_final": cov.correlation(_P1, _O2),
-        "os_interim_os_final": cov.correlation(_O1, _O2),
-    }
-
-
-def run_procedure(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
-    if design.procedure in _EXHAUSTIVE:
-        return _run_exhaustive(design, inputs)
-    return _run_error_spending(design, inputs)
-
-
-def _run_error_spending(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
-    """PFS at the interim, then the OS level spent over interim and final
-    along the design's shape; only group-sequential designs report their
-    final inflation factor."""
-    alpha = design.alpha
-    zp1, zo1, zo2 = (inputs.z_pfs_interim, inputs.z_os_interim,
-                     inputs.z_os_final)
-    corr = _correlations(inputs.covariance)
-    if design.procedure == "os":
-        rej_pfs, level = False, alpha
-    else:
-        rej_pfs, level = bool(zp1 <= ndtri(design.level_pfs)), design.level_os
-    b1 = design.os_shape.spend(inputs.os_fraction_interim, level)
-    xi = {}
-
-    rej_os_interim = bool(zo1 <= ndtri(b1))
-    rej_os = rej_os_interim
-    when = "interim" if rej_os_interim else None
-    if not rej_os_interim:
-        recycled = design.procedure in _RECYCLING and rej_pfs
-        target = alpha if recycled else level
-        tag = "final_os_recycled" if recycled else "final_os"
-        xi[tag], thr = _final_os_threshold(
-            inputs, target - b1, (ndtri(b1),),
-            _corr2(corr["os_interim_os_final"]), target)
-        rej_os = bool(zo2 <= thr)
-        when = "final" if rej_os else None
-
-    return TrialOutcome(
-        procedure=design.procedure, rejected_pfs=rej_pfs, rejected_os=rej_os,
-        rejected_global=rej_pfs or rej_os,
-        early_stop=rej_os_interim,
-        case_label="interim" if rej_os_interim else "final",
-        analysis_of_os_rejection=when,
-        inflation_factors=xi if design.is_group_sequential else {},
-        correlations=corr)
-
-
-class _ExhaustiveThresholds:
-    """Thresholds of one exhaustive closed test on one trial, for the
+class _ClosedTest:
+    """Thresholds of one procedure's closed test on one trial, for the
     decision rule and the consonance check.  Each is computed on first use,
     so no case solves for a look it does not take; ``xi`` collects the
     inflation factors computed so far."""
 
     def __init__(self, design: DesignSpec, inputs: AnalysisInputs):
         self.design, self.inputs = design, inputs
-        self.corr = _correlations(inputs.covariance)
+        cov = inputs.covariance
+        self.r_p1o1 = cov.correlation(_P1, _O1)
+        self.r_p1o2 = cov.correlation(_P1, _O2)
+        self.r_o1o2 = cov.correlation(_O1, _O2)
         tau = inputs.os_fraction_interim
         self.b1 = design.os_shape.spend(tau, design.level_os)
         self.e1 = design.elementary_os_spend(tau)
@@ -275,50 +227,46 @@ class _ExhaustiveThresholds:
 
     @cached_property
     def interim(self) -> tuple:
-        """Interim intersection test's PFS and OS quantiles: both shares
-        inflated jointly until the interim budget pa + b1 is exhausted."""
+        """Interim intersection test's PFS and OS quantiles: the shares pa
+        and b1, in the exhaustive procedures inflated jointly until they
+        exhaust the interim budget pa + b1."""
         pa, b1 = self.design.level_pfs, self.b1
-        if b1 <= 0.0:
-            self.xi["interim_joint"] = 1.0
-            return ndtri(pa), -np.inf
-        xi1 = _solve(self.inputs, InflationProblem(
-            base_levels=(pa, b1),
-            corr=_corr2(self.corr["pfs_interim_os_interim"]),
-            target=pa + b1))
+        if self.design.procedure not in _EXHAUSTIVE:
+            return ndtri(pa), ndtri(b1)
+        xi1 = 1.0 if b1 <= 0.0 else _solve(self.inputs, InflationProblem(
+            base_levels=(pa, b1), corr=_corr2(self.r_p1o1), target=pa + b1))
         self.xi["interim_joint"] = xi1
         return ndtri(xi1 * pa), ndtri(xi1 * b1)
 
     @cached_property
     def final_intersection(self) -> float:
-        """Last OS component of the intersection test, inflated until the
-        whole test exhausts alpha given the interim thresholds it used."""
-        d, c = self.design, self.corr
-        thr_p1, thr_o1 = self.interim
-        if self.b1 > 0.0:
-            r_p1o1, r_p1o2, r_o1o2 = (c["pfs_interim_os_interim"],
-                                      c["pfs_interim_os_final"],
-                                      c["os_interim_os_final"])
-            corr3 = np.array([
-                [1.0, r_p1o2, r_o1o2],
-                [r_p1o2, 1.0, r_p1o1],
-                [r_o1o2, r_p1o1, 1.0],
+        """Last OS component of the intersection test.  Uninflated, it
+        spends the rest of the OS share after b1; inflated, it exhausts
+        alpha given the interim thresholds the intersection used."""
+        d, b1 = self.design, self.b1
+        if d.procedure not in _EXHAUSTIVE:
+            fixed, corr, target = (ndtri(b1),), _corr2(self.r_o1o2), d.level_os
+        elif b1 > 0.0:
+            fixed, target = self.interim, d.alpha
+            corr = np.array([
+                [1.0, self.r_p1o2, self.r_o1o2],
+                [self.r_p1o2, 1.0, self.r_p1o1],
+                [self.r_o1o2, self.r_p1o1, 1.0],
             ])
-            self.xi["final_joint"], thr = _final_os_threshold(
-                self.inputs, d.level_os - self.b1, (thr_p1, thr_o1), corr3,
-                d.alpha)
         else:
-            self.xi["final_joint"], thr = _final_os_threshold(
-                self.inputs, d.level_os, (thr_p1,),
-                _corr2(c["pfs_interim_os_final"]), d.alpha)
+            fixed = (self.interim[0],)
+            corr, target = _corr2(self.r_p1o2), d.alpha
+        self.xi["final_joint"], thr = _final_os_threshold(
+            self.inputs, d.level_os - b1, fixed, corr, target)
         return thr
 
     @cached_property
     def elementary_final(self) -> float:
-        """Final quantile of the elementary OS test at full alpha."""
-        alpha = self.design.alpha
+        """Final quantile of the elementary OS test, spending its budget."""
+        level = self.design.elementary_os_level
         self.xi["elementary_final"], thr = _final_os_threshold(
-            self.inputs, alpha - self.e1, (ndtri(self.e1),),
-            _corr2(self.corr["os_interim_os_final"]), alpha)
+            self.inputs, level - self.e1, (ndtri(self.e1),),
+            _corr2(self.r_o1o2), level)
         return thr
 
     def elementary_rejection(self, zo1: float, zo2: float) -> str | None:
@@ -330,27 +278,27 @@ class _ExhaustiveThresholds:
         return None
 
 
-def _run_exhaustive(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
+def run_procedure(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
     zp1, zo1, zo2 = (inputs.z_pfs_interim, inputs.z_os_interim,
                      inputs.z_os_final)
-    thresholds = _ExhaustiveThresholds(design, inputs)
-    thr_p1, thr_o1 = thresholds.interim
+    test = _ClosedTest(design, inputs)
+    thr_p1, thr_o1 = test.interim
     rej_pfs = bool(zp1 <= thr_p1)
     if rej_pfs or zo1 <= thr_o1:
         # case 1: the intersection fell at the interim; the elementary OS
         # test runs on its own schedule, interim then final
         rej_global = True
-        when = thresholds.elementary_rejection(zo1, zo2)
+        when = test.elementary_rejection(zo1, zo2)
         case = "1.1" if when == "interim" else "1.2"
     else:
         # case 2: the intersection survives to the final analysis.  The
         # elementary OS test still gates the OS rejection; without an
-        # interim look it is a full-alpha final test that the intersection
-        # threshold already satisfies
-        rej_global = bool(zo2 <= thresholds.final_intersection)
+        # interim look it is a final test that the intersection threshold
+        # already satisfies
+        rej_global = bool(zo2 <= test.final_intersection)
         when = None
-        if rej_global and (thresholds.e1 <= 0.0 or
-                           thresholds.elementary_rejection(zo1, zo2)):
+        if rej_global and (test.e1 <= 0.0 or
+                           test.elementary_rejection(zo1, zo2)):
             when = "final"
         case = "2"
 
@@ -358,8 +306,7 @@ def _run_exhaustive(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
         procedure=design.procedure, rejected_pfs=rej_pfs,
         rejected_os=when is not None, rejected_global=rej_global,
         early_stop=when == "interim", case_label=case,
-        analysis_of_os_rejection=when, inflation_factors=thresholds.xi,
-        correlations=thresholds.corr)
+        analysis_of_os_rejection=when, inflation_factors=test.xi)
 
 
 def check_consonance(design: DesignSpec, inputs: AnalysisInputs) -> bool:
@@ -373,8 +320,5 @@ def check_consonance(design: DesignSpec, inputs: AnalysisInputs) -> bool:
     separate elementary PFS test runs.  Whether that rule is the paper's
     is ROADMAP item 4.
     """
-    if design.procedure not in _EXHAUSTIVE:
-        return True
-    thresholds = _ExhaustiveThresholds(design, inputs)
-    return bool(thresholds.final_intersection
-                <= thresholds.elementary_final + 1e-9)
+    test = _ClosedTest(design, inputs)
+    return bool(test.final_intersection <= test.elementary_final + 1e-9)

@@ -4,8 +4,8 @@ Criteria 1, 2, 6 and 7 are Monte Carlo reproductions of the reference
 operating characteristics of the nine procedures on the model 1 scenario;
 3 and 4 tie the covariance machinery to first principles; 5 pins the
 multivariate-normal layer; 8 guards the parallel determinism contract.
-Everything except the planning run (criterion 7, marked slow) finishes in
-a few minutes.
+The Monte Carlo runs (criteria 1, 2, 3, 6 and 7) are marked slow: the
+rest of the suite, ``pytest -m "not slow"``, finishes in seconds.
 """
 
 import numpy as np
@@ -59,6 +59,7 @@ def null_runs():
     return out
 
 
+@pytest.mark.slow
 def test_criterion_1_rejection_rates_match_reference_values(full_effect_run):
     targets = [
         ("bon", REJ_OS, 0.8072),
@@ -75,6 +76,7 @@ def test_criterion_1_rejection_rates_match_reference_values(full_effect_run):
         assert got == pytest.approx(want, abs=0.013), (procedure, index)
 
 
+@pytest.mark.slow
 def test_criterion_2_fwer_exhaustion_under_the_null(null_runs):
     def fwer(key, procedure):
         return null_runs[key].rates(procedure)[DISJ]
@@ -88,6 +90,7 @@ def test_criterion_2_fwer_exhaustion_under_the_null(null_runs):
     assert fwer((128, False), "ex_last") >= fwer((128, False), "os") - 0.005
 
 
+@pytest.mark.slow
 def test_criterion_3_covariance_estimator_is_consistent():
     sc = null_scenario(1, 1600)
     u, sigma = [], []
@@ -149,6 +152,7 @@ def test_criterion_5_mvn_layer_numerics():
     assert achieved == pytest.approx(0.025, abs=1e-6)
 
 
+@pytest.mark.slow
 def test_criterion_6_rejection_sets_nest_and_are_consonant(full_effect_run):
     o = full_effect_run.outcomes
     chains = (("bon", "rec"), ("rec", "ex_last"),

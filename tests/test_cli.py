@@ -297,13 +297,21 @@ def test_non_numeric_list_entries_are_config_errors(tmp_path, capsys,
     ("simulate", "  procedures: [bon, os]\n",
      "  procedures: [bon, os]\n  rho_pfs: .nan\n",
      "'design.rho_pfs' must be finite"),
+    ("simulate", "  procedures: [bon, os]\n",
+     "  procedures: [bon, os]\n  rho_os: 0.9\n", "sum to one"),
+    ("simulate", "  procedures: [bon, os]\n",
+     "  procedures: [bon, os]\n  rho_pfs: 1.0\n  rho_os: 0.0\n", "positive"),
+    ("simulate", "  procedures: [bon, os]\n",
+     "  procedures: [bon, os]\n  rho_os: .nan\n",
+     "'design.rho_os' must be finite"),
     ("simulate", "dropout_rate: 0.0", "dropout_rate: .nan",
      "'scenario.dropout_rate' must be finite"),
     ("simulate", "control: [0.5, 0.8, 0.8]", "control: [.nan, 0.8, 0.8]",
      "'scenario.control' must be"),
 ], ids=["frailty_shape", "d_pfs", "weight", "target_at_weight_0",
         "per_arm_rate", "analyze_d_pfs", "n_reps_inf", "rho_pfs_nan",
-        "dropout_rate_nan", "control_nan"])
+        "rho_os_sum", "rho_os_zero", "rho_os_nan", "dropout_rate_nan",
+        "control_nan"])
 def test_out_of_range_model_values_are_config_errors(tmp_path, capsys, command,
                                                      old, new, fragment):
     if command == "simulate":

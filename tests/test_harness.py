@@ -100,8 +100,7 @@ def test_default_designs_cover_all_procedures():
     designs = default_designs()
     assert tuple(d.procedure for d in designs) == PROCEDURES
     assert all(d.alpha == 0.025 and d.rho_pfs == 0.2 for d in designs)
-    two = default_designs(procedures=("bon", "os"), alpha=0.05,
-                          rho_pfs=0.5, rho_os=0.5)
+    two = default_designs(procedures=("bon", "os"), alpha=0.05, rho_pfs=0.5)
     assert len(two) == 2 and two[0].alpha == 0.05
 
 
@@ -256,7 +255,7 @@ def test_plan_events_unreachable_target():
 
 def test_plan_events_all_failed_candidate_is_not_reached():
     # with heavy drop-out no cohort of 120 reaches 120 OS events, so the
-    # largest candidate fails in every replication and its power is nan
+    # largest candidate fails in every replication and its power is 0
     good, bad, _, _ = table_intensities(1)
     sc = Scenario(name="small", targets=CutoffTargets(d_pfs=30, d_os=40),
                   model=CohortModel(control=bad, experimental=good,
@@ -265,6 +264,24 @@ def test_plan_events_all_failed_candidate_is_not_reached():
     with pytest.raises(NoSolution, match="not reached by d_os=120"):
         plan_events(sc, DesignSpec("os"), target_power=0.999, n_reps=20,
                     seed=0)
+
+
+def test_plan_power_counts_failed_replications_as_not_rejected():
+    # near the cohort size most replications run out of OS events: of 40,
+    # 6 reject OS at d_os 116 (7 fail), 5 at 118 (25 fail) and none at 120
+    # (39 fail).  Over the analyzable ones alone 118 would read 5/15 and
+    # reach a target of 0.3 on a handful of trials
+    good, bad, _, _ = table_intensities(1)
+    sc = Scenario(name="near_cap", targets=CutoffTargets(d_pfs=30, d_os=118),
+                  model=CohortModel(control=bad, experimental=good,
+                                    per_arm_rate=25.0, max_per_arm=60,
+                                    dropout_rate=0.01))
+    with pytest.raises(NoSolution, match="not reached by d_os=120"):
+        plan_events(sc, DesignSpec("os"), target_power=0.3, n_reps=40,
+                    seed=0, bracket=(100, 118))
+    plan = plan_events(sc, DesignSpec("os"), target_power=0.1, n_reps=40,
+                       seed=0, bracket=(116, 118))
+    assert plan.evaluations == {116: 6 / 40, 118: 5 / 40}
 
 
 def test_plan_events_validation():

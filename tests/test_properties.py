@@ -5,9 +5,10 @@ Correlations come from a two-factor model with positive loadings, which
 always yields a valid 4x4 correlation matrix of the kind the log-rank
 covariance estimator produces (all statistics positively related).  The
 properties are the procedure nesting, the global-test gate, the elementary
-OS gate of the exhaustive procedures, the single final look of the
-procedures without an interim OS look, and that the per-trial solve cache
-never lets one procedure's run change another's outcome.  The orthant
+OS gate of every procedure, consonance of every procedure but the
+``_first`` ones, the single final look of the procedures without an
+interim OS look, and that the per-trial solve cache never lets one
+procedure's run change another's outcome.  The orthant
 properties draw correlations of every rank in dimensions 1 to 3, so the
 singular ones go through the eigenvalue repair.
 """
@@ -22,10 +23,10 @@ from duosurv.logrank import CovarianceEstimate
 from duosurv.mvnorm import (InflationProblem, OrthantQuery, mvn_upper_orthant,
                             solve_inflation)
 from duosurv.testing import (PROCEDURES, AnalysisInputs, DesignSpec,
-                             run_procedure)
+                             check_consonance, run_procedure)
 
 DESIGNS = {p: DesignSpec(p) for p in PROCEDURES}
-EXHAUSTIVE = ("ex_last", "ex_first", "ex_gs_last", "ex_gs_first")
+BONFERRONI = ("bon", "bon_gs")
 NESTED = (("bon", "rec", "ex_last"), ("bon_gs", "rec_gs", "ex_gs_last"))
 
 
@@ -55,31 +56,32 @@ def make_inputs(zp1, zo1, zo2, corr, tau):
 
 def elementary_os_spend(design, tau) -> float:
     """Interim spend of the elementary OS test, from its definition: the
-    PFS share as a step (at once for ``_first``, at tau >= 1 otherwise)
-    plus the OS shape's spending of the rest of alpha."""
+    PFS share as a step (at once for ``_first``, at tau >= 1 otherwise,
+    never for ``bon``) plus the OS shape's spending of the rest of alpha."""
     pa, rest = design.level_pfs, design.alpha - design.level_pfs
-    step = pa if design.procedure.endswith("_first") or tau >= 1.0 else 0.0
+    released = design.procedure.endswith("_first") or tau >= 1.0
+    step = pa if released and design.procedure not in BONFERRONI else 0.0
     if design.is_group_sequential:
         s = min(tau, 1.0)
         return step + 2.0 * norm.sf(norm.ppf(1.0 - rest / 2.0) / np.sqrt(s))
     return step + (rest if tau >= 1.0 else 0.0)
 
 
-def elementary_os_rejects(design, zo1, zo2, corr, tau) -> bool:
-    """The elementary OS test at full alpha, solved from its definition."""
-    alpha = design.alpha
+def elementary_os_rejects(design, zo1, zo2, corr, tau, budget) -> bool:
+    """The elementary OS test spending ``budget``, solved from its
+    definition."""
     e1 = elementary_os_spend(design, tau)
     if e1 <= 0.0:
-        return bool(zo2 <= norm.ppf(alpha))
+        return bool(zo2 <= norm.ppf(budget))
     if zo1 <= norm.ppf(e1):
         return True
-    if e1 >= alpha:
+    if e1 >= budget:
         return False
     r = corr[1, 3]
     xi = solve_inflation(InflationProblem(
-        base_levels=(alpha - e1,), corr=np.array([[1.0, r], [r, 1.0]]),
-        target=alpha, fixed_thresholds=(norm.ppf(e1),)))
-    return bool(zo2 <= norm.ppf(xi * (alpha - e1)))
+        base_levels=(budget - e1,), corr=np.array([[1.0, r], [r, 1.0]]),
+        target=budget, fixed_thresholds=(norm.ppf(e1),)))
+    return bool(zo2 <= norm.ppf(xi * (budget - e1)))
 
 
 @property_settings(50)
@@ -94,9 +96,22 @@ def test_closed_test_properties(case):
             assert out[weaker].rejected_os <= out[stronger].rejected_os
     for o in out.values():
         assert o.rejected_any <= o.rejected_global
-    for p in EXHAUSTIVE:
+    for p, d in DESIGNS.items():
+        # bon recycles nothing: its elementary OS test spends the OS share
+        budget = d.alpha - d.level_pfs if p in BONFERRONI else d.alpha
         if out[p].rejected_os:
-            assert elementary_os_rejects(DESIGNS[p], zo1, zo2, corr, tau), p
+            assert elementary_os_rejects(d, zo1, zo2, corr, tau, budget), p
+
+
+@property_settings(40)
+@given(analysis_inputs())
+def test_consonance_holds_except_for_the_first_variants(case):
+    # ex_first and ex_gs_first release the PFS share at the interim, which
+    # can leave the elementary final OS threshold below the intersection's
+    inputs = make_inputs(*case)
+    for p, d in DESIGNS.items():
+        if not p.endswith("_first"):
+            assert check_consonance(d, inputs), p
 
 
 @property_settings(100)
@@ -113,8 +128,12 @@ def test_single_final_look_without_an_interim_os_look(case):
     for p, (pfs, os_) in expected.items():
         out = run_procedure(DESIGNS[p], inputs)
         assert (out.rejected_pfs, out.rejected_os) == (pfs, bool(os_)), p
-        assert not out.early_stop and out.case_label == "final", p
-        assert out.inflation_factors == {}, p
+        # a PFS rejection settles the intersection at the interim (case
+        # 1.2, OS has no interim look); otherwise it runs to the final (2)
+        assert not out.early_stop, p
+        assert out.case_label == ("1.2" if pfs else "2"), p
+        # one look per level: nothing is inflated
+        assert set(out.inflation_factors.values()) <= {1.0}, p
 
 
 @property_settings(30)

@@ -54,10 +54,12 @@ def run(procedure, zp1, zo1, zo2, tau=TAU) -> TrialOutcome:
 
 
 def test_bonferroni_thresholds_are_exact_quantiles():
+    # PFS rejects the intersection at the interim (case 1); OS, with no
+    # interim look, rejects at the final one (1.2)
     out = run("bon", PPF_PA, 0.0, PPF_OA)
     assert out.rejected_pfs and out.rejected_os and out.rejected_global
     assert not out.early_stop
-    assert out.case_label == "final"
+    assert out.case_label == "1.2"
     assert out.analysis_of_os_rejection == "final"
     # just above the quantile: no rejection
     miss = run("bon", PPF_PA + 1e-9, 0.0, PPF_OA + 1e-9)
@@ -150,7 +152,7 @@ def test_bon_gs_interim_threshold_is_the_obf_spend():
     out = run("bon_gs", 0.0, PPF_B1, 5.0)
     assert out.early_stop
     assert out.rejected_os
-    assert out.case_label == "interim"
+    assert out.case_label == "1.1"
     assert out.analysis_of_os_rejection == "interim"
     assert not run("bon_gs", 0.0, PPF_B1 + 1e-9, 5.0).early_stop
 
@@ -160,7 +162,11 @@ def test_bon_gs_final_threshold_solves_the_spending_equation():
     assert not out.early_stop
     assert out.rejected_os  # threshold is about -2.0791
     assert not run("bon_gs", 0.0, 0.0, -2.07).rejected_os
-    xi = out.inflation_factors["final_os"]
+    # the intersection's final OS look and the elementary OS test solve
+    # the same equation: bon_gs recycles nothing
+    assert out.case_label == "2"
+    xi = out.inflation_factors["final_joint"]
+    assert out.inflation_factors["elementary_final"] == xi
     thr = norm.ppf(xi * (0.02 - B1))
     assert thr == pytest.approx(-2.0791, abs=2e-4)
     # defining equation: interim plus final OS looks exhaust the OS share
@@ -176,10 +182,12 @@ def test_rec_gs_recycles_only_after_pfs_rejection():
     assert not run("bon_gs", PPF_PA, 0.0, zo2).rejected_os
     out = run("rec_gs", PPF_PA, 0.0, zo2)
     assert out.rejected_pfs and out.rejected_os
-    assert "final_os_recycled" in out.inflation_factors
+    assert out.case_label == "1.2"
+    assert "elementary_final" in out.inflation_factors
     plain = run("rec_gs", 0.0, 0.0, zo2)
     assert not plain.rejected_os
-    assert "final_os" in plain.inflation_factors
+    assert plain.case_label == "2"
+    assert "final_joint" in plain.inflation_factors
     # interim OS look is untouched by recycling
     assert run("rec_gs", PPF_PA, PPF_B1, 5.0).early_stop
 
@@ -283,18 +291,26 @@ def test_consonance_check():
         assert check_consonance(DesignSpec(proc), inputs)
 
 
-def test_dispatch_guards():
-    inputs = make_inputs(0.0, 0.0, 0.0)
-    assert run_procedure(DesignSpec("bon"), inputs).case_label == "final"
-    assert run_procedure(DesignSpec("bon_gs"), inputs).case_label == "final"
-    assert run_procedure(DesignSpec("ex_gs_last"), inputs).case_label in (
-        "1.1", "1.2", "2")
+def test_every_procedure_reports_a_closed_test_case():
+    for zp1, zo1 in ((0.0, 0.0), (PPF_PA, 0.0), (0.0, -9.0)):
+        inputs = make_inputs(zp1, zo1, 0.0)
+        for proc in PROCEDURES:
+            out = run_procedure(DesignSpec(proc), inputs)
+            assert out.case_label in ("1.1", "1.2", "2"), proc
+            # uninflated procedures test the interim shares at their own
+            # levels, so only the exhaustive ones report an interim factor
+            assert ("interim_joint" in out.inflation_factors) == \
+                proc.startswith("ex_"), proc
 
 
 def test_design_spec_validation_and_levels():
     spec = DesignSpec("bon")
     assert spec.level_pfs == pytest.approx(0.005)
-    assert spec.level_os == pytest.approx(0.02)
+    assert spec.level_os == 0.025 - spec.level_pfs
+    assert spec.elementary_os_level == spec.level_os
+    assert DesignSpec("rec").elementary_os_level == 0.025
+    ref = DesignSpec("os")
+    assert ref.level_pfs == 0.0 and ref.level_os == 0.025
     assert not spec.is_group_sequential
     assert DesignSpec("ex_gs_first").is_group_sequential
 
@@ -303,12 +319,11 @@ def test_design_spec_validation_and_levels():
     (dict(procedure="holm"), "unknown procedure"),
     (dict(alpha=0.6), "alpha"),
     (dict(alpha=float("nan")), "alpha"),
-    (dict(rho_pfs=0.2, rho_os=0.9), "sum to one"),
-    (dict(rho_pfs=0.0, rho_os=1.0), "positive"),
-    (dict(rho_pfs=float("nan"), rho_os=0.8), "positive"),
-    (dict(rho_pfs=0.2, rho_os=float("nan")), "positive"),
-], ids=["procedure", "alpha", "alpha_nan", "sum", "zero", "rho_pfs_nan",
-        "rho_os_nan"])
+    (dict(rho_pfs=0.0), "positive"),
+    (dict(rho_pfs=1.0), "positive"),
+    (dict(rho_pfs=float("nan")), "positive"),
+], ids=["procedure", "alpha", "alpha_nan", "zero", "rho_pfs_one",
+        "rho_pfs_nan"])
 def test_design_spec_config_errors(fields, fragment):
     with pytest.raises(ConfigError, match=fragment):
         DesignSpec(**{"procedure": "bon", **fields})
@@ -328,6 +343,9 @@ def test_spending_streams_per_procedure():
     obf = SpendingFunction("obf_lan_demets").spend(0.5, 0.025 - pa)
     assert DesignSpec("ex_gs_last").elementary_os_spend(0.5) == obf
     assert DesignSpec("ex_gs_first").elementary_os_spend(0.5) == pa + obf
+    # bon recycles nothing, even at tau >= 1
+    assert DesignSpec("bon_gs").elementary_os_spend(0.5) == obf
+    assert DesignSpec("bon").elementary_os_spend(1.0) == 0.025 - pa
 
 
 def test_outcome_convenience_properties():
