@@ -20,7 +20,8 @@ class DegenerateVariance(DuosurvError):
 
 class InvalidCorrelation(DuosurvError):
     """Raised when a correlation matrix is not symmetric positive
-    semi-definite within tolerance, or an entry is outside [-1, 1]."""
+    semi-definite within tolerance, or an entry is outside [-1, 1]; also
+    when an orthant query's bounds do not fit its matrix or are nan."""
 
 
 class NoSolution(DuosurvError):

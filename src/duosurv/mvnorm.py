@@ -4,11 +4,12 @@ inflation-factor solver.
 Upper-orthant probabilities P[Z_k > c_k for all k] are needed for up to three
 jointly normal standardized statistics: no procedure tests more than PFS at
 the interim and OS at the interim and at the final analysis.  Dimension two
-uses Gauss-Legendre quadrature of the classical single-integral identity;
-dimension three conditions on the first component and integrates the
-conditional orthant with a composite rule.  Everything is deterministic and
-accurate to well below 1e-7 absolutely, so level computations never jitter
-between runs.
+is Owen's (1956) closed form through his T function; dimension three
+conditions on the first component and integrates that bivariate form with a
+composite Gauss-Legendre rule.  Everything is deterministic and accurate to
+well below 1e-7 absolutely, so level computations never jitter between
+runs.  Nan bounds, levels or thresholds raise a typed error before any
+solve.
 
 The inflation solver finds the factor xi >= 1 by which a set of nominal
 levels can be blown up until the probability of rejecting at least one of
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, owens_t
 
 from .errors import InvalidCorrelation, NoSolution
 
@@ -38,9 +39,8 @@ _EIGEN_TOL = 1e-8        # matrices below -tol are rejected as not PSD
 _EIGEN_FLOOR = 1e-10     # smaller eigenvalues are floored (repair)
 XI_TOL = 1e-6            # absolute bisection tolerance on xi
 
-# Gauss-Legendre rules on [-1, 1]: 20 nodes for the bivariate angle
-# integral, 16 per segment for the conditioning integrals
-_GL20 = np.polynomial.legendre.leggauss(20)
+# 16-node Gauss-Legendre rule on [-1, 1], per segment of the trivariate
+# conditioning integral
 _GL16 = np.polynomial.legendre.leggauss(16)
 
 
@@ -56,48 +56,28 @@ def _phi(x):
 
 
 def _bvn_upper(h, k, rho: float):
-    """P[X > h, Y > k] for standard bivariate normal, vectorized in h, k."""
+    """P[X > h, Y > k] for standard bivariate normal, vectorized in h, k.
+
+    Owen's (1956) closed form Phi(-h)/2 + Phi(-k)/2 - T(h, a_h) - T(k, a_k)
+    - beta, with Owen's T, a_h = (k - rho h) / (h sqrt(1 - rho^2)) and beta
+    = 1/2 when h and k lie on opposite sides of zero.  A zero bound makes
+    its a infinite, signed like the zero, so beta reads sign bits; at
+    h = k = 0 a is 0/0 and the limit is the arcsine identity.
+    """
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
-    if rho < 0.0:
-        # reflect the second coordinate
-        return ndtr(-h) - _bvn_upper(h, -k, -rho)
     if rho >= 1.0:
         return ndtr(-np.maximum(h, k))
-    base = ndtr(-h) * ndtr(-k)
-    if rho == 0.0:
-        return base
-
-    theta_max = np.arcsin(rho)
-    bounds = [0.0]
-    if rho <= 0.925:
-        bounds.append(theta_max)
-    else:
-        # refine geometrically toward the near-singular end; keep halving
-        # until segments resolve the boundary layer of width ~acos(rho)
-        layer = max(float(np.arccos(rho)), 1e-9)
-        gap = theta_max - np.arcsin(0.925)
-        bounds.append(np.arcsin(0.925))
-        while gap > layer:
-            gap *= 0.5
-            bounds.append(theta_max - gap)
-        bounds.append(theta_max)
-
-    nodes, weights = _GL20
-    a, b = np.array(bounds[:-1]), np.array(bounds[1:])
-    mid, half = 0.5 * (a + b)[:, None], 0.5 * (b - a)[:, None]
-    hk = h * k
-    hk_sq = h * h + k * k
-    # one row per (segment, node), added up sequentially (np.sum adds
-    # pairwise and moves last bits); float_power is libm pow, like scalar **
-    theta = (mid + half * nodes).reshape((-1,) + (1,) * hk.ndim)
-    cos2 = np.float_power(np.cos(theta), 2)
-    terms = (weights * half).reshape(theta.shape) * np.exp(
-        -(hk_sq - 2.0 * np.sin(theta) * hk) / (2.0 * cos2))
-    total = np.zeros(hk.shape)
-    for term in terms:
-        total += term
-    return base + total / (2.0 * np.pi)
+    if rho <= -1.0:
+        return ndtr(-h) - ndtr(-np.maximum(h, -k))
+    s = np.sqrt((1.0 - rho) * (1.0 + rho))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a_h = (k - rho * h) / (h * s)
+        a_k = (h - rho * k) / (k * s)
+    beta = np.where(np.signbit(h) != np.signbit(k), 0.5, 0.0)
+    p = 0.5 * (ndtr(-h) + ndtr(-k)) - owens_t(h, a_h) - owens_t(k, a_k) - beta
+    return np.where((h == 0.0) & (k == 0.0),
+                    0.25 + np.arcsin(rho) / (2.0 * np.pi), p)
 
 
 def _trivariate_upper(b, corr) -> float:
@@ -170,6 +150,8 @@ def mvn_upper_orthant(query: OrthantQuery) -> float:
             else _validated_correlation(query.corr))
     if corr.shape[0] != lower.shape[0]:
         raise InvalidCorrelation("bounds and correlation sizes differ")
+    if np.isnan(lower).any():
+        raise InvalidCorrelation("orthant bounds must not be nan")
     if np.any(np.isposinf(lower)):
         return 0.0
     keep = ~np.isneginf(lower)
@@ -187,7 +169,8 @@ def mvn_upper_orthant(query: OrthantQuery) -> float:
     else:
         raise InvalidCorrelation(
             f"orthant dimension {dim} not supported (max 3)")
-    # quadrature round-off near singular matrices can leave [0, 1] by ~1e-17
+    # round-off in the closed form's differences and the quadrature's sums
+    # can leave [0, 1] by ~1e-16 where the orthant is nearly empty or full
     return min(max(float(p), 0.0), 1.0)
 
 
@@ -229,6 +212,8 @@ def solve_inflation(problem: InflationProblem) -> float:
         NoSolution: the target is out of reach inside the bracket.
     """
     levels = tuple(float(a) for a in problem.base_levels)
+    if np.isnan(levels + tuple(problem.fixed_thresholds)).any():
+        raise NoSolution("nan base level or fixed threshold")
     if any(a < 0.0 for a in levels):
         raise NoSolution("negative base level")
     target = float(problem.target)

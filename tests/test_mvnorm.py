@@ -1,9 +1,11 @@
 """Orthant probabilities and the level-inflation solver.
 
 Closed forms (independence products, arcsin identities, perfect correlation)
-pin the quadrature; scipy's integrator cross-checks dimension 3 at looser
-tolerance; the solver is checked by round-tripping its defining
-equation and by exercising every failure branch.
+pin the bivariate kernel at its limits, zero and underflowing bounds
+included, and the trivariate quadrature; scipy's integrator cross-checks
+general inputs, dimension 2 at 1e-9 and dimension 3 at looser tolerance;
+the solver is checked by round-tripping its defining equation and by
+exercising every failure branch.
 """
 
 import numpy as np
@@ -41,17 +43,26 @@ def test_trivariate_zero_thresholds_arcsine_identity():
 
 
 def test_bivariate_independence_factorizes():
-    for h in (-2.0, -0.5, 0.0, 1.3):
-        for k in (-1.7, 0.0, 0.4, 2.5):
+    # -0.0 flips the sign of the infinite Owen's T argument at a zero bound
+    for h in (-2.0, -0.5, 0.0, -0.0, 1.3):
+        for k in (-1.7, 0.0, -0.0, 0.4, 2.5):
             want = norm.sf(h) * norm.sf(k)
             assert upper([h, k], np.eye(2)) == pytest.approx(want, abs=1e-9)
 
 
 def test_bivariate_zero_thresholds_arcsine_identity():
-    for rho in (-0.9, -0.4, 0.3, 0.7, 0.95):
-        want = 0.25 + np.arcsin(rho) / (2.0 * np.pi)
-        assert upper([0.0, 0.0], equicorr(2, rho)) == pytest.approx(
-            want, abs=1e-9)
+    # signed zeros, and bounds so tiny that their product underflows to 0
+    tiny = 1.0986972192547339e-164
+    for bounds in ([0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0], [tiny, tiny]):
+        for rho in (-0.9, -0.4, 0.3, 0.7, 0.95):
+            want = 0.25 + np.arcsin(rho) / (2.0 * np.pi)
+            assert upper(bounds, equicorr(2, rho)) == pytest.approx(
+                want, abs=1e-9)
+    # the eigenvalue floor repairs a rank-one matrix to rho = 1 - 1e-10
+    want = 0.25 + np.arcsin(1.0 - 1e-10) / (2.0 * np.pi)
+    for bounds, corr in (([tiny, tiny], np.ones((2, 2))),
+                         ([-np.inf, tiny, tiny], np.ones((3, 3)))):
+        assert upper(bounds, corr) == pytest.approx(want, abs=1e-9)
 
 
 def test_bivariate_perfect_correlation():
@@ -69,19 +80,26 @@ def test_independence_factorizes_in_higher_dims():
     assert upper(b3, np.eye(3)) == pytest.approx(want3, abs=1e-7)
 
 
-@pytest.mark.parametrize("dim", [3])
+@pytest.mark.parametrize("dim", [2, 3])
 def test_matches_scipy_integrator(dim):
     rng = np.random.default_rng(606)
-    for _ in range(6):
-        a = rng.normal(size=(dim, dim + 2))
-        cov = a @ a.T
-        d = 1.0 / np.sqrt(np.diag(cov))
-        corr = cov * d[:, None] * d[None, :]
-        np.fill_diagonal(corr, 1.0)
+    for i in range(6):
+        if dim == 2:
+            # half the draws near singularity, 0.925 < |rho| < 0.9999
+            rho = (rng.uniform(0.925, 0.9999) * rng.choice([-1.0, 1.0])
+                   if i % 2 else rng.uniform(-0.925, 0.925))
+            corr, tol = equicorr(2, rho), 1e-9
+        else:
+            a = rng.normal(size=(dim, dim + 2))
+            cov = a @ a.T
+            d = 1.0 / np.sqrt(np.diag(cov))
+            corr = cov * d[:, None] * d[None, :]
+            np.fill_diagonal(corr, 1.0)
+            tol = 5e-5
         b = rng.uniform(-1.5, 1.5, size=dim)
         # upper orthant of Z equals the cdf of -Z at -b, same correlation
         want = multivariate_normal(mean=np.zeros(dim), cov=corr).cdf(-b)
-        assert upper(b, corr) == pytest.approx(want, abs=5e-5)
+        assert upper(b, corr) == pytest.approx(want, abs=tol)
 
 
 def test_permutation_invariance():
@@ -136,6 +154,9 @@ def test_correlation_validation_errors():
         upper([0.0, 0.0, 0.0], np.eye(2))
     with pytest.raises(InvalidCorrelation, match=r"dimension 4 .*max 3"):
         upper([0.0, 0.0, 0.0, 0.0], np.eye(4))
+    for bounds in ([np.nan, 0.0], [0.0, np.nan, -np.inf]):
+        with pytest.raises(InvalidCorrelation, match="nan"):
+            upper(bounds, np.eye(len(bounds)))
 
 
 def test_inflation_two_independent_tests_closed_form():
@@ -192,6 +213,11 @@ def test_inflation_memoization_and_determinism():
 def test_inflation_failure_modes():
     with pytest.raises(NoSolution, match="negative base level"):
         solve_inflation(InflationProblem((-0.01,), np.eye(1), 0.025))
+    with pytest.raises(NoSolution, match="nan"):
+        solve_inflation(InflationProblem((np.nan, 0.01), np.eye(2), 0.025))
+    with pytest.raises(NoSolution, match="nan"):
+        solve_inflation(InflationProblem(
+            (0.01,), np.eye(2), 0.025, fixed_thresholds=(np.nan,)))
     with pytest.raises(NoSolution, match="lie in"):
         solve_inflation(InflationProblem((0.01,), np.eye(1), 0.5))
     with pytest.raises(NoSolution, match="lie in"):

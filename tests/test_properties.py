@@ -5,25 +5,28 @@ Correlations come from a two-factor model with positive loadings, which
 always yields a valid 4x4 correlation matrix of the kind the log-rank
 covariance estimator produces (all statistics positively related).  The
 properties are the procedure nesting, the global-test gate, the elementary
-OS gate of every procedure, consonance of every procedure but the
-``_first`` ones, the single final look of the procedures without an
-interim OS look, and that the per-trial solve cache never lets one
-procedure's run change another's outcome.  The orthant
-properties draw correlations of every rank in dimensions 1 to 3, so the
-singular ones go through the eigenvalue repair.
+OS gate of every procedure (which alone decides once the intersection fell
+at the interim), consonance of every procedure but the ``_first`` ones, the
+single final look of the procedures without an interim OS look, and that
+the per-trial solve cache never lets one procedure's run change another's
+outcome.  The first three also run on z values that straddle the
+thresholds a drawn procedure's decision rule reads, where uniform draws
+seldom land.  The orthant properties draw correlations of every rank in
+dimensions 1 to 3, so the singular ones go through the eigenvalue repair.
 """
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from duosurv.logrank import CovarianceEstimate
 from duosurv.mvnorm import (InflationProblem, OrthantQuery, mvn_upper_orthant,
                             solve_inflation)
 from duosurv.testing import (PROCEDURES, AnalysisInputs, DesignSpec,
-                             check_consonance, run_procedure)
+                             _ClosedTest, check_consonance, run_procedure)
 
 DESIGNS = {p: DesignSpec(p) for p in PROCEDURES}
 BONFERRONI = ("bon", "bon_gs")
@@ -52,6 +55,31 @@ def make_inputs(zp1, zo1, zo2, corr, tau):
     cov = CovarianceEstimate(matrix=corr.copy(), corr=corr, clamped=False)
     return AnalysisInputs(z_pfs_interim=zp1, z_os_interim=zo1, z_os_final=zo2,
                           covariance=cov, os_fraction_interim=tau)
+
+
+@st.composite
+def straddling_inputs(draw):
+    """``analysis_inputs`` whose z values lie just inside or just outside
+    the thresholds that a drawn procedure's decision rule reads: the
+    interim PFS quantile for ``z_pfs_interim``, the interim intersection
+    and elementary OS quantiles for ``z_os_interim``, the final
+    intersection and elementary quantiles for ``z_os_final``.  A z whose
+    thresholds are all infinite is drawn uniformly."""
+    *_, corr, tau = draw(analysis_inputs())
+    test = _ClosedTest(DESIGNS[draw(st.sampled_from(PROCEDURES))],
+                       make_inputs(0.0, 0.0, 0.0, corr, tau))
+    looks = ((test.interim[0],), (test.interim[1], ndtri(test.e1)),
+             (test.final_intersection, test.elementary_final))
+    z = []
+    for thresholds in looks:
+        finite = [t for t in thresholds if np.isfinite(t)]
+        if not finite:
+            z.append(draw(st.floats(-4.0, 0.5)))
+            continue
+        side = draw(st.sampled_from((-1.0, 1.0)))
+        z.append(draw(st.sampled_from(finite))
+                 + side * draw(st.floats(1e-4, 0.02)))
+    return (*z, corr, tau)
 
 
 def elementary_os_spend(design, tau) -> float:
@@ -84,9 +112,7 @@ def elementary_os_rejects(design, zo1, zo2, corr, tau, budget) -> bool:
     return bool(zo2 <= norm.ppf(xi * (budget - e1)))
 
 
-@property_settings(50)
-@given(analysis_inputs())
-def test_closed_test_properties(case):
+def assert_closed_test_properties(case):
     zp1, zo1, zo2, corr, tau = case
     out = {p: run_procedure(d, make_inputs(*case)) for p, d in DESIGNS.items()}
 
@@ -99,8 +125,23 @@ def test_closed_test_properties(case):
     for p, d in DESIGNS.items():
         # bon recycles nothing: its elementary OS test spends the OS share
         budget = d.alpha - d.level_pfs if p in BONFERRONI else d.alpha
-        if out[p].rejected_os:
-            assert elementary_os_rejects(d, zo1, zo2, corr, tau, budget), p
+        # an OS rejection needs the elementary OS test; once the
+        # intersection fell at the interim (case 1), that test alone decides
+        if out[p].rejected_os or out[p].case_label != "2":
+            assert out[p].rejected_os == elementary_os_rejects(
+                d, zo1, zo2, corr, tau, budget), p
+
+
+@property_settings(50)
+@given(analysis_inputs())
+def test_closed_test_properties(case):
+    assert_closed_test_properties(case)
+
+
+@property_settings(200)
+@given(straddling_inputs())
+def test_closed_test_properties_at_the_thresholds(case):
+    assert_closed_test_properties(case)
 
 
 @property_settings(40)
