@@ -209,7 +209,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
@@ -355,7 +355,7 @@ def read_cohort(path: str) -> Cohort:
                 if problem:
                     raise ConfigError(f"{path}:{lineno}: {problem}")
                 rows.append(values)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
     if not rows:
         raise ConfigError(f"dataset {path} contains no patients")

@@ -20,7 +20,8 @@ class DegenerateVariance(DuosurvError):
 
 class InvalidCorrelation(DuosurvError):
     """Raised when a correlation matrix is not symmetric positive
-    semi-definite within tolerance, or an entry is outside [-1, 1]; also
+    semi-definite within tolerance, or an entry is not finite or outside
+    [-1, 1]; also
     when an orthant query's bounds do not fit its matrix or are nan."""
 
 

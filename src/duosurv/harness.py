@@ -340,8 +340,14 @@ def plan_events(scenario: Scenario, design: DesignSpec, target_power: float,
     replications: a replication that cannot be analyzed (say, too few
     events for the cutoff) counts as OS not rejected.  Every candidate is
     evaluated with the same seed, so the power curve is monotone up to
-    Monte Carlo wobble and plain integer bisection applies; a +-3 scan
-    around the bisection answer guards against that wobble.
+    Monte Carlo wobble.
+
+    The bracket defaults to ``(0.7 * d_os, d_os)`` of the scenario.  Its top
+    doubles, up to the cohort size, until it reaches the target.  If the
+    bracket floor reaches it too, the floor is the answer; otherwise
+    integer bisection keeps ``power(lo) < target <= power(hi)`` and returns
+    ``hi``, so ``power(d_os - 1)`` was evaluated and falls short.
+    ``evaluations`` holds exactly the candidates this rule read.
     """
     if not 0.0 <= target_power < 1.0:
         raise ConfigError("target_power must lie in [0, 1)")
@@ -359,36 +365,23 @@ def plan_events(scenario: Scenario, design: DesignSpec, target_power: float,
 
     lo, hi = bracket if bracket is not None else (max(2, int(0.7 * d0)), d0)
     if not 2 <= lo < hi <= n_max:
-        raise ConfigError(f"bracket ({lo}, {hi}) invalid for cohort {n_max}")
-    floor = lo
+        given = (f"bracket ({lo}, {hi})" if bracket is not None
+                 else f"scenario d_os={d0} (default bracket)")
+        raise ConfigError(f"{given} invalid for cohort {n_max}")
     while power_at(hi) < target_power:
         if hi >= n_max:
             raise NoSolution(
                 f"target power {target_power} not reached by d_os={hi}")
         lo, hi = hi, min(2 * hi, n_max)
     if power_at(lo) >= target_power:
-        # everything from the bracket floor on qualifies
-        return PlanResult(d_os=lo, power=power_at(lo),
-                          target_power=target_power,
-                          d_pfs=scenario.targets.d_pfs,
-                          evaluations=dict(sorted(cache.items())))
-
+        hi = lo  # everything from the bracket floor on qualifies
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if power_at(mid) >= target_power:
             hi = mid
         else:
             lo = mid
-
-    best = hi
-    for d in range(max(floor, hi - 3), min(n_max, hi + 3) + 1):
-        if power_at(d) >= target_power and all(
-                power_at(k) >= target_power
-                for k in range(d, min(n_max, hi + 3) + 1)):
-            best = d
-            break
-    return PlanResult(d_os=best, power=power_at(best),
-                      target_power=target_power,
+    return PlanResult(d_os=hi, power=power_at(hi), target_power=target_power,
                       d_pfs=scenario.targets.d_pfs,
                       evaluations=dict(sorted(cache.items())))
 

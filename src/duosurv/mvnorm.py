@@ -107,6 +107,8 @@ def _validated_correlation(corr) -> np.ndarray:
     m = np.asarray(corr, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidCorrelation("correlation matrix must be square")
+    if not np.all(np.isfinite(m)):
+        raise InvalidCorrelation("correlation entries must be finite")
     if not np.allclose(m, m.T, atol=1e-8):
         raise InvalidCorrelation("correlation matrix must be symmetric")
     if not np.allclose(np.diag(m), 1.0, atol=1e-8):

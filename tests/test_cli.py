@@ -342,6 +342,10 @@ def test_missing_and_malformed_config_files(tmp_path, capsys):
     bad = write(tmp_path / "bad.yaml", "mode: [unclosed\n")
     assert cli.main(["simulate", "--config", bad]) == 2
     assert "malformed YAML" in capsys.readouterr().err
+    binary = tmp_path / "binary.yaml"
+    binary.write_bytes(b"\xffmode: single\n")
+    assert cli.main(["simulate", "--config", str(binary)]) == 2
+    assert "config error: cannot read config" in capsys.readouterr().err
 
 
 def test_workers_env_variable(tmp_path, capsys, monkeypatch):
@@ -471,6 +475,11 @@ def test_cohort_parsing_rules(tmp_path, capsys):
 
     not_num = write(tmp_path / "n.txt", "0 0.0 one 2.0 5.0\n")
     assert cli.main(["analyze", "--data", not_num, "--config", cfg]) == 2
+
+    binary = tmp_path / "b.txt"
+    binary.write_bytes(b"\xff" + make_cohort_text().encode())
+    assert cli.main(["analyze", "--data", str(binary), "--config", cfg]) == 2
+    assert "config error: cannot read dataset" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("row, reason", [

@@ -1,6 +1,8 @@
 """Scenario builders, the replication pipeline and experiment aggregation."""
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -234,10 +236,56 @@ def test_plan_events_bisection():
     assert plan.power >= 0.6
     assert plan.d_pfs == 10
     assert plan.evaluations[plan.d_os] == plan.power
-    # everything at or above the answer inside the scan window qualifies
-    for d, p in plan.evaluations.items():
-        if plan.d_os <= d <= plan.d_os + 3:
-            assert p >= 0.6
+    # unless the answer is the bracket floor, one event fewer was read and
+    # falls short
+    if plan.d_os != 15:
+        assert plan.evaluations[plan.d_os - 1] < 0.6
+
+
+def table_power(monkeypatch, power):
+    """Make ``run_experiment`` read the OS rejection rate at ``d_os = d``
+    from ``power(d)``; returns the candidates in evaluation order."""
+    calls = []
+
+    def fake(scenario, designs, n_reps, seed, workers=1):
+        d = scenario.targets.d_os
+        calls.append(d)
+        counts = np.zeros(5, dtype=np.int64)
+        counts[1] = round(power(d) * n_reps)
+        return SimpleNamespace(counts={designs[0].procedure: counts})
+
+    monkeypatch.setattr(harness, "run_experiment", fake)
+    return calls
+
+
+def plan_steep():
+    # default bracket (42, 60); the cohort holds 80
+    return plan_events(steep_scenario(), DesignSpec("os"), target_power=0.8,
+                       n_reps=100, seed=1)
+
+
+def test_plan_rule_doubles_the_bracket_top_then_bisects(monkeypatch):
+    calls = table_power(monkeypatch, lambda d: 0.9 if d >= 73 else 0.5)
+    plan = plan_steep()
+    # 60 falls short, so the top doubles to the cohort size of 80
+    assert calls == [60, 80, 70, 75, 72, 73]
+    assert plan.d_os == 73 and plan.power == 0.9
+    assert list(plan.evaluations) == sorted(calls)
+
+
+def test_plan_rule_ignores_a_dip_above_the_crossing(monkeypatch):
+    calls = table_power(monkeypatch,
+                        lambda d: 0.9 if d >= 49 and d != 50 else 0.5)
+    plan = plan_steep()
+    assert calls == [60, 42, 51, 46, 48, 49]
+    assert plan.d_os == 49 and plan.evaluations[48] == 0.5
+
+
+def test_plan_rule_returns_a_qualifying_floor(monkeypatch):
+    calls = table_power(monkeypatch, lambda d: 0.9)
+    plan = plan_steep()
+    assert calls == [60, 42]
+    assert plan.d_os == 42 and plan.power == 0.9
 
 
 def test_plan_events_zero_target_returns_bracket_floor():
@@ -296,3 +344,11 @@ def test_plan_events_validation():
     with pytest.raises(ConfigError, match="bracket"):
         plan_events(sc, DesignSpec("os"), target_power=0.5, n_reps=10, seed=1,
                     bracket=(10, 500))
+    # without a bracket the error names the scenario's d_os, not the
+    # default bracket derived from it
+    for d_pfs, d_os in ((10, 100), (1, 2)):
+        no_bracket = replace(sc, targets=CutoffTargets(d_pfs, d_os))
+        with pytest.raises(ConfigError,
+                           match=rf"^scenario d_os={d_os} .*cohort 80$"):
+            plan_events(no_bracket, DesignSpec("os"), target_power=0.5,
+                        n_reps=10, seed=1)

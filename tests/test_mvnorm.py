@@ -154,6 +154,10 @@ def test_correlation_validation_errors():
         upper([0.0, 0.0, 0.0], np.eye(2))
     with pytest.raises(InvalidCorrelation, match=r"dimension 4 .*max 3"):
         upper([0.0, 0.0, 0.0, 0.0], np.eye(4))
+    for corr in ([[1.0, np.nan], [np.nan, 1.0]], [[np.nan, 0.3], [0.3, 1.0]],
+                 [[1.0, np.inf], [np.inf, 1.0]]):
+        with pytest.raises(InvalidCorrelation, match="finite"):
+            upper([0.0, 0.0], np.array(corr))
     for bounds in ([np.nan, 0.0], [0.0, np.nan, -np.inf]):
         with pytest.raises(InvalidCorrelation, match="nan"):
             upper(bounds, np.eye(len(bounds)))
