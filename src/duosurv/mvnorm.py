@@ -8,13 +8,16 @@ is Owen's (1956) closed form through his T function; dimension three
 conditions on the first component and integrates that bivariate form with a
 composite Gauss-Legendre rule.  Everything is deterministic and accurate to
 well below 1e-7 absolutely, so level computations never jitter between
-runs.  Nan bounds, levels or thresholds raise a typed error before any
-solve.
+runs.  Nan bounds or thresholds and non-finite levels raise a typed error
+before any solve.
 
 The inflation solver finds the factor xi >= 1 by which a set of nominal
 levels can be blown up until the probability of rejecting at least one of
 the corresponding lower-tail tests (optionally intersected with fixed
-continuation events) exhausts a target level.
+continuation events) exhausts a target level.  It runs a safeguarded Newton
+iteration on xi: the slope of the rejection probability is closed-form, one
+normal cdf in dimension two and one bivariate orthant in dimension three,
+so a solve costs three or four orthant evaluations.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri, owens_t
 
 from .errors import InvalidCorrelation, NoSolution
@@ -37,7 +39,8 @@ __all__ = [
 _TAIL_CUT = 8.5          # beyond this many sds the integrand mass is < 1e-16
 _EIGEN_TOL = 1e-8        # matrices below -tol are rejected as not PSD
 _EIGEN_FLOOR = 1e-10     # smaller eigenvalues are floored (repair)
-XI_TOL = 1e-6            # absolute bisection tolerance on xi
+XI_TOL = 1e-6            # absolute tolerance on xi
+_MAX_STEPS = 100         # Newton or bisection steps per solve
 
 # 16-node Gauss-Legendre rule on [-1, 1], per segment of the trivariate
 # conditioning integral
@@ -109,9 +112,10 @@ def _validated_correlation(corr) -> np.ndarray:
         raise InvalidCorrelation("correlation matrix must be square")
     if not np.all(np.isfinite(m)):
         raise InvalidCorrelation("correlation entries must be finite")
-    if not np.allclose(m, m.T, atol=1e-8):
+    # np.allclose's test |x - y| <= atol + rtol |y|, atol 1e-8, rtol 1e-5
+    if not (np.abs(m - m.T) <= 1e-8 + 1e-5 * np.abs(m.T)).all():
         raise InvalidCorrelation("correlation matrix must be symmetric")
-    if not np.allclose(np.diag(m), 1.0, atol=1e-8):
+    if not (np.abs(np.diag(m) - 1.0) <= 1e-8 + 1e-5).all():
         raise InvalidCorrelation("correlation matrix must have unit diagonal")
     if np.any(np.abs(m) > 1.0 + 1e-8):
         raise InvalidCorrelation("correlation entries must lie in [-1, 1]")
@@ -152,13 +156,14 @@ def mvn_upper_orthant(query: OrthantQuery) -> float:
             else _validated_correlation(query.corr))
     if corr.shape[0] != lower.shape[0]:
         raise InvalidCorrelation("bounds and correlation sizes differ")
-    if np.isnan(lower).any():
-        raise InvalidCorrelation("orthant bounds must not be nan")
-    if np.any(np.isposinf(lower)):
-        return 0.0
-    keep = ~np.isneginf(lower)
-    lower = lower[keep]
-    corr = corr[np.ix_(keep, keep)]
+    if not np.isfinite(lower).all():
+        if np.isnan(lower).any():
+            raise InvalidCorrelation("orthant bounds must not be nan")
+        if np.isposinf(lower).any():
+            return 0.0
+        keep = ~np.isneginf(lower)
+        lower = lower[keep]
+        corr = corr[np.ix_(keep, keep)]
     dim = lower.shape[0]
     if dim == 0:
         return 1.0
@@ -196,26 +201,49 @@ class InflationProblem:
     fixed_thresholds: tuple = field(default=())
 
 
-def _rejection_probability(xi: float, levels, fixed, corr) -> float:
-    bounds = tuple(ndtri(xi * a) for a in levels) + tuple(fixed)
-    return 1.0 - mvn_upper_orthant(_ValidatedQuery(lower_z=bounds, corr=corr))
+def _conditional_upper(b, corr, k: int) -> float:
+    """P[Z_j > b_j for all j != k | Z_k = b_k], in dimension 1 to 3."""
+    others = [j for j in range(len(b)) if j != k]
+    if not others:
+        return 1.0
+    r = corr[others, k]
+    s = np.sqrt(np.maximum(1.0 - r * r, 1e-14))
+    h = (b[others] - r * b[k]) / s
+    if len(others) == 1:
+        return float(ndtr(-h[0]))
+    r_cond = (corr[others[0], others[1]] - r[0] * r[1]) / (s[0] * s[1])
+    return float(_bvn_upper(h[0], h[1], min(max(r_cond, -1.0), 1.0)))
 
 
 def solve_inflation(problem: InflationProblem) -> float:
     """Smallest-level inflation factor that exhausts the target.
 
-    The rejection probability is strictly increasing in xi, so plain
-    bisection on [1, 0.499 / max(level)] converges; the bracket cap keeps
-    every inflated level below one half.  Returns 1.0 exactly when the
-    nominal levels already exhaust the target (degenerate problems such as a
-    single test at the full level).
+    The rejection probability f(xi) is strictly increasing in xi; the root
+    lies in the bracket [1, 0.499 / max(level)], whose cap keeps every
+    inflated level below one half.  A Newton iteration starts at xi = 1 on
+    the closed-form slope
+
+        f'(xi) = sum_k level_k P[Z_j > b_j for all j != k | Z_k = b_k],
+
+    with b_k = ppf(xi * level_k) for the scaled and the fixed bounds for
+    the others: one normal cdf per scaled component in dimension two, one
+    bivariate orthant in dimension three.  Each evaluated point narrows the
+    bracket; a step that leaves it (or a slope that vanishes) bisects it
+    instead, and the first step past the bracket top evaluates f there to
+    tell an unreachable target.  The iteration stops once a step, or the
+    bracket, is below ``XI_TOL``.  Returns 1.0 exactly when the nominal
+    levels already exhaust the target (degenerate problems such as a single
+    test at the full level).
 
     Raises:
-        NoSolution: the target is out of reach inside the bracket.
+        NoSolution: the target is out of reach inside the bracket, or the
+            iteration did not converge in ``_MAX_STEPS`` steps.
     """
     levels = tuple(float(a) for a in problem.base_levels)
     if np.isnan(levels + tuple(problem.fixed_thresholds)).any():
         raise NoSolution("nan base level or fixed threshold")
+    if not np.isfinite(levels).all():
+        raise NoSolution("infinite base level")
     if any(a < 0.0 for a in levels):
         raise NoSolution("negative base level")
     target = float(problem.target)
@@ -235,36 +263,57 @@ def solve_inflation(problem: InflationProblem) -> float:
     if not keep:
         raise NoSolution("no active components")
     corr = corr[np.ix_(keep, keep)]
-    fixed = tuple(f for f in problem.fixed_thresholds if not np.isneginf(f))
-    levels = tuple(a for a in levels if a > 0.0)
-    if not levels:
+    fixed = [f for f in problem.fixed_thresholds if not np.isneginf(f)]
+    levels = np.array([a for a in levels if a > 0.0])
+    if not levels.size:
         raise NoSolution("no scalable components")
 
-    def f(xi: float) -> float:
-        return _rejection_probability(xi, levels, fixed, corr)
+    def bounds(xi: float) -> np.ndarray:
+        return np.concatenate((ndtri(xi * levels), fixed))
 
-    xi_max = 0.499 / max(levels)
-    f_lo = f(1.0)
-    if f_lo > target + 1e-12:
+    def f(b) -> float:
+        return 1.0 - mvn_upper_orthant(_ValidatedQuery(lower_z=b, corr=corr))
+
+    def slope(b) -> float:
+        return float(sum(a * _conditional_upper(b, corr, k)
+                         for k, a in enumerate(levels)))
+
+    xi_max = 0.499 / float(levels.max())
+    b = bounds(1.0)
+    f_xi = f(b)
+    if f_xi > target + 1e-12:
         raise NoSolution(
-            f"rejection probability {f_lo:.6g} at xi=1 already exceeds "
+            f"rejection probability {f_xi:.6g} at xi=1 already exceeds "
             f"target {target:.6g}")
-    if abs(f_lo - target) <= 1e-12:
+    if abs(f_xi - target) <= 1e-12:
         return 1.0
     if xi_max <= 1.0:
         raise NoSolution("bracket empty: max level too close to 0.5")
-    lo, hi = 1.0, 1.0
-    step = 0.25
-    f_hi = f_lo
-    while f_hi < target and hi < xi_max:
-        lo = hi
-        hi = min(hi + step, xi_max)
-        f_hi = f(hi)
-        step *= 2.0
-    if f_hi < target - 1e-12:
-        raise NoSolution(
-            f"target {target:.6g} unreachable: rejection probability at "
-            f"xi={hi:.6g} is {f_hi:.6g}")
-    if f_hi < target:
-        return hi
-    return float(brentq(lambda x: f(x) - target, lo, hi, xtol=XI_TOL))
+    # f(lo) < target throughout; f(hi) >= target once hi_known
+    xi, lo, hi, hi_known = 1.0, 1.0, xi_max, False
+    for _ in range(_MAX_STEPS):
+        step = (target - f_xi) / max(slope(b), 1e-300)
+        if abs(step) <= XI_TOL and lo <= xi + step <= hi:
+            return xi + step
+        xi = xi + step
+        if not lo < xi < hi:
+            if not hi_known:
+                f_hi = f(bounds(hi))
+                if f_hi < target - 1e-12:
+                    raise NoSolution(
+                        f"target {target:.6g} unreachable: rejection "
+                        f"probability at xi={hi:.6g} is {f_hi:.6g}")
+                if f_hi < target:
+                    return hi
+                hi_known = True
+            xi = 0.5 * (lo + hi)
+        b = bounds(xi)
+        f_xi = f(b)
+        if f_xi < target:
+            lo = xi
+        else:
+            hi, hi_known = xi, True
+        if hi_known and hi - lo <= XI_TOL:
+            return 0.5 * (lo + hi)
+    raise NoSolution(f"no convergence in {_MAX_STEPS} steps; xi in "
+                     f"[{lo:.9g}, {hi:.9g}]")

@@ -7,6 +7,9 @@ latent times, and a calendar time per snapshot; observation, risk sets,
 hazard integrals and the covariance products are all rederived locally.
 O(events * patients) per statistic is fine at the micro-dataset sizes
 these oracles are used at.
+
+``bisect_root`` is the reference root finder for the inflation solver:
+plain bisection on an increasing function, with no derivative.
 """
 
 import math
@@ -95,3 +98,15 @@ def cross_covariance(patients, t_pfs_cut, t_os_cut):
     for i in range(n):
         total += r_pfs.get(i, 0.0) * r_os.get(i, 0.0)
     return total / n
+
+
+def bisect_root(func, target, lo, hi, tol=1e-10):
+    """Root of the increasing ``func(x) = target`` in ``[lo, hi]``, by
+    halving the bracket until it is narrower than ``tol``."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if func(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

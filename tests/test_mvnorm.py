@@ -4,14 +4,23 @@ Closed forms (independence products, arcsin identities, perfect correlation)
 pin the bivariate kernel at its limits, zero and underflowing bounds
 included, and the trivariate quadrature; scipy's integrator cross-checks
 general inputs, dimension 2 at 1e-9 and dimension 3 at looser tolerance;
-the solver is checked by round-tripping its defining equation and by
-exercising every failure branch.
+the solver is checked by round-tripping its defining equation, by the
+number of orthant evaluations it spends on each shape of problem the
+procedures build, and by exercising every failure branch.  The package must
+not pull in ``scipy.optimize``, which costs memory and start-up time in every
+process.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
 
+import duosurv
+from duosurv import mvnorm
 from duosurv.errors import InvalidCorrelation, NoSolution
 from duosurv.mvnorm import (
     InflationProblem,
@@ -219,6 +228,9 @@ def test_inflation_failure_modes():
         solve_inflation(InflationProblem((-0.01,), np.eye(1), 0.025))
     with pytest.raises(NoSolution, match="nan"):
         solve_inflation(InflationProblem((np.nan, 0.01), np.eye(2), 0.025))
+    for level in (np.inf, -np.inf):
+        with pytest.raises(NoSolution, match="infinite base level"):
+            solve_inflation(InflationProblem((level,), np.eye(1), 0.025))
     with pytest.raises(NoSolution, match="nan"):
         solve_inflation(InflationProblem(
             (0.01,), np.eye(2), 0.025, fixed_thresholds=(np.nan,)))
@@ -239,6 +251,67 @@ def test_inflation_failure_modes():
         solve_inflation(InflationProblem((0.4,), np.eye(1), 0.4995))
     with pytest.raises(InvalidCorrelation, match="scaled plus fixed"):
         solve_inflation(InflationProblem((0.01, 0.01), np.eye(3), 0.025))
+
+
+def test_inflation_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(mvnorm, "_MAX_STEPS", 1)
+    with pytest.raises(NoSolution, match="no convergence in 1 steps"):
+        solve_inflation(InflationProblem(
+            (0.0125, 0.0125), equicorr(2, 0.5), 0.025))
+
+
+# one problem per shape the procedures build, plus the extreme correlations
+SOLVER_WORK_CASES = (
+    # interim joint: PFS and interim OS both scaled
+    InflationProblem((0.0125, 0.004), equicorr(2, 0.45), 0.0165),
+    # final OS after one interim OS look
+    InflationProblem((0.02,), equicorr(2, 0.7), 0.025,
+                     fixed_thresholds=(norm.ppf(0.005),)),
+    # final OS after the interim PFS and OS looks
+    InflationProblem((0.0095,), np.array([[1.0, 0.4, 0.7],
+                                        [0.4, 1.0, 0.35],
+                                        [0.7, 0.35, 1.0]]), 0.025,
+                     fixed_thresholds=(norm.ppf(0.0125), norm.ppf(0.003))),
+    InflationProblem((0.0125, 0.0125), equicorr(2, 0.9999), 0.025),
+    InflationProblem((0.0125, 0.0125), equicorr(2, -0.9999), 0.03),
+    InflationProblem((0.0125,), equicorr(2, 0.9999), 0.025,
+                     fixed_thresholds=(norm.ppf(0.01),)),
+    InflationProblem((0.0125, 0.0125), np.ones((2, 2)), 0.025),
+    InflationProblem((0.01,), np.ones((3, 3)), 0.025,
+                     fixed_thresholds=(norm.ppf(0.01), norm.ppf(0.005))),
+)
+
+
+def test_inflation_solver_work(monkeypatch):
+    calls = []
+    original = mvnorm.mvn_upper_orthant
+
+    def counted(query):
+        calls.append(query)
+        return original(query)
+
+    monkeypatch.setattr(mvnorm, "mvn_upper_orthant", counted)
+    evals = []
+    for problem in SOLVER_WORK_CASES:
+        calls.clear()
+        xi = solve_inflation(problem)
+        evals.append(len(calls))
+        bounds = [norm.ppf(xi * a) for a in problem.base_levels]
+        achieved = 1.0 - original(OrthantQuery(
+            tuple(bounds) + problem.fixed_thresholds, problem.corr))
+        assert achieved == pytest.approx(problem.target, abs=2e-6), problem
+    assert np.mean(evals) <= 4.5, evals
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # the tests import scipy.stats, which imports scipy.optimize, so only a
+    # fresh interpreter shows what the package itself pulls in
+    src = os.path.dirname(duosurv.__path__[0])
+    code = ("import sys, duosurv.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_inflation_certain_continuation_is_dropped():

@@ -13,6 +13,8 @@ outcome.  The first three also run on z values that straddle the
 thresholds a drawn procedure's decision rule reads, where uniform draws
 seldom land.  The orthant properties draw correlations of every rank in
 dimensions 1 to 3, so the singular ones go through the eigenvalue repair.
+The inflation solver must hit its target and agree, within its tolerance,
+with a derivative-free bisection oracle.
 """
 
 import numpy as np
@@ -22,9 +24,10 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import norm
 
+import oracles
 from duosurv.logrank import CovarianceEstimate
-from duosurv.mvnorm import (InflationProblem, OrthantQuery, mvn_upper_orthant,
-                            solve_inflation)
+from duosurv.mvnorm import (XI_TOL, InflationProblem, OrthantQuery,
+                            mvn_upper_orthant, solve_inflation)
 from duosurv.testing import (PROCEDURES, AnalysisInputs, DesignSpec,
                              _ClosedTest, check_consonance, run_procedure)
 
@@ -256,3 +259,6 @@ def test_inflation_round_trips_its_defining_equation(case):
         fixed_thresholds=fixed))
     assert xi >= 1.0
     assert rejection(xi) == pytest.approx(target, abs=2e-6)
+    # the derivative-free reference solves the same equation to 1e-10
+    oracle = oracles.bisect_root(rejection, target, 1.0, 0.499 / max(levels))
+    assert xi == pytest.approx(oracle, abs=XI_TOL)
