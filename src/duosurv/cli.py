@@ -4,7 +4,8 @@ Configuration lives in YAML files with a strict schema: every block has a
 fixed key set and unknown keys are rejected before any computation starts.
 Command-line flags override the corresponding config entries.  Exit codes
 are fixed for scripting: 0 on success, 2 on configuration problems, 3 on
-runtime failures such as an unreachable planning target.
+runtime failures such as an unreachable planning target or a run too large
+for memory.
 """
 
 from __future__ import annotations
@@ -115,17 +116,16 @@ def _intensities(block, key, where, required=True):
     return TransitionIntensities(*(float(v) for v in value))
 
 
-def _frailty(block, where) -> FrailtySpec:
+def _frailty(block, where) -> FrailtySpec | None:
     value = block.get("frailty", False)
     if value is None or value is False:
-        return FrailtySpec(enabled=False)
+        return None
     if value is True:
-        return FrailtySpec(enabled=True)
+        return FrailtySpec()
     if isinstance(value, dict):
         where = f"{where}.frailty"
         _check_keys(value, ("shape", "rate"), where)
-        return FrailtySpec(enabled=True,
-                           shape=_number(value, "shape", where, 10.0),
+        return FrailtySpec(shape=_number(value, "shape", where, 10.0),
                            rate=_number(value, "rate", where, 10.0))
     raise ConfigError(f"'{where}.frailty' must be a flag or {{shape, rate}}")
 
@@ -162,19 +162,13 @@ def _scenario_from_config(block: dict, where: str = "scenario") -> Scenario:
     _check_keys(block, _EXPLICIT_KEYS, where)
     c = _intensities(block, "control", where)
     e = _intensities(block, "experimental_target", where, required=False) or c
-    e.validate()  # checked here, since weight 0 would hide a bad target
     w = _number(block, "weight", where, 1.0)
     if not 0.0 <= w <= 1.0:
         raise InvalidModel("effect weight must lie in [0, 1]")
-    # arm 1 sits weight of the way from the control to the target
-    experimental = TransitionIntensities(
-        lambda_01=c.lambda_01 - w * (c.lambda_01 - e.lambda_01),
-        lambda_02=c.lambda_02 - w * (c.lambda_02 - e.lambda_02),
-        lambda_12=c.lambda_12 - w * (c.lambda_12 - e.lambda_12))
     return Scenario(
         name=str(block.get("name", "custom")),
         model=CohortModel(
-            control=c, experimental=experimental,
+            control=c, experimental=c.toward(e, w),
             per_arm_rate=_number(block, "per_arm_rate", where, required=True),
             max_per_arm=_integer(block, "max_per_arm", where, required=True),
             dropout_rate=_number(block, "dropout_rate", where, DROPOUT_RATE),
@@ -274,8 +268,8 @@ def _scenarios(mode: str, block: dict) -> list:
         _check_keys(block, ("model", "sizes"), "scenario")
         sizes = _entries(block, "sizes", "scenario", _integer)
         index = _integer(block, "model", "scenario", required=True)
-        return [null_scenario(index, n, FrailtySpec(enabled=frailty))
-                for n in sizes for frailty in (False, True)]
+        return [null_scenario(index, n, frailty)
+                for n in sizes for frailty in (None, FrailtySpec())]
     _check_keys(block, ("model", "weights", "frailty"), "scenario")
     weights = _entries(block, "weights", "scenario", _number)
     index = _integer(block, "model", "scenario", required=True)
@@ -390,7 +384,6 @@ def cmd_analyze(args) -> int:
     targets = CutoffTargets(
         d_pfs=_integer(targets_block, "d_pfs", "targets", required=True),
         d_os=_integer(targets_block, "d_os", "targets", required=True))
-    targets.validate()
 
     inputs, interim, final = analyze_cohort(read_cohort(args.data), targets)
     outcome = run_procedure(design, inputs)
@@ -524,6 +517,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except DuosurvError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

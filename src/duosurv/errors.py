@@ -38,7 +38,8 @@ class ConfigError(DuosurvError):
 class InvalidModel(ConfigError):
     """Raised when model, recruitment or event-target parameters are
     unusable (negative intensities, empty event hazard out of state 0, bad
-    frailty shape, event targets below one)."""
+    frailty shape, event targets below one); the model and target values
+    raise it when they are built."""
 
 
 class CutoffOrder(ConfigError):

@@ -76,10 +76,6 @@ class Scenario:
     model: CohortModel
     targets: CutoffTargets
 
-    def validate(self) -> None:
-        self.model.validate()
-        self.targets.validate()
-
 
 def table_intensities(index: int):
     """Good-arm and bad-arm intensities plus planned event numbers."""
@@ -92,11 +88,11 @@ def table_intensities(index: int):
 
 def _scenario_name(index, kind, frailty, suffix):
     tag = f"m{index}_{kind}_{suffix}"
-    return tag + "_frailty" if frailty.enabled else tag
+    return tag if frailty is None else tag + "_frailty"
 
 
 def power_scenario(index: int, weight: float = 1.0,
-                   frailty: FrailtySpec = FrailtySpec()) -> Scenario:
+                   frailty: FrailtySpec | None = None) -> Scenario:
     """Effect scenario: the inferior arm sits ``weight`` of the way out.
 
     The smaller-hazard table row stays fixed on arm 1 (a benefit there
@@ -107,15 +103,11 @@ def power_scenario(index: int, weight: float = 1.0,
     if not 0.0 <= weight <= 1.0:
         raise ConfigError("weight must lie in [0, 1]")
     good, bad, d_pfs, d_os = table_intensities(index)
-    worse = TransitionIntensities(
-        good.lambda_01 + weight * (bad.lambda_01 - good.lambda_01),
-        good.lambda_02 + weight * (bad.lambda_02 - good.lambda_02),
-        good.lambda_12 + weight * (bad.lambda_12 - good.lambda_12),
-    )
     return Scenario(
         name=_scenario_name(index, "power", frailty,
                             f"w{int(round(100 * weight)):03d}"),
-        model=CohortModel(control=worse, experimental=good,
+        model=CohortModel(control=good.toward(bad, weight),
+                          experimental=good,
                           per_arm_rate=_POWER_RATE_PER_ARM,
                           max_per_arm=_POWER_CAP_PER_ARM,
                           dropout_rate=DROPOUT_RATE, frailty=frailty),
@@ -124,7 +116,7 @@ def power_scenario(index: int, weight: float = 1.0,
 
 
 def null_scenario(index: int, n_total: int,
-                  frailty: FrailtySpec = FrailtySpec()) -> Scenario:
+                  frailty: FrailtySpec | None = None) -> Scenario:
     """Both arms at the good-arm intensities; targets scale with size."""
     if n_total < 2 or n_total % 2:
         raise ConfigError("n_total must be a positive even number")
@@ -165,7 +157,7 @@ def analyze_cohort(cohort, targets: CutoffTargets):
     lr = [logrank(interim, PFS), logrank(interim, OS),
           logrank(final, PFS), logrank(final, OS)]
     cov = covariance_matrix(interim, final)
-    z = [r.require_z() for r in lr]
+    z = [r.z for r in lr]
     inputs = AnalysisInputs(
         z_pfs_interim=z[0], z_os_interim=z[1], z_os_final=z[3],
         covariance=cov,
@@ -291,7 +283,6 @@ def run_experiment(scenario: Scenario, designs, n_reps: int, seed: int,
     Rows come back in replication order, so any worker count yields the
     same result.  A worker process that dies raises ``WorkerCrash``.
     """
-    scenario.validate()
     if n_reps <= 0:
         raise ConfigError("n_reps must be positive")
     procs = tuple(d.procedure for d in designs)

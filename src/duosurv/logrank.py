@@ -49,12 +49,6 @@ class LogrankResult:
             return float("nan")
         return self.u / np.sqrt(self.var)
 
-    def require_z(self) -> float:
-        if self.var <= 0.0:
-            raise DegenerateVariance(
-                f"variance estimate is 0 with {self.n_events} events")
-        return self.z
-
 
 class _EndpointCurves:
     """Everything the estimators need for one (snapshot, endpoint) pair."""

@@ -8,9 +8,11 @@ in state 0, overall survival the waiting time until state 2.
 One :class:`CohortModel` fixes everything a cohort is drawn from: the
 intensities of the control arm (0) and the experimental arm (1), a
 deterministic staggered entry grid, an exponential drop-out hazard and an
-optional gamma frailty.  The frailty multiplies all three intensities of a
-patient, which is equivalent to dividing that patient's event times by the
-frailty draw; entry and drop-out are not affected by it.
+optional gamma frailty.  Each value checks itself when it is built and
+raises :class:`InvalidModel`, so an invalid model cannot exist.  The
+frailty multiplies all three intensities of a patient, which is equivalent
+to dividing that patient's event times by the frailty draw; entry and
+drop-out are not affected by it.
 """
 
 from __future__ import annotations
@@ -42,11 +44,19 @@ class TransitionIntensities:
     lambda_02: float
     lambda_12: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if min(self.lambda_01, self.lambda_02, self.lambda_12) < 0.0:
             raise InvalidModel("transition intensities must be non-negative")
         if self.lambda_01 + self.lambda_02 <= 0.0:
             raise InvalidModel("state 0 must have a positive exit intensity")
+
+    def toward(self, target: "TransitionIntensities",
+               weight: float) -> "TransitionIntensities":
+        """Intensities ``weight`` of the way from these to ``target``."""
+        return TransitionIntensities(
+            self.lambda_01 + weight * (target.lambda_01 - self.lambda_01),
+            self.lambda_02 + weight * (target.lambda_02 - self.lambda_02),
+            self.lambda_12 + weight * (target.lambda_12 - self.lambda_12))
 
 
 @dataclass(frozen=True)
@@ -54,16 +64,15 @@ class FrailtySpec:
     """Gamma frailty shared by all transitions of a patient.
 
     The frailty is Gamma(shape, scale=1/rate); with the default shape and
-    rate of 10 the mean is 1 and the variance 0.1.  Disabled means the
-    frailty is identically 1 and no draws are consumed.
+    rate of 10 the mean is 1 and the variance 0.1.  A model without frailty
+    has ``frailty=None`` and consumes no draws for it.
     """
 
-    enabled: bool = False
     shape: float = 10.0
     rate: float = 10.0
 
-    def validate(self) -> None:
-        if self.enabled and (self.shape <= 0.0 or self.rate <= 0.0):
+    def __post_init__(self):
+        if self.shape <= 0.0 or self.rate <= 0.0:
             raise InvalidModel("frailty shape and rate must be positive")
 
 
@@ -74,7 +83,8 @@ class CohortModel:
     Arm 0 follows ``control`` and arm 1 ``experimental``.  Patient k of an
     arm (k = 0, 1, ...) enters at ``k / per_arm_rate``; the two arms are
     interleaved so cohort positions alternate between arms.  A
-    ``dropout_rate`` of zero disables drop-out.
+    ``dropout_rate`` of zero disables drop-out, and ``frailty=None`` means
+    no frailty.
     """
 
     control: TransitionIntensities
@@ -82,18 +92,15 @@ class CohortModel:
     per_arm_rate: float
     max_per_arm: int
     dropout_rate: float = 0.0
-    frailty: FrailtySpec = FrailtySpec()
+    frailty: FrailtySpec | None = None
 
-    def validate(self) -> None:
-        self.control.validate()
-        self.experimental.validate()
+    def __post_init__(self):
         if self.per_arm_rate <= 0.0:
             raise InvalidModel("recruitment rate must be positive")
         if self.max_per_arm < 1:
             raise InvalidModel("need at least one patient per arm")
         if self.dropout_rate < 0.0:
             raise InvalidModel("drop-out rate must be non-negative")
-        self.frailty.validate()
 
 
 class Cohort:
@@ -118,9 +125,13 @@ class Cohort:
 
 def _rng_for_replication(seed: int, replication: int) -> np.random.Generator:
     """Counter-based stream: same (seed, replication) always gives the same
-    draws, independent of how replications are batched across workers."""
-    bitgen = np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0x64756F73],
-                              counter=[0, 0, replication, 0])
+    draws, independent of how replications are batched across workers.
+
+    The seed is taken mod 2**64: seeds that differ mod 2**64, negative ones
+    included, draw different streams, and -1 is the same seed as 2**64 - 1.
+    """
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0x64756F73], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key, counter=[0, 0, replication, 0])
     return np.random.Generator(bitgen)
 
 
@@ -176,11 +187,10 @@ def simulate_cohort(model: CohortModel, seed: int,
         on the entry grid.  Frailty divides the event times only; entry and
         drop-out are untouched.
     """
-    model.validate()
     rng = _rng_for_replication(seed, replication)
     cohort = _sample_base_cohort(model, rng)
     frailty = model.frailty
-    if frailty.enabled:
+    if frailty is not None:
         gamma = rng.gamma(shape=frailty.shape, scale=1.0 / frailty.rate,
                           size=len(cohort))
         cohort = Cohort(cohort.arm, cohort.entry, cohort.t_pfs / gamma,

@@ -69,12 +69,13 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class CutoffTargets:
-    """Event counts that trigger the interim and the final analysis."""
+    """Event counts that trigger the interim and the final analysis; both
+    must be at least 1, checked when the targets are built."""
 
     d_pfs: int
     d_os: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.d_pfs < 1 or self.d_os < 1:
             raise InvalidModel("event targets must be at least 1")
 

@@ -53,7 +53,7 @@ def null_runs():
     out = {}
     for key, scenario in [
             ((1600, False), null_scenario(1, 1600)),
-            ((1600, True), null_scenario(1, 1600, FrailtySpec(enabled=True))),
+            ((1600, True), null_scenario(1, 1600, FrailtySpec())),
             ((128, False), null_scenario(1, 128))]:
         out[key] = run_experiment(scenario, designs, N_REPS, SEED)
     return out

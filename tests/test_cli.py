@@ -221,6 +221,18 @@ def test_crashed_worker_is_a_runtime_error(tmp_path, capsys, monkeypatch):
     assert "scenario steep" in err
 
 
+def test_out_of_memory_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    # raised by a stub: a real allocation of that size may meet the
+    # kernel's out-of-memory killer instead of a MemoryError
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+    monkeypatch.setattr(cli, "run_experiment", too_big)
+    assert cli.main(["simulate", "--config", simulate_config(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: MemoryError: Unable to allocate 1.46 TiB for an array\n")
+
+
 def test_explicit_weight_interpolates_arm_1():
     block = {"control": [0.10, 0.40, 0.30],
              "experimental_target": [0.06, 0.30, 0.30],
@@ -308,19 +320,35 @@ def test_non_numeric_list_entries_are_config_errors(tmp_path, capsys,
      "'scenario.dropout_rate' must be finite"),
     ("simulate", "control: [0.5, 0.8, 0.8]", "control: [.nan, 0.8, 0.8]",
      "'scenario.control' must be"),
+    ("simulate", "control: [0.5, 0.8, 0.8]", "control: [-0.5, 0.8, 0.8]",
+     "transition intensities must be non-negative"),
+    ("simulate", "max_per_arm: 40", "max_per_arm: 0",
+     "need at least one patient per arm"),
+    ("simulate", "dropout_rate: 0.0", "dropout_rate: -0.1",
+     "drop-out rate must be non-negative"),
+    ("plan", "d_pfs: 10", "d_pfs: 0", "event targets must be at least 1"),
 ], ids=["frailty_shape", "d_pfs", "weight", "target_at_weight_0",
         "per_arm_rate", "analyze_d_pfs", "n_reps_inf", "rho_pfs_nan",
         "rho_os_sum", "rho_os_zero", "rho_os_nan", "dropout_rate_nan",
-        "control_nan"])
-def test_out_of_range_model_values_are_config_errors(tmp_path, capsys, command,
+        "control_nan", "control_negative", "max_per_arm_zero",
+        "dropout_rate_negative", "plan_d_pfs"])
+def test_out_of_range_model_values_are_config_errors(tmp_path, capsys,
+                                                     monkeypatch, command,
                                                      old, new, fragment):
+    def no_run(*args, **kwargs):
+        pytest.fail("a bad value is rejected before any replication")
+
+    monkeypatch.setattr(harness, "_run_chunk", no_run)
     if command == "simulate":
         argv = ["simulate", "--config", simulate_config(tmp_path)]
+    elif command == "plan":
+        argv = ["plan", "--config", plan_config(tmp_path, 0.6, "[15, 60]")]
     else:
         argv = ["analyze", "--config", write(tmp_path / "an.yaml",
                                              ANALYZE_CONFIG),
                 "--data", write(tmp_path / "trial.txt", make_cohort_text())]
-    cfg = tmp_path / ("sim.yaml" if command == "simulate" else "an.yaml")
+    cfg = tmp_path / {"simulate": "sim.yaml", "plan": "plan.yaml",
+                      "analyze": "an.yaml"}[command]
     text = cfg.read_text(encoding="utf-8")
     assert old in text
     cfg.write_text(text.replace(old, new, 1), encoding="utf-8")

@@ -53,7 +53,7 @@ def test_power_scenario_interpolates_the_inferior_arm():
     assert sc.model.per_arm_rate == 25.0
     assert sc.model.max_per_arm == 800
     assert sc.model.dropout_rate == DROPOUT_RATE
-    assert not sc.model.frailty.enabled
+    assert sc.model.frailty is None
     assert (sc.targets.d_pfs, sc.targets.d_os) == (d_pfs, d_os)
 
     half = power_scenario(1, weight=0.8)
@@ -66,7 +66,7 @@ def test_power_scenario_interpolates_the_inferior_arm():
     flat = power_scenario(1, weight=0.0)
     assert flat.model.control == good
 
-    spec = FrailtySpec(enabled=True, shape=2.0, rate=2.0)
+    spec = FrailtySpec(shape=2.0, rate=2.0)
     frail = power_scenario(2, 1.0, spec)
     assert frail.model.frailty == spec
     assert frail.name == "m2_power_w100_frailty"
@@ -85,8 +85,9 @@ def test_null_scenario_scales_with_size():
     assert (sc.targets.d_pfs, sc.targets.d_os) == (625, 950)
     assert sc.name == "m1_null_n1600"
 
-    small = null_scenario(1, 128, FrailtySpec(enabled=True))
-    assert small.model.frailty == FrailtySpec(enabled=True)
+    assert sc.model.frailty is None
+    small = null_scenario(1, 128, FrailtySpec())
+    assert small.model.frailty == FrailtySpec()
     assert small.model.per_arm_rate == pytest.approx(2.0)
     assert small.model.max_per_arm == 64
     assert (small.targets.d_pfs, small.targets.d_os) == (50, 76)

@@ -67,7 +67,7 @@ def test_os_equals_pfs_exactly_when_not_progressed():
 def test_frailty_divides_event_times_and_nothing_else():
     common = dict(control=BAD, max_per_arm=400, dropout_rate=0.05)
     base = simulate_cohort(model(**common), seed=17, replication=9)
-    frail = simulate_cohort(model(frailty=FrailtySpec(enabled=True), **common),
+    frail = simulate_cohort(model(frailty=FrailtySpec(), **common),
                             seed=17, replication=9)
     # The base path consumes a fixed block of uniforms, so enabling the
     # frailty leaves everything except the event times untouched.
@@ -103,32 +103,45 @@ def test_zero_dropout_rate_means_no_censoring():
 
 
 @pytest.mark.parametrize("bad_spec", [
-    TransitionIntensities(-0.1, 0.3, 0.3),
-    TransitionIntensities(0.0, 0.0, 0.3),
+    (-0.1, 0.3, 0.3),
+    (0.0, 0.0, 0.3),
 ])
 def test_intensity_validation(bad_spec):
     with pytest.raises(InvalidModel):
-        bad_spec.validate()
+        TransitionIntensities(*bad_spec)
 
 
 def test_model_and_spec_validation():
-    for overrides, message in [
-            (dict(control=TransitionIntensities(-0.1, 0.3, 0.3)),
-             "non-negative"),
-            (dict(experimental=TransitionIntensities(0.0, 0.0, 0.3)),
+    # every check runs when the value is built, so no invalid model exists
+    for build, message in [
+            (lambda: TransitionIntensities(-0.1, 0.3, 0.3), "non-negative"),
+            (lambda: TransitionIntensities(0.0, 0.0, 0.3),
              "positive exit intensity"),
-            (dict(per_arm_rate=0.0), "recruitment rate must be positive"),
-            (dict(max_per_arm=0), "need at least one patient per arm"),
-            (dict(dropout_rate=-0.1), "drop-out rate must be non-negative"),
-            (dict(frailty=FrailtySpec(enabled=True, shape=0.0)),
+            (lambda: model(per_arm_rate=0.0),
+             "recruitment rate must be positive"),
+            (lambda: model(max_per_arm=0), "need at least one patient per arm"),
+            (lambda: model(dropout_rate=-0.1),
+             "drop-out rate must be non-negative"),
+            (lambda: FrailtySpec(shape=0.0),
+             "frailty shape and rate must be positive"),
+            (lambda: FrailtySpec(rate=-1.0),
              "frailty shape and rate must be positive")]:
         with pytest.raises(InvalidModel, match=message):
-            model(**overrides).validate()
-        # simulate_cohort checks the model before drawing anything
-        with pytest.raises(InvalidModel, match=message):
-            simulate_cohort(model(**overrides), seed=1)
-    # disabled frailty never looks at its parameters
-    model(frailty=FrailtySpec(enabled=False, shape=0.0)).validate()
+            build()
+    # no frailty is None, the default
+    assert model().frailty is None
+    assert model(frailty=None).frailty is None
+
+
+def test_distinct_seeds_draw_distinct_cohorts():
+    # the key goes to Philox as uint64: seeds at or above 2**63 and negative
+    # seeds (taken mod 2**64) keep their low bits
+    m = model(max_per_arm=8)
+    for a, b in ((-5, -6), (2**63, 2**63 + 1)):
+        assert not np.array_equal(simulate_cohort(m, a).t_pfs,
+                                  simulate_cohort(m, b).t_pfs)
+    assert np.array_equal(simulate_cohort(m, -1).t_pfs,
+                          simulate_cohort(m, 2**64 - 1).t_pfs)
 
 
 def test_cohort_indexing_and_restriction():

@@ -111,9 +111,10 @@ def test_event_cutoff_failures():
 
 
 def test_cutoff_targets():
-    CutoffTargets(1, 1).validate()
-    with pytest.raises(InvalidModel):
-        CutoffTargets(0, 5).validate()
+    CutoffTargets(1, 1)
+    for d_pfs, d_os in ((0, 5), (5, 0)):
+        with pytest.raises(InvalidModel, match="event targets must be at least 1"):
+            CutoffTargets(d_pfs, d_os)
     t = CutoffTargets.from_rates(25.0 / 64.0, 38.0 / 64.0, 128)
     assert (t.d_pfs, t.d_os) == (50, 76)
     # ceil rounds partial events up
