@@ -71,12 +71,26 @@ def _check_keys(block: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) in '{where}': {', '.join(unknown)}")
 
 
+def _parses_as_finite_float(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
 def _number(block, key, where, default=None, required=False):
     if key not in block or block[key] is None:
         if required:
             raise ConfigError(f"'{where}.{key}' is required")
         return default
     value = block[key]
+    if isinstance(value, str) and _parses_as_finite_float(value):
+        # PyYAML reads 1e-2 and 1.0e3 as text: only a decimal point and a
+        # signed exponent make a float
+        raise ConfigError(
+            f"'{where}.{key}' must be a number, but YAML read {value!r} as "
+            "text; write exponents with a decimal point and a sign, "
+            "as in 1.0e-2 or 1.0e+3")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{where}.{key}' must be a number")
     if not math.isfinite(value):

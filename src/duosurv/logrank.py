@@ -10,7 +10,8 @@ products over events.  Covariances between endpoints and between analysis
 times come from per-patient martingale residuals built out of the pooled
 Nelson-Aalen estimator and the arm-wise at-risk shares; same-endpoint
 covariances across analysis times reduce to the variance at the earlier time
-(independent increments).
+(independent increments).  Score, variance and residuals of one endpoint at
+one snapshot come from a single pass over the tie groups of its sorted times.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class LogrankResult:
     u: float
     var: float
     n_events: int
-    n_ref: int
 
     @property
     def z(self) -> float:
@@ -54,69 +54,43 @@ class _EndpointCurves:
     """Everything the estimators need for one (snapshot, endpoint) pair."""
 
     def __init__(self, snap: Snapshot, endpoint: str):
-        x = snap.times(endpoint)
-        d = snap.events(endpoint)
-        arm = snap.arm
-        m = len(x)
         n_ref = snap.n_ref
+        order = np.argsort(snap.times(endpoint), kind="stable")
+        xs = snap.times(endpoint)[order]
+        ds = snap.events(endpoint)[order]
+        zs = snap.arm[order] == 1
 
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ds = d[order]
-        zs = (arm[order] == 1)
+        # tie groups of the sorted times; every per-patient quantity is read
+        # at the patient's group
+        first = np.empty(len(xs), dtype=bool)
+        first[:1] = True
+        first[1:] = xs[1:] > xs[:-1]
+        group = np.cumsum(first) - 1
+        starts = np.flatnonzero(first)
+        # at-risk counts at each group's time; never 0, as the group is at risk
+        at_risk = len(xs) - starts
+        at_risk1 = np.cumsum(zs[::-1])[::-1][starts]
+        share1 = at_risk1 / at_risk
+        share0 = (at_risk - at_risk1) / at_risk
 
-        if m:
-            new_value = np.empty(m, dtype=bool)
-            new_value[0] = True
-            new_value[1:] = xs[1:] > xs[:-1]
-            group_first = np.maximum.accumulate(
-                np.where(new_value, np.arange(m), 0))
-            # at-risk counts at each sorted position's own time
-            suffix_total = m - group_first
-            ones_rev = np.cumsum(zs[::-1])[::-1]
-            suffix_arm1 = ones_rev[group_first]
-        else:
-            new_value = np.zeros(0, dtype=bool)
-            group_first = np.zeros(0, dtype=int)
-            suffix_total = np.zeros(0, dtype=int)
-            suffix_arm1 = np.zeros(0, dtype=int)
+        u = float(np.where(ds, zs - share1[group], 0.0).sum())
+        var = float(np.where(ds, (share0 * share1)[group], 0.0).sum())
+        self.result = LogrankResult(u / np.sqrt(n_ref) if n_ref else 0.0,
+                                    var / n_ref if n_ref else 0.0, int(ds.sum()))
 
-        share1 = np.divide(suffix_arm1, suffix_total,
-                           out=np.zeros(m), where=suffix_total > 0)
-        share0 = np.divide(suffix_total - suffix_arm1, suffix_total,
-                           out=np.zeros(m), where=suffix_total > 0)
-
-        score_terms = np.where(ds, zs.astype(float) - share1, 0.0)
-        var_terms = np.where(ds, share0 * share1, 0.0)
-        self.result = LogrankResult(
-            u=float(score_terms.sum()) / np.sqrt(n_ref) if n_ref else 0.0,
-            var=float(var_terms.sum()) / n_ref if n_ref else 0.0,
-            n_events=int(ds.sum()),
-            n_ref=n_ref,
-        )
-
-        # pooled hazard jumps on the distinct event-time grid
-        counts = np.bincount(group_first[np.flatnonzero(ds)], minlength=m)
-        grid_first = np.flatnonzero(counts)
-        grid_times = xs[grid_first]
-        d_lambda = counts[grid_first] / suffix_total[grid_first]
-        # opposite-arm share per group at the grid: mu_g = 1 - Y_g / Y
-        mu1 = 1.0 - share1[grid_first]
-        mu0 = 1.0 - share0[grid_first]
-        psi0 = np.cumsum(mu0 * d_lambda)
-        psi1 = np.cumsum(mu1 * d_lambda)
+        # pooled hazard jumps and each arm's compensator, the opposite-arm
+        # share mu = 1 - Y_arm / Y integrated against them; groups without
+        # events add exact zeros
+        d_lambda = np.bincount(group[ds], minlength=len(starts)) / at_risk
+        mu0, mu1 = 1.0 - share0, 1.0 - share1
+        psi0, psi1 = np.cumsum(mu0 * d_lambda), np.cumsum(mu1 * d_lambda)
 
         # per-patient residuals mu^{(z_i)}(x_i) * d_i - psi^{(z_i)}(x_i),
-        # back in record order
-        mu_own_sorted = np.where(zs, 1.0 - share1, 1.0 - share0)
-        # both psi curves jump on the same grid: one lookup serves both
-        at = np.searchsorted(grid_times, xs, side="right")
-        psi_own_sorted = np.where(zs, np.append(0.0, psi1)[at],
-                                  np.append(0.0, psi0)[at])
-        resid_sorted = mu_own_sorted * ds - psi_own_sorted
-        resid = np.empty(m)
-        resid[order] = resid_sorted
-        self.resid = resid
+        # in cohort positions, 0 for absent patients
+        self.resid = np.zeros(n_ref)
+        self.resid[snap.index[order]] = (
+            np.where(zs, mu1[group], mu0[group]) * ds
+            - np.where(zs, psi1[group], psi0[group]))
 
 
 def _curves(snap: Snapshot, endpoint: str) -> _EndpointCurves:
@@ -132,7 +106,7 @@ def logrank(snap: Snapshot, endpoint: str) -> LogrankResult:
     The score is positive when arm 1 accumulates more events than its at-risk
     share predicts; an arm-1 benefit therefore pushes the standardized
     statistic negative, which is the rejection direction everywhere in this
-    package.  Events with an empty at-risk group contribute zero (0/0 := 0).
+    package.
     """
     return _curves(snap, endpoint).result
 
@@ -151,11 +125,10 @@ def _check_compatible(a: Snapshot, b: Snapshot) -> None:
         raise InconsistentSnapshots("snapshots do not come from the same cohort")
 
 
-def _residuals(snap: Snapshot, endpoint: str) -> np.ndarray:
-    """Endpoint residuals in cohort positions, 0 for absent patients."""
-    out = np.zeros(snap.n_ref)
-    out[snap.index] = _curves(snap, endpoint).resid
-    return out
+def _cross(snap_pfs: Snapshot, snap_os: Snapshot) -> float:
+    """Mean per-patient product of the PFS and OS residuals, unchecked."""
+    r_pfs, r_os = _curves(snap_pfs, PFS).resid, _curves(snap_os, OS).resid
+    return float(r_pfs @ r_os) / snap_pfs.n_ref
 
 
 def cross_covariance(snap_pfs: Snapshot, snap_os: Snapshot) -> float:
@@ -167,8 +140,7 @@ def cross_covariance(snap_pfs: Snapshot, snap_os: Snapshot) -> float:
     the value is 0 whenever either side has no events yet.
     """
     _check_compatible(snap_pfs, snap_os)
-    r_pfs, r_os = _residuals(snap_pfs, PFS), _residuals(snap_os, OS)
-    return float(r_pfs @ r_os) / snap_pfs.n_ref
+    return _cross(snap_pfs, snap_os)
 
 
 @dataclass(frozen=True)
@@ -206,17 +178,10 @@ def covariance_matrix(snap_interim: Snapshot, snap_final: Snapshot) -> Covarianc
         raise InconsistentSnapshots("interim snapshot must not be later than final")
     _check_compatible(snap_interim, snap_final)
 
-    v_p1 = logrank(snap_interim, PFS).var
-    v_o1 = logrank(snap_interim, OS).var
-    v_p2 = logrank(snap_final, PFS).var
-    v_o2 = logrank(snap_final, OS).var
-    # cross_covariance for each (PFS time, OS time) pair, checked once
-    r_p1, r_o1 = _residuals(snap_interim, PFS), _residuals(snap_interim, OS)
-    r_p2, r_o2 = _residuals(snap_final, PFS), _residuals(snap_final, OS)
-    c11 = float(r_p1 @ r_o1) / snap_interim.n_ref
-    c12 = float(r_p1 @ r_o2) / snap_interim.n_ref
-    c21 = float(r_p2 @ r_o1) / snap_interim.n_ref
-    c22 = float(r_p2 @ r_o2) / snap_interim.n_ref
+    snaps = (snap_interim, snap_final)
+    v_p1, v_o1, v_p2, v_o2 = (logrank(s, e).var for s in snaps for e in (PFS, OS))
+    # cross_covariance for each (PFS time, OS time) pair, checked once above
+    c11, c12, c21, c22 = (_cross(s_pfs, s_os) for s_pfs in snaps for s_os in snaps)
 
     m = np.array([
         [v_p1, c11, v_p1, c12],
@@ -233,7 +198,6 @@ def covariance_matrix(snap_interim: Snapshot, snap_final: Snapshot) -> Covarianc
     corr = m * scale[:, None] * scale[None, :]
     off = ~np.eye(4, dtype=bool)
     clamped = bool(np.any(np.abs(corr[off]) > CORRELATION_CLAMP))
-    corr = corr.copy()
     corr[off] = np.clip(corr[off], -CORRELATION_CLAMP, CORRELATION_CLAMP)
     np.fill_diagonal(corr, 1.0)
     vals, vecs = np.linalg.eigh(corr)

@@ -17,6 +17,7 @@ drop-out are not affected by it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,13 @@ __all__ = [
 _DRAWS_PER_PATIENT = 4
 
 
+def _check_finite(what: str, *values) -> None:
+    """Raise :class:`InvalidModel` unless every value is finite: a nan fails
+    every comparison, so a range check alone would let it through."""
+    if not all(-math.inf < v < math.inf for v in values):
+        raise InvalidModel(f"{what} must be finite")
+
+
 @dataclass(frozen=True)
 class TransitionIntensities:
     """Constant intensities of the three illness-death transitions."""
@@ -45,6 +53,8 @@ class TransitionIntensities:
     lambda_12: float
 
     def __post_init__(self):
+        _check_finite("transition intensities",
+                      self.lambda_01, self.lambda_02, self.lambda_12)
         if min(self.lambda_01, self.lambda_02, self.lambda_12) < 0.0:
             raise InvalidModel("transition intensities must be non-negative")
         if self.lambda_01 + self.lambda_02 <= 0.0:
@@ -72,6 +82,7 @@ class FrailtySpec:
     rate: float = 10.0
 
     def __post_init__(self):
+        _check_finite("frailty shape and rate", self.shape, self.rate)
         if self.shape <= 0.0 or self.rate <= 0.0:
             raise InvalidModel("frailty shape and rate must be positive")
 
@@ -95,6 +106,9 @@ class CohortModel:
     frailty: FrailtySpec | None = None
 
     def __post_init__(self):
+        _check_finite("recruitment rate", self.per_arm_rate)
+        _check_finite("patients per arm", self.max_per_arm)
+        _check_finite("drop-out rate", self.dropout_rate)
         if self.per_arm_rate <= 0.0:
             raise InvalidModel("recruitment rate must be positive")
         if self.max_per_arm < 1:
@@ -136,8 +150,9 @@ def _rng_for_replication(seed: int, replication: int) -> np.random.Generator:
 
 
 def _exponential_from_uniform(u: np.ndarray, rate: np.ndarray | float) -> np.ndarray:
-    """Inverse-CDF exponential; rate 0 maps to +inf."""
-    with np.errstate(divide="ignore"):
+    """Inverse-CDF exponential; rate 0 maps to +inf, and so does a rate so
+    small that the time overflows: the event is never observed."""
+    with np.errstate(divide="ignore", over="ignore"):
         return np.where(np.asarray(rate) > 0.0, -np.log1p(-u) / rate, np.inf)
 
 
@@ -150,7 +165,9 @@ def _sample_base_cohort(model: CohortModel, rng: np.random.Generator) -> Cohort:
     """
     k = model.max_per_arm
     n = 2 * k
-    grid = np.arange(k, dtype=float) / model.per_arm_rate
+    # an entry time that overflows is +inf: that patient never enters
+    with np.errstate(over="ignore"):
+        grid = np.arange(k, dtype=float) / model.per_arm_rate
     entry = np.repeat(grid, 2)
     arm = np.tile(np.array([0, 1], dtype=np.int8), k)
 
@@ -161,9 +178,7 @@ def _sample_base_cohort(model: CohortModel, rng: np.random.Generator) -> Cohort:
 
     u = rng.random((n, _DRAWS_PER_PATIENT))
     sojourn0 = _exponential_from_uniform(u[:, 0], lam01 + lam02)
-    with np.errstate(invalid="ignore"):
-        progress_share = np.where(lam01 + lam02 > 0.0, lam01 / (lam01 + lam02), 0.0)
-    progressed = u[:, 1] < progress_share
+    progressed = u[:, 1] < lam01 / (lam01 + lam02)
     sojourn1 = _exponential_from_uniform(u[:, 2], lam12)
     drop = _exponential_from_uniform(u[:, 3], model.dropout_rate)
 
@@ -193,6 +208,9 @@ def simulate_cohort(model: CohortModel, seed: int,
     if frailty is not None:
         gamma = rng.gamma(shape=frailty.shape, scale=1.0 / frailty.rate,
                           size=len(cohort))
-        cohort = Cohort(cohort.arm, cohort.entry, cohort.t_pfs / gamma,
-                        cohort.t_os / gamma, cohort.dropout)
+        # a draw of 0 (or one so small that the time overflows) gives +inf:
+        # that patient's events are never observed
+        with np.errstate(divide="ignore", over="ignore"):
+            cohort = Cohort(cohort.arm, cohort.entry, cohort.t_pfs / gamma,
+                            cohort.t_os / gamma, cohort.dropout)
     return cohort

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientEvents, InvalidModel
-from .multistate import Cohort
+from .multistate import Cohort, _check_finite
 
 __all__ = [
     "PFS",
@@ -76,6 +76,7 @@ class CutoffTargets:
     d_os: int
 
     def __post_init__(self):
+        _check_finite("event targets", self.d_pfs, self.d_os)
         if self.d_pfs < 1 or self.d_os < 1:
             raise InvalidModel("event targets must be at least 1")
 
@@ -93,9 +94,11 @@ def _check_endpoint(endpoint: str) -> None:
 
 
 def _event_dates(cohort: Cohort, endpoint: str) -> np.ndarray:
-    """Calendar date of each patient's endpoint event; +inf if drop-out wins."""
+    """Calendar date of each patient's endpoint event; +inf if drop-out wins
+    or if the date overflows, as the event is then never observed."""
     t = cohort.t_pfs if endpoint == PFS else cohort.t_os
-    return np.where(t <= cohort.dropout, cohort.entry + t, np.inf)
+    with np.errstate(over="ignore"):
+        return np.where(t <= cohort.dropout, cohort.entry + t, np.inf)
 
 
 def snapshot(cohort: Cohort, calendar_time: float) -> Snapshot:

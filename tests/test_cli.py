@@ -260,6 +260,8 @@ def test_explicit_weight_interpolates_arm_1():
     ("unexpected_key: 1", "unknown key"),
     ("design:\n  procedures: [bon, bon]", "duplicate"),
     ("design:\n  procedures: [holm]", "unknown procedure"),
+    # PyYAML reads an exponent without a decimal point and a sign as text
+    ("design:\n  alpha: 1e-2", "YAML read '1e-2' as text"),
 ])
 def test_simulate_config_errors(tmp_path, capsys, mutation, fragment):
     cfg = write(tmp_path / "bad.yaml", STEEP_SCENARIO + f"""\
@@ -535,6 +537,16 @@ def test_infinite_latent_times_and_dropout_are_allowed(tmp_path, capsys):
     data = write(tmp_path / "c.txt", text)
     cfg = write(tmp_path / "an.yaml", ANALYZE_CONFIG)
     assert cli.main(["analyze", "--data", data, "--config", cfg]) == 0
+
+
+def test_overflowing_event_date_is_never_observed(tmp_path, capsys):
+    # entry + t overflows to +inf: the event lies beyond every cutoff, and
+    # no numpy warning (an error under the suite's filter) escapes
+    text = make_cohort_text() + "0 1e308 1e308 1e308 inf\n"
+    data = write(tmp_path / "c.txt", text)
+    cfg = write(tmp_path / "an.yaml", ANALYZE_CONFIG)
+    assert cli.main(["analyze", "--data", data, "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def plan_config(tmp_path, target, bracket, n_reps=40):

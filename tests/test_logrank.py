@@ -170,6 +170,41 @@ def test_covariance_matrix_layout_and_symmetry():
         m[0, 1] * scale[0] * scale[1], abs=TOL)
     assert not est.clamped
 
+    # every cross entry is the oracle's, on all micro datasets whose four
+    # variances are positive
+    rng = np.random.default_rng(303)
+    checked = 0
+    for _ in range(200):
+        patients = micro_patients(rng)
+        cohort = cohort_from_patients(patients)
+        t1, t2 = micro_cutoffs(rng)
+        s1, s2 = snapshot(cohort, t1), snapshot(cohort, t2)
+        if min(logrank(s, e).var for s in (s1, s2) for e in (PFS, OS)) == 0.0:
+            continue
+        m = covariance_matrix(s1, s2).matrix
+        for (i, j), (ta, tb) in (((0, 1), (t1, t1)), ((0, 3), (t1, t2)),
+                                 ((1, 2), (t2, t1)), ((2, 3), (t2, t2))):
+            assert m[i, j] == pytest.approx(
+                oracles.cross_covariance(patients, ta, tb), abs=TOL)
+        checked += 1
+    assert checked >= 50
+
+
+def test_empty_snapshot_has_zero_statistics():
+    # nobody has entered at the first snapshot: every curve is empty
+    patients = [(0, 1.0, 0.5, 1.0, 64.0), (1, 1.0, 0.25, 0.75, 64.0),
+                (0, 2.0, 0.5, 0.5, 64.0), (1, 2.0, 1.0, 2.0, 64.0)]
+    cohort = cohort_from_patients(patients)
+    empty, later = snapshot(cohort, 0.5), snapshot(cohort, 4.0)
+    assert len(empty) == 0
+    for endpoint in (PFS, OS):
+        res = logrank(empty, endpoint)
+        assert (res.u, res.var, res.n_events) == (0.0, 0.0, 0)
+        assert logrank(later, endpoint).n_events > 0
+    assert cross_covariance(empty, empty) == 0.0
+    assert cross_covariance(empty, later) == 0.0
+    assert cross_covariance(later, empty) == 0.0
+
 
 def test_equal_analysis_times_hit_correlation_clamp():
     # interim == final: same-endpoint cross-time correlation is exactly 1

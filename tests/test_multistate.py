@@ -105,6 +105,11 @@ def test_zero_dropout_rate_means_no_censoring():
 @pytest.mark.parametrize("bad_spec", [
     (-0.1, 0.3, 0.3),
     (0.0, 0.0, 0.3),
+    (np.nan, 0.1, 0.1),
+    (0.1, np.nan, 0.1),
+    (0.1, 0.1, np.nan),
+    (np.inf, 0.1, 0.1),
+    (0.1, 0.1, np.inf),
 ])
 def test_intensity_validation(bad_spec):
     with pytest.raises(InvalidModel):
@@ -125,12 +130,50 @@ def test_model_and_spec_validation():
             (lambda: FrailtySpec(shape=0.0),
              "frailty shape and rate must be positive"),
             (lambda: FrailtySpec(rate=-1.0),
-             "frailty shape and rate must be positive")]:
+             "frailty shape and rate must be positive"),
+            # a nan passes every comparison-based range check
+            (lambda: TransitionIntensities(np.nan, 0.1, 0.1),
+             "transition intensities must be finite"),
+            (lambda: model(per_arm_rate=np.nan), "recruitment rate must be finite"),
+            (lambda: model(per_arm_rate=np.inf), "recruitment rate must be finite"),
+            (lambda: model(max_per_arm=np.nan), "patients per arm must be finite"),
+            (lambda: model(dropout_rate=np.nan), "drop-out rate must be finite"),
+            (lambda: model(dropout_rate=np.inf), "drop-out rate must be finite"),
+            (lambda: FrailtySpec(shape=np.nan),
+             "frailty shape and rate must be finite"),
+            (lambda: FrailtySpec(rate=np.inf),
+             "frailty shape and rate must be finite")]:
         with pytest.raises(InvalidModel, match=message):
             build()
     # no frailty is None, the default
     assert model().frailty is None
     assert model(frailty=None).frailty is None
+
+
+def test_vanishing_rates_mean_never_without_warnings():
+    # times that overflow are +inf, "never"; the suite turns a numpy
+    # RuntimeWarning into an error
+    slow = model(control=TransitionIntensities(0.06, 0.30, 1.0e-310),
+                 dropout_rate=1.0e-310)
+    cohort = simulate_cohort(slow, seed=4)
+    assert np.all(cohort.dropout > 1.0e300)
+    assert np.isinf(cohort.dropout).any()
+    progressed = (cohort.arm == 0) & (cohort.t_os > cohort.t_pfs)
+    assert np.all(cohort.t_os[progressed] > 1.0e300)
+    assert np.isinf(cohort.t_os[progressed]).any()
+
+
+def test_vanishing_recruitment_rate_means_never_entered():
+    cohort = simulate_cohort(model(per_arm_rate=1.0e-310, max_per_arm=4), seed=4)
+    assert np.array_equal(cohort.entry[:2], [0.0, 0.0])
+    assert np.all(np.isinf(cohort.entry[2:]))
+
+
+def test_zero_frailty_draws_mean_never():
+    frail = model(frailty=FrailtySpec(shape=1.0e-300, rate=1.0), max_per_arm=8)
+    cohort = simulate_cohort(frail, seed=4)
+    assert np.all(np.isinf(cohort.t_pfs))
+    assert np.all(np.isinf(cohort.t_os))
 
 
 def test_distinct_seeds_draw_distinct_cohorts():

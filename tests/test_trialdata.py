@@ -115,6 +115,9 @@ def test_cutoff_targets():
     for d_pfs, d_os in ((0, 5), (5, 0)):
         with pytest.raises(InvalidModel, match="event targets must be at least 1"):
             CutoffTargets(d_pfs, d_os)
+    for d_pfs, d_os in ((np.nan, 5), (5, np.nan), (np.inf, 5), (5, np.inf)):
+        with pytest.raises(InvalidModel, match="event targets must be finite"):
+            CutoffTargets(d_pfs, d_os)
     t = CutoffTargets.from_rates(25.0 / 64.0, 38.0 / 64.0, 128)
     assert (t.d_pfs, t.d_os) == (50, 76)
     # ceil rounds partial events up
