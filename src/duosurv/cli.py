@@ -22,10 +22,11 @@ from .errors import ConfigError, DuosurvError, InvalidModel
 from .harness import (DROPOUT_RATE, Scenario, analyze_cohort,
                       default_designs, metrics_csv_text, null_scenario,
                       plan_events, power_scenario, run_experiment)
+from .logrank import covariance_matrix, logrank
 from .multistate import (Cohort, CohortModel, FrailtySpec,
                          TransitionIntensities)
 from .testing import PROCEDURES, run_procedure
-from .trialdata import CutoffTargets
+from .trialdata import PFS, CutoffTargets
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,13 +122,11 @@ def _intensities(block, key, where, required=True):
         if required:
             raise ConfigError(f"'{where}.{key}' is required")
         return None
-    value = block[key]
-    if (not isinstance(value, (list, tuple)) or len(value) != 3
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   or not math.isfinite(v) for v in value)):
-        raise ConfigError(f"'{where}.{key}' must be a list of three finite "
-                          "rates [l01, l02, l12]")
-    return TransitionIntensities(*(float(v) for v in value))
+    rates = _entries(block, key, where, _number)
+    if len(rates) != 3:
+        raise ConfigError(f"'{where}.{key}' must be a list of three rates "
+                          "[l01, l02, l12]")
+    return TransitionIntensities(*rates)
 
 
 def _frailty(block, where) -> FrailtySpec | None:
@@ -372,18 +371,6 @@ def read_cohort(path: str) -> Cohort:
                   t_pfs=data[:, 2], t_os=data[:, 3], dropout=data[:, 4])
 
 
-# report keys of the correlations the procedures read, with their indices
-# in the covariance order pfs@interim, os@interim, pfs@final, os@final
-_REPORTED_CORRELATIONS = {"os_interim_os_final": (1, 3),
-                          "pfs_interim_os_final": (0, 3),
-                          "pfs_interim_os_interim": (0, 1)}
-
-
-def _format_matrix(matrix) -> str:
-    return "\n".join("  " + "  ".join(f"{v: .4f}" for v in row)
-                     for row in np.asarray(matrix))
-
-
 def cmd_analyze(args) -> int:
     config = load_config(args.config)
     _check_keys(config, ("design", "targets"), "config")
@@ -402,8 +389,10 @@ def cmd_analyze(args) -> int:
     inputs, interim, final = analyze_cohort(read_cohort(args.data), targets)
     outcome = run_procedure(design, inputs)
     t_interim, t_final = interim.calendar_time, final.calendar_time
-    z = {k: getattr(inputs, k) for k in ("z_pfs_interim", "z_os_interim",
-                                         "z_pfs_final", "z_os_final")}
+    # the final-PFS curve is cached on the snapshot by analyze_cohort
+    z = dict(z_pfs_interim=inputs.z_pfs_interim,
+             z_os_interim=inputs.z_os_interim,
+             z_pfs_final=logrank(final, PFS).z, z_os_final=inputs.z_os_final)
 
     yes = {True: "yes", False: "no"}
     print(f"procedure        {design.procedure}")
@@ -412,7 +401,8 @@ def cmd_analyze(args) -> int:
     print("z values         " + "  ".join(f"{k}={v:.4f}" for k, v in z.items()))
     print(f"os information   {inputs.os_fraction_interim:.4f}")
     print("correlation matrix (pfs@interim, os@interim, pfs@final, os@final)")
-    print(_format_matrix(inputs.covariance.corr))
+    for row in covariance_matrix(interim, final).corr:
+        print("  " + "  ".join(f"{v: .4f}" for v in row))
     if outcome.inflation_factors:
         print("inflation        " + "  ".join(
             f"{k}={v:.5f}" for k, v in sorted(outcome.inflation_factors.items())))
@@ -429,8 +419,9 @@ def cmd_analyze(args) -> int:
               "interim_time": f"{t_interim:.6f}",
               "final_time": f"{t_final:.6f}",
               **{k: f"{v:.6f}" for k, v in z.items()},
-              **{k: f"{inputs.covariance.correlation(i, j):.6f}"
-                 for k, (i, j) in _REPORTED_CORRELATIONS.items()},
+              "os_interim_os_final": f"{inputs.r_o1o2:.6f}",
+              "pfs_interim_os_final": f"{inputs.r_p1o2:.6f}",
+              "pfs_interim_os_interim": f"{inputs.r_p1o1:.6f}",
               **{k: f"{v:.6f}" for k, v in sorted(outcome.inflation_factors.items())},
               "case": outcome.case_label,
               "rejected_global": int(outcome.rejected_global),
@@ -525,7 +516,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # stdout's reader is gone: the flush at exit must not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: BrokenPipeError: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

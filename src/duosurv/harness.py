@@ -156,13 +156,14 @@ def analyze_cohort(cohort, targets: CutoffTargets):
     final = snapshot(kept, t_final)
     lr = [logrank(interim, PFS), logrank(interim, OS),
           logrank(final, PFS), logrank(final, OS)]
-    cov = covariance_matrix(interim, final)
-    z = [r.z for r in lr]
+    # lr[2] goes unread, but covariance_matrix needs its curve; the rows are
+    # pfs@interim, os@interim, pfs@final, os@final
+    corr = covariance_matrix(interim, final).corr
     inputs = AnalysisInputs(
-        z_pfs_interim=z[0], z_os_interim=z[1], z_os_final=z[3],
-        covariance=cov,
-        os_fraction_interim=information_fraction(interim, OS, targets.d_os),
-        z_pfs_final=z[2])
+        z_pfs_interim=lr[0].z, z_os_interim=lr[1].z, z_os_final=lr[3].z,
+        r_p1o1=float(corr[0, 1]), r_p1o2=float(corr[0, 3]),
+        r_o1o2=float(corr[1, 3]),
+        os_fraction_interim=information_fraction(interim, OS, targets.d_os))
     return inputs, interim, final
 
 

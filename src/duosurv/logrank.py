@@ -94,10 +94,9 @@ class _EndpointCurves:
 
 
 def _curves(snap: Snapshot, endpoint: str) -> _EndpointCurves:
-    cache = snap.__dict__.setdefault("_curves_cache", {})
-    if endpoint not in cache:
-        cache[endpoint] = _EndpointCurves(snap, endpoint)
-    return cache[endpoint]
+    if endpoint not in snap.curves:
+        snap.curves[endpoint] = _EndpointCurves(snap, endpoint)
+    return snap.curves[endpoint]
 
 
 def logrank(snap: Snapshot, endpoint: str) -> LogrankResult:
@@ -158,9 +157,6 @@ class CovarianceEstimate:
     matrix: np.ndarray
     corr: np.ndarray
     clamped: bool
-
-    def correlation(self, i: int, j: int) -> float:
-        return float(self.corr[i, j])
 
 
 def covariance_matrix(snap_interim: Snapshot, snap_final: Snapshot) -> CovarianceEstimate:

@@ -57,6 +57,7 @@ class TransitionIntensities:
                       self.lambda_01, self.lambda_02, self.lambda_12)
         if min(self.lambda_01, self.lambda_02, self.lambda_12) < 0.0:
             raise InvalidModel("transition intensities must be non-negative")
+        _check_finite("state 0 exit intensity", self.lambda_01 + self.lambda_02)
         if self.lambda_01 + self.lambda_02 <= 0.0:
             raise InvalidModel("state 0 must have a positive exit intensity")
 

@@ -47,7 +47,6 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ConfigError
-from .logrank import CovarianceEstimate
 from .mvnorm import InflationProblem, solve_inflation
 from .spending import SpendingFunction
 
@@ -76,9 +75,6 @@ _GROUP_SEQUENTIAL = frozenset({"bon_gs", "rec_gs", "ex_gs_last", "ex_gs_first"})
 _EXHAUSTIVE = frozenset({"ex_last", "ex_first", "ex_gs_last", "ex_gs_first"})
 _FIRST = frozenset({"ex_first", "ex_gs_first"})
 _BONFERRONI = frozenset({"bon", "bon_gs"})
-
-# covariance row order produced by logrank.covariance_matrix
-_P1, _O1, _P2, _O2 = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -144,14 +140,21 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class AnalysisInputs:
-    """Standardized statistics and their joint covariance for one trial."""
+    """The seven numbers the closed tests of one trial read: the z values of
+    PFS at the interim (P1), OS at the interim (O1) and OS at the final
+    analysis (O2), their estimated correlations and the OS information
+    fraction at the interim.  ``solves`` caches the inflation factors solved
+    for the trial, which all procedures run on it share."""
 
     z_pfs_interim: float
     z_os_interim: float
     z_os_final: float
-    covariance: CovarianceEstimate
+    r_p1o1: float
+    r_p1o2: float
+    r_o1o2: float
     os_fraction_interim: float
-    z_pfs_final: float | None = None
+    solves: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
 
 @dataclass(frozen=True)
@@ -179,15 +182,14 @@ def _corr2(r: float) -> np.ndarray:
 
 
 def _solve(inputs: AnalysisInputs, problem: InflationProblem) -> float:
-    """``solve_inflation``, cached on the trial's inputs: procedures run on
+    """``solve_inflation``, cached in ``inputs.solves``: procedures run on
     one trial share solves, and the cache goes with the trial (as log-rank
     curves go with their snapshot)."""
-    cache = inputs.__dict__.setdefault("_solve_cache", {})
     key = (tuple(problem.base_levels), tuple(problem.fixed_thresholds),
            np.asarray(problem.corr, dtype=float).tobytes(), problem.target)
-    if key not in cache:
-        cache[key] = solve_inflation(problem)
-    return cache[key]
+    if key not in inputs.solves:
+        inputs.solves[key] = solve_inflation(problem)
+    return inputs.solves[key]
 
 
 def _final_os_threshold(inputs, scaled_level, fixed, corr, target):
@@ -216,10 +218,6 @@ class _ClosedTest:
 
     def __init__(self, design: DesignSpec, inputs: AnalysisInputs):
         self.design, self.inputs = design, inputs
-        cov = inputs.covariance
-        self.r_p1o1 = cov.correlation(_P1, _O1)
-        self.r_p1o2 = cov.correlation(_P1, _O2)
-        self.r_o1o2 = cov.correlation(_O1, _O2)
         tau = inputs.os_fraction_interim
         self.b1 = design.os_shape.spend(tau, design.level_os)
         self.e1 = design.elementary_os_spend(tau)
@@ -234,7 +232,8 @@ class _ClosedTest:
         if self.design.procedure not in _EXHAUSTIVE:
             return ndtri(pa), ndtri(b1)
         xi1 = 1.0 if b1 <= 0.0 else _solve(self.inputs, InflationProblem(
-            base_levels=(pa, b1), corr=_corr2(self.r_p1o1), target=pa + b1))
+            base_levels=(pa, b1), corr=_corr2(self.inputs.r_p1o1),
+            target=pa + b1))
         self.xi["interim_joint"] = xi1
         return ndtri(xi1 * pa), ndtri(xi1 * b1)
 
@@ -243,19 +242,19 @@ class _ClosedTest:
         """Last OS component of the intersection test.  Uninflated, it
         spends the rest of the OS share after b1; inflated, it exhausts
         alpha given the interim thresholds the intersection used."""
-        d, b1 = self.design, self.b1
+        d, b1, x = self.design, self.b1, self.inputs
         if d.procedure not in _EXHAUSTIVE:
-            fixed, corr, target = (ndtri(b1),), _corr2(self.r_o1o2), d.level_os
+            fixed, corr, target = (ndtri(b1),), _corr2(x.r_o1o2), d.level_os
         elif b1 > 0.0:
             fixed, target = self.interim, d.alpha
             corr = np.array([
-                [1.0, self.r_p1o2, self.r_o1o2],
-                [self.r_p1o2, 1.0, self.r_p1o1],
-                [self.r_o1o2, self.r_p1o1, 1.0],
+                [1.0, x.r_p1o2, x.r_o1o2],
+                [x.r_p1o2, 1.0, x.r_p1o1],
+                [x.r_o1o2, x.r_p1o1, 1.0],
             ])
         else:
             fixed = (self.interim[0],)
-            corr, target = _corr2(self.r_p1o2), d.alpha
+            corr, target = _corr2(x.r_p1o2), d.alpha
         self.xi["final_joint"], thr = _final_os_threshold(
             self.inputs, d.level_os - b1, fixed, corr, target)
         return thr
@@ -266,7 +265,7 @@ class _ClosedTest:
         level = self.design.elementary_os_level
         self.xi["elementary_final"], thr = _final_os_threshold(
             self.inputs, level - self.e1, (ndtri(self.e1),),
-            _corr2(self.r_o1o2), level)
+            _corr2(self.inputs.r_o1o2), level)
         return thr
 
     def elementary_rejection(self, zo1: float, zo2: float) -> str | None:

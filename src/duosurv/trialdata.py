@@ -9,7 +9,7 @@ calendar dates of the interim and final analysis are themselves random.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class Snapshot:
     the statistics; :func:`snapshot` sets it to the cohort size so that
     statistics computed at different calendar times of the same trial share
     one normalization.  ``index`` holds each record's position in that
-    cohort.
+    cohort.  ``curves`` caches each endpoint's log-rank curves.
     """
 
     calendar_time: float
@@ -51,6 +51,8 @@ class Snapshot:
     d_os: np.ndarray
     index: np.ndarray
     n_ref: int
+    curves: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __len__(self) -> int:
         return len(self.arm)

@@ -1,10 +1,13 @@
 """End-to-end CLI behaviour through in-process ``main`` calls."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import duosurv
 from duosurv import cli, harness
 from duosurv.multistate import TransitionIntensities
 
@@ -324,6 +327,9 @@ def test_non_numeric_list_entries_are_config_errors(tmp_path, capsys,
      "'scenario.control' must be"),
     ("simulate", "control: [0.5, 0.8, 0.8]", "control: [-0.5, 0.8, 0.8]",
      "transition intensities must be non-negative"),
+    # PyYAML reads an exponent without a decimal point and a sign as text
+    ("simulate", "control: [0.5, 0.8, 0.8]", "control: [1e-1, 0.8, 0.8]",
+     "'scenario.control' must be a number, but YAML read '1e-1' as text"),
     ("simulate", "max_per_arm: 40", "max_per_arm: 0",
      "need at least one patient per arm"),
     ("simulate", "dropout_rate: 0.0", "dropout_rate: -0.1",
@@ -332,8 +338,8 @@ def test_non_numeric_list_entries_are_config_errors(tmp_path, capsys,
 ], ids=["frailty_shape", "d_pfs", "weight", "target_at_weight_0",
         "per_arm_rate", "analyze_d_pfs", "n_reps_inf", "rho_pfs_nan",
         "rho_os_sum", "rho_os_zero", "rho_os_nan", "dropout_rate_nan",
-        "control_nan", "control_negative", "max_per_arm_zero",
-        "dropout_rate_negative", "plan_d_pfs"])
+        "control_nan", "control_negative", "control_exponent",
+        "max_per_arm_zero", "dropout_rate_negative", "plan_d_pfs"])
 def test_out_of_range_model_values_are_config_errors(tmp_path, capsys,
                                                      monkeypatch, command,
                                                      old, new, fragment):
@@ -405,6 +411,25 @@ def test_analyze_report_fields(tmp_path, capsys):
         assert key in report, key
     assert float(report["interim_time"]) < float(report["final_time"])
     assert report["rejected_global"] in ("0", "1")
+
+
+def test_closed_stdout_pipe_is_a_runtime_error(tmp_path):
+    # the read end is closed before the child starts, so its first write to
+    # stdout meets a broken pipe
+    data = write(tmp_path / "trial.txt", make_cohort_text())
+    cfg = write(tmp_path / "an.yaml", ANALYZE_CONFIG)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "duosurv", "analyze", "--data", data,
+             "--config", cfg], cwd=os.path.dirname(duosurv.__path__[0]),
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert out.returncode == cli.EXIT_RUNTIME
+    assert out.stderr.startswith("error: BrokenPipeError:")
+    assert len(out.stderr.splitlines()) == 1
 
 
 def test_analyze_arm_flip_negates_z(tmp_path, capsys):

@@ -7,12 +7,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from duosurv import harness
+from duosurv import harness, testing
 from duosurv.errors import ConfigError, NoSolution
 from duosurv.harness import (
     CSV_COLUMNS,
     DROPOUT_RATE,
     Scenario,
+    analyze_cohort,
     default_designs,
     metrics_csv_text,
     null_scenario,
@@ -22,12 +23,15 @@ from duosurv.harness import (
     simulate_replication,
     table_intensities,
 )
+from duosurv.logrank import covariance_matrix, logrank
 from duosurv.multistate import (CohortModel, FrailtySpec,
-                                TransitionIntensities)
+                                TransitionIntensities, simulate_cohort)
+from duosurv.mvnorm import solve_inflation
 from duosurv.testing import PROCEDURES, DesignSpec
-from duosurv.trialdata import CutoffTargets
+from duosurv.trialdata import PFS, CutoffTargets
 
 NO_EARLY_STOP = ("bon", "rec", "ex_last", "os")
+SEED = 20260814
 
 
 def test_dropout_rate_constant():
@@ -111,11 +115,46 @@ def test_simulate_replication_produces_analysis_inputs():
     sc = null_scenario(1, 128)
     inputs, failure = simulate_replication(sc, seed=0, replication=0)
     assert failure is None
-    for z in (inputs.z_pfs_interim, inputs.z_os_interim, inputs.z_os_final,
-              inputs.z_pfs_final):
+    for z in (inputs.z_pfs_interim, inputs.z_os_interim, inputs.z_os_final):
         assert np.isfinite(z)
+    for r in (inputs.r_p1o1, inputs.r_p1o2, inputs.r_o1o2):
+        assert np.isfinite(r) and -1.0 <= r <= 1.0
     assert 0.0 < inputs.os_fraction_interim <= 1.5
-    assert inputs.covariance.matrix.shape == (4, 4)
+    _, interim, final = analyze_cohort(simulate_cohort(sc.model, 0, 0),
+                                       sc.targets)
+    assert np.isfinite(logrank(final, PFS).z)
+    assert covariance_matrix(interim, final).matrix.shape == (4, 4)
+
+
+@pytest.mark.parametrize("scenario", [power_scenario(1),
+                                      null_scenario(1, 128)],
+                         ids=["power", "null_128"])
+def test_analysis_inputs_hold_the_interim_pfs_and_os_correlations(scenario):
+    for rep in range(3):
+        inputs, interim, final = analyze_cohort(
+            simulate_cohort(scenario.model, SEED, rep), scenario.targets)
+        # rows pfs@interim, os@interim, pfs@final, os@final
+        corr = covariance_matrix(interim, final).corr
+        read = (inputs.r_p1o1, inputs.r_p1o2, inputs.r_o1o2)
+        assert read == (corr[0, 1], corr[0, 3], corr[1, 3])
+        # the three read entries and the final-PFS ones all differ, so a
+        # wrong or swapped index cannot go unseen
+        assert len(set(read) | {corr[0, 2], corr[1, 2], corr[2, 3]}) == 6
+
+
+def test_procedures_of_one_trial_share_inflation_solves(monkeypatch):
+    # outcomes are the same without the per-trial cache in
+    # AnalysisInputs.solves; only the solve count shows that it dedupes
+    # across the nine procedures (327 solves here without it)
+    calls = []
+
+    def counting(problem):
+        calls.append(problem)
+        return solve_inflation(problem)
+
+    monkeypatch.setattr(testing, "solve_inflation", counting)
+    run_experiment(power_scenario(1), default_designs(), 50, SEED)
+    assert len(calls) == 202
 
 
 def test_simulate_replication_failure_labels():

@@ -166,7 +166,7 @@ def test_covariance_matrix_layout_and_symmetry():
     assert np.all(np.diag(est.corr) == 1.0)
     assert np.all(np.abs(est.corr) <= 1.0)
     scale = 1.0 / np.sqrt(np.diag(m))
-    assert est.correlation(0, 1) == pytest.approx(
+    assert est.corr[0, 1] == pytest.approx(
         m[0, 1] * scale[0] * scale[1], abs=TOL)
     assert not est.clamped
 
@@ -214,12 +214,12 @@ def test_equal_analysis_times_hit_correlation_clamp():
     snap = two_arm_records(items)
     est = covariance_matrix(snap, snap)
     assert est.clamped
-    assert est.correlation(0, 2) == CORRELATION_CLAMP
-    assert est.correlation(1, 3) == CORRELATION_CLAMP
+    assert est.corr[0, 2] == CORRELATION_CLAMP
+    assert est.corr[1, 3] == CORRELATION_CLAMP
     assert est.matrix[0, 2] == est.matrix[0, 0]
     # the two endpoints stay distinct estimators even on identical data: the
     # residual product form need not equal the hypergeometric variance
-    assert est.correlation(0, 1) < 1.0
+    assert est.corr[0, 1] < 1.0
 
 
 def test_indefinite_estimate_is_projected_to_psd():

@@ -110,6 +110,7 @@ def test_zero_dropout_rate_means_no_censoring():
     (0.1, 0.1, np.nan),
     (np.inf, 0.1, 0.1),
     (0.1, 0.1, np.inf),
+    (1e308, 1e308, 0.1),
 ])
 def test_intensity_validation(bad_spec):
     with pytest.raises(InvalidModel):
@@ -134,6 +135,9 @@ def test_model_and_spec_validation():
             # a nan passes every comparison-based range check
             (lambda: TransitionIntensities(np.nan, 0.1, 0.1),
              "transition intensities must be finite"),
+            # finite rates whose sum, the exit intensity of state 0, is not
+            (lambda: TransitionIntensities(1e308, 1e308, 0.1),
+             "state 0 exit intensity must be finite"),
             (lambda: model(per_arm_rate=np.nan), "recruitment rate must be finite"),
             (lambda: model(per_arm_rate=np.inf), "recruitment rate must be finite"),
             (lambda: model(max_per_arm=np.nan), "patients per arm must be finite"),
@@ -161,6 +165,13 @@ def test_vanishing_rates_mean_never_without_warnings():
     progressed = (cohort.arm == 0) & (cohort.t_os > cohort.t_pfs)
     assert np.all(cohort.t_os[progressed] > 1.0e300)
     assert np.isinf(cohort.t_os[progressed]).any()
+
+
+def test_huge_progression_rate_progresses_at_once_without_warnings():
+    # the exit intensity 1e308 + 0 is finite: every patient progresses
+    fast = TransitionIntensities(1e308, 0.0, 0.1)
+    cohort = simulate_cohort(model(control=fast, experimental=fast), seed=4)
+    assert np.all(cohort.t_os > cohort.t_pfs)
 
 
 def test_vanishing_recruitment_rate_means_never_entered():

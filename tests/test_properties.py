@@ -25,7 +25,6 @@ from scipy.special import ndtri
 from scipy.stats import norm
 
 import oracles
-from duosurv.logrank import CovarianceEstimate
 from duosurv.mvnorm import (XI_TOL, InflationProblem, OrthantQuery,
                             mvn_upper_orthant, solve_inflation)
 from duosurv.testing import (PROCEDURES, AnalysisInputs, DesignSpec,
@@ -55,9 +54,11 @@ def analysis_inputs(draw, taus=st.floats(0.2, 0.98)):
 
 
 def make_inputs(zp1, zo1, zo2, corr, tau):
-    cov = CovarianceEstimate(matrix=corr.copy(), corr=corr, clamped=False)
+    """The inputs of a drawn case: its 4x4 ``corr`` is in the order pfs@t1,
+    os@t1, pfs@t2, os@t2 of ``logrank.covariance_matrix``."""
     return AnalysisInputs(z_pfs_interim=zp1, z_os_interim=zo1, z_os_final=zo2,
-                          covariance=cov, os_fraction_interim=tau)
+                          r_p1o1=corr[0, 1], r_p1o2=corr[0, 3],
+                          r_o1o2=corr[1, 3], os_fraction_interim=tau)
 
 
 @st.composite

@@ -1,9 +1,9 @@
 """Decision logic of the nine procedures on handcrafted statistics.
 
 A fixed synthetic correlation structure (r_p1o1 = 0.71, r_p1o2 = 0.58,
-r_o1o2 = 0.80, unit variances) drives every test; thresholds quoted in
-comments were computed from the defining equations with the solver checked
-independently in test_mvnorm.  Interim information fraction is 0.644
+r_o1o2 = 0.80) drives every test; thresholds quoted in comments were
+computed from the defining equations with the solver checked independently
+in test_mvnorm.  Interim information fraction is 0.644
 throughout, giving an O'Brien-Fleming interim spend b1 of about 0.0037449.
 """
 
@@ -12,7 +12,6 @@ import pytest
 from scipy.stats import norm
 
 from duosurv.errors import ConfigError
-from duosurv.logrank import CovarianceEstimate
 from duosurv.mvnorm import InflationProblem, solve_inflation
 from duosurv.spending import SpendingFunction
 from duosurv.testing import (
@@ -34,19 +33,10 @@ B1 = 2.0 * norm.sf(norm.ppf(1.0 - 0.01) / np.sqrt(TAU))  # 0.0037449
 PPF_B1 = norm.ppf(B1)          # -2.6742
 
 
-def make_cov():
-    corr = np.array([
-        [1.0, R_P1O1, 0.90, R_P1O2],
-        [R_P1O1, 1.0, 0.65, R_O1O2],
-        [0.90, 0.65, 1.0, 0.70],
-        [R_P1O2, R_O1O2, 0.70, 1.0],
-    ])
-    return CovarianceEstimate(matrix=corr.copy(), corr=corr, clamped=False)
-
-
 def make_inputs(zp1, zo1, zo2, tau=TAU):
     return AnalysisInputs(z_pfs_interim=zp1, z_os_interim=zo1, z_os_final=zo2,
-                          covariance=make_cov(), os_fraction_interim=tau)
+                          r_p1o1=R_P1O1, r_p1o2=R_P1O2, r_o1o2=R_O1O2,
+                          os_fraction_interim=tau)
 
 
 def run(procedure, zp1, zo1, zo2, tau=TAU) -> TrialOutcome:
@@ -259,17 +249,9 @@ def test_ex_first_os_rejection_requires_its_elementary_test():
     # threshold (about -2.0283), and the elementary interim test at ppf(pa)
     # does not reject at z_os_interim = 0; so z_os_final = -2.0273 rejects
     # the intersection but not OS
-    corr = np.array([
-        [1.0, 0.2, 0.8, 0.6],
-        [0.2, 1.0, 0.2, 0.5],
-        [0.8, 0.2, 1.0, 0.6],
-        [0.6, 0.5, 0.6, 1.0],
-    ])
     inputs = AnalysisInputs(
         z_pfs_interim=0.0, z_os_interim=0.0, z_os_final=-2.0273,
-        covariance=CovarianceEstimate(matrix=corr.copy(), corr=corr,
-                                      clamped=False),
-        os_fraction_interim=0.3)
+        r_p1o1=0.2, r_p1o2=0.6, r_o1o2=0.5, os_fraction_interim=0.3)
     out = run_procedure(DesignSpec("ex_first"), inputs)
     assert out.case_label == "2" and out.rejected_global
     assert not out.rejected_os
