@@ -60,6 +60,7 @@ from .testing import (
     PROCEDURES,
     AnalysisInputs,
     DesignSpec,
+    Outcomes,
     TrialOutcome,
     check_consonance,
     run_procedure,

@@ -387,19 +387,20 @@ def cmd_analyze(args) -> int:
         d_os=_integer(targets_block, "d_os", "targets", required=True))
 
     inputs, interim, final = analyze_cohort(read_cohort(args.data), targets)
-    outcome = run_procedure(design, inputs)
+    outcome = run_procedure(design, inputs)[0]
     t_interim, t_final = interim.calendar_time, final.calendar_time
     # the final-PFS curve is cached on the snapshot by analyze_cohort
-    z = dict(z_pfs_interim=inputs.z_pfs_interim,
-             z_os_interim=inputs.z_os_interim,
-             z_pfs_final=logrank(final, PFS).z, z_os_final=inputs.z_os_final)
+    z = dict(z_pfs_interim=inputs.z_pfs_interim[0],
+             z_os_interim=inputs.z_os_interim[0],
+             z_pfs_final=logrank(final, PFS).z,
+             z_os_final=inputs.z_os_final[0])
 
     yes = {True: "yes", False: "no"}
     print(f"procedure        {design.procedure}")
     print(f"interim cutoff   t={t_interim:.4f}  ({targets.d_pfs} pfs events)")
     print(f"final cutoff     t={t_final:.4f}  ({targets.d_os} os events)")
     print("z values         " + "  ".join(f"{k}={v:.4f}" for k, v in z.items()))
-    print(f"os information   {inputs.os_fraction_interim:.4f}")
+    print(f"os information   {inputs.os_fraction_interim[0]:.4f}")
     print("correlation matrix (pfs@interim, os@interim, pfs@final, os@final)")
     for row in covariance_matrix(interim, final).corr:
         print("  " + "  ".join(f"{v: .4f}" for v in row))
@@ -419,9 +420,9 @@ def cmd_analyze(args) -> int:
               "interim_time": f"{t_interim:.6f}",
               "final_time": f"{t_final:.6f}",
               **{k: f"{v:.6f}" for k, v in z.items()},
-              "os_interim_os_final": f"{inputs.r_o1o2:.6f}",
-              "pfs_interim_os_final": f"{inputs.r_p1o2:.6f}",
-              "pfs_interim_os_interim": f"{inputs.r_p1o1:.6f}",
+              "os_interim_os_final": f"{inputs.r_o1o2[0]:.6f}",
+              "pfs_interim_os_final": f"{inputs.r_p1o2[0]:.6f}",
+              "pfs_interim_os_interim": f"{inputs.r_p1o1[0]:.6f}",
               **{k: f"{v:.6f}" for k, v in sorted(outcome.inflation_factors.items())},
               "case": outcome.case_label,
               "rejected_global": int(outcome.rejected_global),

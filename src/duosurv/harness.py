@@ -3,9 +3,11 @@
 A scenario pairs the cohort model (arm intensities, recruitment, dropout,
 frailty) with the two event targets.  One replication simulates a
 cohort, locates the two event-triggered analysis times, freezes the two data
-snapshots, and reduces them to the statistics bundle the testing layer
-consumes.  Experiments keep one outcome row per replication and procedure,
-in replication order, so results do not depend on the worker count.
+snapshots, and reduces them to the seven numbers the testing layer
+consumes.  Each procedure then decides a block of replications at once.
+Experiments keep one outcome row per replication and procedure, in
+replication order, so results depend neither on the worker count nor on
+how the replications are cut into blocks.
 
 Replication ``r`` of an experiment derives its random stream from
 ``(seed, r)`` alone; the frailty variates are drawn after the shared base
@@ -67,6 +69,11 @@ _POWER_RATE_PER_ARM = 25.0
 _POWER_CAP_PER_ARM = 800
 _FWER_PFS_RATE = 25.0 / 64.0
 _FWER_OS_RATE = 38.0 / 64.0
+
+# replications decided together: large enough that the procedures' numpy
+# calls cover many trials each, small enough to keep a chunk's memory flat
+_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -141,9 +148,10 @@ def default_designs(procedures=PROCEDURES, alpha: float = 0.025,
 def analyze_cohort(cohort, targets: CutoffTargets):
     """Event-driven cutoffs, snapshots and statistics of one cohort.
 
-    Returns ``(inputs, interim, final)``: the testing layer's inputs plus
-    the two snapshots, whose calendar times are the cutoffs.  Raises
-    ``InsufficientEvents``, ``CutoffOrder`` or ``DegenerateVariance``.
+    Returns ``(inputs, interim, final)``: the testing layer's inputs, a
+    block of one trial, plus the two snapshots, whose calendar times are
+    the cutoffs.  Raises ``InsufficientEvents``, ``CutoffOrder`` or
+    ``DegenerateVariance``.
     """
     t_interim = event_cutoff(cohort, PFS, targets.d_pfs)
     t_final = event_cutoff(cohort, OS, targets.d_os)
@@ -185,24 +193,40 @@ def simulate_replication(scenario: Scenario, seed: int, replication: int):
         return None, "degenerate_variance"
 
 
-def _outcome_bits(out) -> tuple:
-    return (out.rejected_pfs, out.rejected_os, out.rejected_any,
-            out.rejected_all, out.early_stop, out.rejected_global)
+def _outcome_bits(out) -> np.ndarray:
+    """The pfs, os, disjunctive, conjunctive, early-stop and global
+    rejections of a block, one row per trial."""
+    return np.column_stack((
+        out.rejected_pfs, out.rejected_os, out.rejected_pfs | out.rejected_os,
+        out.rejected_pfs & out.rejected_os, out.early_stop,
+        out.rejected_global))
 
 
 def _run_chunk(scenario, designs, seed, start, stop):
     """Analyzable replication ids in ``[start, stop)``, their outcome bits
-    (one row per design) and the failures by label."""
+    (one row per design) and the failures by label.
+
+    Replications are simulated one by one and decided in blocks of up to
+    ``_BLOCK``: each design runs once per block.  No trial's decision
+    depends on the others of its block, so the chunk bounds change nothing.
+    """
     rep_ids, bits, failures = [], [], Counter()
-    for rep in range(start, stop):
-        inputs, fail = simulate_replication(scenario, seed, rep)
-        if fail is not None:
-            failures[fail] += 1
-            continue
-        rep_ids.append(rep)
-        bits.append([_outcome_bits(run_procedure(d, inputs)) for d in designs])
-    shape = (len(rep_ids), len(designs), 6)
-    return rep_ids, np.array(bits, dtype=bool).reshape(shape), failures
+    for first in range(start, stop, _BLOCK):
+        block = []
+        for rep in range(first, min(first + _BLOCK, stop)):
+            inputs, fail = simulate_replication(scenario, seed, rep)
+            if fail is not None:
+                failures[fail] += 1
+                continue
+            rep_ids.append(rep)
+            block.append(inputs)
+        if block:
+            inputs = AnalysisInputs.concatenate(block)
+            bits.append(np.stack([_outcome_bits(run_procedure(d, inputs))
+                                  for d in designs], axis=1))
+    if not bits:
+        return rep_ids, np.zeros((0, len(designs), 6), dtype=bool), failures
+    return rep_ids, np.concatenate(bits), failures
 
 
 @dataclass(frozen=True)

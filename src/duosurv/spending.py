@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError
@@ -36,13 +37,15 @@ class SpendingFunction:
         if self.kind not in SPENDING_KINDS:
             raise ConfigError(f"unknown spending kind {self.kind!r}")
 
-    def spend(self, tau: float, level: float) -> float:
-        """Cumulative level spent by fraction ``tau`` of a total ``level``."""
+    def spend(self, tau, level: float):
+        """Cumulative level spent by fraction ``tau`` of a total ``level``,
+        elementwise over an array of fractions."""
         if level < 0.0:
             raise ConfigError("spending level must be non-negative")
-        if tau <= 0.0:
-            return 0.0
-        s = min(max(tau, _MIN_FRACTION), 1.0)
+        tau = np.asarray(tau, dtype=float)
+        s = np.clip(tau, _MIN_FRACTION, 1.0)
         if self.kind == "full_at_one":
-            return level if s >= 1.0 else 0.0
-        return 2.0 * ndtr(-(ndtri(1.0 - 0.5 * level) / (s ** 0.5)))
+            spent = np.where(s >= 1.0, level, 0.0)
+        else:
+            spent = 2.0 * ndtr(-(ndtri(1.0 - 0.5 * level) / np.sqrt(s)))
+        return np.where(tau <= 0.0, 0.0, spent)[()]

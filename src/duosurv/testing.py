@@ -36,6 +36,11 @@ rejected at the interim.  An OS rejection always requires the elementary
 OS test to reject as well, in every case; only when that test has no
 interim look does the intersection's final threshold already imply it.
 PFS is rejected by the intersection's interim component alone.
+
+A procedure decides a block of trials at once: ``AnalysisInputs`` holds
+the seven numbers of each trial as arrays, each threshold is computed only
+for the trials whose decision reads it, and the inflation solves run over
+those trials together.  A single trial is a block of one.
 """
 
 from __future__ import annotations
@@ -46,8 +51,9 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtri
 
+from . import mvnorm
 from .errors import ConfigError
-from .mvnorm import InflationProblem, solve_inflation
+from .mvnorm import InflationProblem
 from .spending import SpendingFunction
 
 __all__ = [
@@ -55,6 +61,7 @@ __all__ = [
     "DesignSpec",
     "AnalysisInputs",
     "TrialOutcome",
+    "Outcomes",
     "run_procedure",
     "check_consonance",
 ]
@@ -123,38 +130,62 @@ class DesignSpec:
         ``bon_gs``, which recycle nothing, all of alpha otherwise."""
         return self.level_os if self.procedure in _BONFERRONI else self.alpha
 
-    def elementary_os_spend(self, tau: float) -> float:
-        """Level spent by the elementary OS test by fraction ``tau``.
+    def elementary_os_spend(self, tau):
+        """Level spent by the elementary OS test by fraction ``tau``,
+        elementwise over an array of fractions.
 
         A recycled PFS share enters as a step, at once for the ``_first``
         exhaustive variants and only at ``tau >= 1`` otherwise; the OS
         shape spends the OS share.
         """
-        if tau <= 0.0:
-            return 0.0
+        tau = np.asarray(tau, dtype=float)
         recycled = (self.procedure not in _BONFERRONI
                     and (self.procedure in _FIRST or tau >= 1.0))
-        step = self.level_pfs if recycled else 0.0
-        return step + self.os_shape.spend(tau, self.level_os)
+        step = np.where(recycled, self.level_pfs, 0.0)
+        return np.where(tau <= 0.0, 0.0,
+                        step + self.os_shape.spend(tau, self.level_os))[()]
 
 
-@dataclass(frozen=True)
+_INPUTS = ("z_pfs_interim", "z_os_interim", "z_os_final", "r_p1o1", "r_p1o2",
+           "r_o1o2", "os_fraction_interim")
+
+
+@dataclass(frozen=True, eq=False)
 class AnalysisInputs:
-    """The seven numbers the closed tests of one trial read: the z values of
-    PFS at the interim (P1), OS at the interim (O1) and OS at the final
-    analysis (O2), their estimated correlations and the OS information
-    fraction at the interim.  ``solves`` caches the inflation factors solved
-    for the trial, which all procedures run on it share."""
+    """The seven numbers the closed tests read, for a block of trials: the
+    z values of PFS at the interim (P1), OS at the interim (O1) and OS at
+    the final analysis (O2), their estimated correlations and the OS
+    information fraction at the interim.  Each field is a 1-D array with
+    one entry per trial (a float is a block of one).  ``solves`` caches the
+    inflation factors solved for the block's trials, per problem, which all
+    procedures run on the block share."""
 
-    z_pfs_interim: float
-    z_os_interim: float
-    z_os_final: float
-    r_p1o1: float
-    r_p1o2: float
-    r_o1o2: float
-    os_fraction_interim: float
-    solves: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    z_pfs_interim: np.ndarray
+    z_os_interim: np.ndarray
+    z_os_final: np.ndarray
+    r_p1o1: np.ndarray
+    r_p1o2: np.ndarray
+    r_o1o2: np.ndarray
+    os_fraction_interim: np.ndarray
+    solves: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for name in _INPUTS:
+            object.__setattr__(self, name, np.atleast_1d(
+                np.asarray(getattr(self, name), dtype=float)))
+        if len({getattr(self, name).shape for name in _INPUTS}) != 1 or \
+                self.z_pfs_interim.ndim != 1:
+            raise ValueError(
+                "analysis inputs must be 1-D arrays of one length")
+
+    def __len__(self) -> int:
+        return len(self.z_pfs_interim)
+
+    @classmethod
+    def concatenate(cls, blocks) -> "AnalysisInputs":
+        """The trials of ``blocks``, in order, as one block."""
+        return cls(*(np.concatenate([getattr(b, name) for b in blocks])
+                     for name in _INPUTS))
 
 
 @dataclass(frozen=True)
@@ -177,44 +208,94 @@ class TrialOutcome:
         return self.rejected_pfs and self.rejected_os
 
 
-def _corr2(r: float) -> np.ndarray:
-    return np.array([[1.0, r], [r, 1.0]])
+@dataclass(frozen=True, eq=False)
+class Outcomes:
+    """One procedure's decisions on a block of trials, one entry per trial
+    in each array.  ``inflation_factors`` maps each factor to its values,
+    nan where a trial did not compute it.  ``outcomes[i]`` is trial ``i``'s
+    ``TrialOutcome``."""
+
+    procedure: str
+    rejected_pfs: np.ndarray
+    rejected_os: np.ndarray
+    rejected_global: np.ndarray
+    early_stop: np.ndarray
+    case_label: np.ndarray
+    inflation_factors: dict
+
+    def __len__(self) -> int:
+        return len(self.rejected_pfs)
+
+    def __getitem__(self, i: int) -> TrialOutcome:
+        when = ("interim" if self.early_stop[i]
+                else "final" if self.rejected_os[i] else None)
+        return TrialOutcome(
+            procedure=self.procedure, rejected_pfs=bool(self.rejected_pfs[i]),
+            rejected_os=bool(self.rejected_os[i]),
+            rejected_global=bool(self.rejected_global[i]),
+            early_stop=bool(self.early_stop[i]),
+            case_label=str(self.case_label[i]),
+            analysis_of_os_rejection=when,
+            inflation_factors={k: float(v[i])
+                               for k, v in self.inflation_factors.items()
+                               if not np.isnan(v[i])})
 
 
-def _solve(inputs: AnalysisInputs, problem: InflationProblem) -> float:
-    """``solve_inflation``, cached in ``inputs.solves``: procedures run on
-    one trial share solves, and the cache goes with the trial (as log-rank
-    curves go with their snapshot)."""
-    key = (tuple(problem.base_levels), tuple(problem.fixed_thresholds),
-           np.asarray(problem.corr, dtype=float).tobytes(), problem.target)
-    if key not in inputs.solves:
-        inputs.solves[key] = solve_inflation(problem)
-    return inputs.solves[key]
+def _corr2(r) -> np.ndarray:
+    """2x2 correlation matrices with off-diagonal ``r``, one per trial."""
+    corr = np.ones((len(r), 2, 2))
+    corr[:, 0, 1] = corr[:, 1, 0] = r
+    return corr
 
 
-def _final_os_threshold(inputs, scaled_level, fixed, corr, target):
-    """``(xi, quantile)`` for the last OS look exhausting ``target`` overall.
+def _solve(inputs: AnalysisInputs, problem: InflationProblem,
+           mask) -> np.ndarray:
+    """``solve_inflation`` on the trials of ``mask``, cached in
+    ``inputs.solves``.  ``problem`` holds a row for every trial of the block
+    and is the cache key; the cache holds one factor per trial, nan until
+    solved, and a call solves only the masked trials not solved yet.  So
+    procedures run on one block share solves, and the cache goes with the
+    block (as log-rank curves go with their snapshot)."""
+    key = tuple(np.ascontiguousarray(a).tobytes() for a in (
+        problem.base_levels, problem.fixed_thresholds, problem.corr,
+        problem.target))
+    xi = inputs.solves.setdefault(key, np.full(len(inputs), np.nan))
+    todo = mask & np.isnan(xi)
+    if todo.any():
+        xi[todo] = mvnorm.solve_inflation(InflationProblem(
+            base_levels=problem.base_levels[todo], corr=problem.corr[todo],
+            target=problem.target[todo],
+            fixed_thresholds=problem.fixed_thresholds[todo]))
+    return xi
 
-    ``fixed`` holds quantiles of looks already taken (components after the
-    scaled one in ``corr``).  A non-positive remaining level means the
-    budget is gone: threshold -inf, nothing to solve.  The whole target
-    left with no earlier look taken is a single test at its own level.
+
+def _final_os_threshold(inputs, mask, scaled_level, fixed, corr, target):
+    """``(xi, quantile)`` per trial for the last OS look exhausting
+    ``target`` overall, on the trials of ``mask`` (nan elsewhere).
+
+    ``fixed`` holds one row per trial of quantiles of looks already taken
+    (components after the scaled one in ``corr``).  A non-positive
+    remaining level means the budget is gone: threshold -inf, nothing to
+    solve.  The whole target left with no earlier look taken is a single
+    test at its own level.
     """
-    if scaled_level <= 0.0:
-        return 0.0, -np.inf
-    if scaled_level == target and all(np.isneginf(f) for f in fixed):
-        return 1.0, ndtri(target)
-    xi = _solve(inputs, InflationProblem(
-        base_levels=(scaled_level,), corr=corr, target=target,
-        fixed_thresholds=tuple(fixed)))
-    return xi, ndtri(xi * scaled_level)
+    target = np.full(scaled_level.shape, target)
+    gone = scaled_level <= 0.0
+    single = (scaled_level == target) & np.isneginf(fixed).all(axis=1)
+    xi = np.where(gone, 0.0, np.where(single, 1.0, np.nan))
+    todo = mask & np.isnan(xi)
+    xi = np.where(todo, _solve(inputs, InflationProblem(
+        base_levels=scaled_level[:, None], corr=corr, target=target,
+        fixed_thresholds=fixed), todo), np.where(mask, xi, np.nan))
+    return xi, np.where(gone, -np.inf, ndtri(xi * scaled_level))
 
 
 class _ClosedTest:
-    """Thresholds of one procedure's closed test on one trial, for the
-    decision rule and the consonance check.  Each is computed on first use,
-    so no case solves for a look it does not take; ``xi`` collects the
-    inflation factors computed so far."""
+    """Thresholds of one procedure's closed test on a block of trials, for
+    the decision rule and the consonance check.  The interim thresholds
+    hold for every trial; a final one is computed on a mask of trials, so
+    no trial solves for a look it does not take.  ``xi`` collects the
+    inflation factors computed so far, nan for the trials left out."""
 
     def __init__(self, design: DesignSpec, inputs: AnalysisInputs):
         self.design, self.inputs = design, inputs
@@ -230,86 +311,87 @@ class _ClosedTest:
         exhaust the interim budget pa + b1."""
         pa, b1 = self.design.level_pfs, self.b1
         if self.design.procedure not in _EXHAUSTIVE:
-            return ndtri(pa), ndtri(b1)
-        xi1 = 1.0 if b1 <= 0.0 else _solve(self.inputs, InflationProblem(
-            base_levels=(pa, b1), corr=_corr2(self.inputs.r_p1o1),
-            target=pa + b1))
+            return np.full(b1.shape, ndtri(pa)), ndtri(b1)
+        spent = b1 > 0.0
+        xi1 = np.where(spent, _solve(self.inputs, InflationProblem(
+            base_levels=np.column_stack((np.full_like(b1, pa), b1)),
+            corr=_corr2(self.inputs.r_p1o1), target=pa + b1,
+            fixed_thresholds=np.empty((len(b1), 0))), spent), 1.0)
         self.xi["interim_joint"] = xi1
         return ndtri(xi1 * pa), ndtri(xi1 * b1)
 
-    @cached_property
-    def final_intersection(self) -> float:
-        """Last OS component of the intersection test.  Uninflated, it
-        spends the rest of the OS share after b1; inflated, it exhausts
-        alpha given the interim thresholds the intersection used."""
+    def final_intersection(self, mask=None) -> np.ndarray:
+        """Last OS component of the intersection test, on the trials of
+        ``mask`` (all by default).  Uninflated, it spends the rest of the
+        OS share after b1; inflated, it exhausts alpha given the interim
+        thresholds the intersection used."""
         d, b1, x = self.design, self.b1, self.inputs
+        mask = np.ones(len(x), dtype=bool) if mask is None else mask
+        scaled = d.level_os - b1
         if d.procedure not in _EXHAUSTIVE:
-            fixed, corr, target = (ndtri(b1),), _corr2(x.r_o1o2), d.level_os
-        elif b1 > 0.0:
-            fixed, target = self.interim, d.alpha
-            corr = np.array([
-                [1.0, x.r_p1o2, x.r_o1o2],
-                [x.r_p1o2, 1.0, x.r_p1o1],
-                [x.r_o1o2, x.r_p1o1, 1.0],
-            ])
+            xi, thr = _final_os_threshold(x, mask, scaled, ndtri(b1)[:, None],
+                                          _corr2(x.r_o1o2), d.level_os)
         else:
-            fixed = (self.interim[0],)
-            corr, target = _corr2(x.r_p1o2), d.alpha
-        self.xi["final_joint"], thr = _final_os_threshold(
-            self.inputs, d.level_os - b1, fixed, corr, target)
+            one = np.ones(len(x))
+            corr = np.moveaxis(np.array([
+                [one, x.r_p1o2, x.r_o1o2],
+                [x.r_p1o2, one, x.r_p1o1],
+                [x.r_o1o2, x.r_p1o1, one],
+            ]), -1, 0)
+            three = b1 > 0.0
+            xi, thr = _final_os_threshold(x, mask & three, scaled,
+                                          np.column_stack(self.interim), corr,
+                                          d.alpha)
+            xi2, thr2 = _final_os_threshold(x, mask & ~three, scaled,
+                                            self.interim[0][:, None],
+                                            _corr2(x.r_p1o2), d.alpha)
+            xi, thr = np.where(three, xi, xi2), np.where(three, thr, thr2)
+        self.xi["final_joint"] = xi
         return thr
 
-    @cached_property
-    def elementary_final(self) -> float:
-        """Final quantile of the elementary OS test, spending its budget."""
-        level = self.design.elementary_os_level
+    def elementary_final(self, mask=None) -> np.ndarray:
+        """Final quantile of the elementary OS test, spending its budget, on
+        the trials of ``mask`` (all by default)."""
+        level, x = self.design.elementary_os_level, self.inputs
+        mask = np.ones(len(x), dtype=bool) if mask is None else mask
         self.xi["elementary_final"], thr = _final_os_threshold(
-            self.inputs, level - self.e1, (ndtri(self.e1),),
-            _corr2(self.inputs.r_o1o2), level)
+            x, mask, level - self.e1, ndtri(self.e1)[:, None],
+            _corr2(x.r_o1o2), level)
         return thr
 
-    def elementary_rejection(self, zo1: float, zo2: float) -> str | None:
-        """Analysis at which the elementary OS test rejects, if any."""
-        if zo1 <= ndtri(self.e1):
-            return "interim"
-        if zo2 <= self.elementary_final:
-            return "final"
-        return None
 
-
-def run_procedure(design: DesignSpec, inputs: AnalysisInputs) -> TrialOutcome:
+def run_procedure(design: DesignSpec, inputs: AnalysisInputs) -> Outcomes:
+    """Decide every trial of the block by one procedure's closed test."""
     zp1, zo1, zo2 = (inputs.z_pfs_interim, inputs.z_os_interim,
                      inputs.z_os_final)
     test = _ClosedTest(design, inputs)
     thr_p1, thr_o1 = test.interim
-    rej_pfs = bool(zp1 <= thr_p1)
-    if rej_pfs or zo1 <= thr_o1:
-        # case 1: the intersection fell at the interim; the elementary OS
-        # test runs on its own schedule, interim then final
-        rej_global = True
-        when = test.elementary_rejection(zo1, zo2)
-        case = "1.1" if when == "interim" else "1.2"
-    else:
-        # case 2: the intersection survives to the final analysis.  The
-        # elementary OS test still gates the OS rejection; without an
-        # interim look it is a final test that the intersection threshold
-        # already satisfies
-        rej_global = bool(zo2 <= test.final_intersection)
-        when = None
-        if rej_global and (test.e1 <= 0.0 or
-                           test.elementary_rejection(zo1, zo2)):
-            when = "final"
-        case = "2"
-
-    return TrialOutcome(
+    rej_pfs = zp1 <= thr_p1
+    # case 1: the intersection fell at the interim; the elementary OS test
+    # runs on its own schedule, interim then final
+    case1 = rej_pfs | (zo1 <= thr_o1)
+    # case 2: the intersection survives to the final analysis.  The
+    # elementary OS test still gates the OS rejection; without an interim
+    # look it is a final test that the intersection threshold already
+    # satisfies
+    rej_final = ~case1 & (zo2 <= test.final_intersection(~case1))
+    at_interim = zo1 <= ndtri(test.e1)
+    final_look = ~at_interim & (case1 | rej_final & (test.e1 > 0.0))
+    at_final = final_look & (zo2 <= test.elementary_final(final_look))
+    early = case1 & at_interim
+    rej_os = np.where(case1, at_interim | at_final,
+                      rej_final & ((test.e1 <= 0.0) | at_interim | at_final))
+    return Outcomes(
         procedure=design.procedure, rejected_pfs=rej_pfs,
-        rejected_os=when is not None, rejected_global=rej_global,
-        early_stop=when == "interim", case_label=case,
-        analysis_of_os_rejection=when, inflation_factors=test.xi)
+        rejected_os=rej_os, rejected_global=case1 | rej_final,
+        early_stop=early,
+        case_label=np.where(case1, np.where(early, "1.1", "1.2"), "2"),
+        inflation_factors=test.xi)
 
 
-def check_consonance(design: DesignSpec, inputs: AnalysisInputs) -> bool:
-    """Whether rejecting the intersection lets an elementary test follow.
+def check_consonance(design: DesignSpec, inputs: AnalysisInputs):
+    """Per trial, whether rejecting the intersection lets an elementary
+    test follow.
 
     Statically the level split must exhaust alpha (enforced by DesignSpec
     already).  At runtime the final intersection threshold for OS must not
@@ -320,4 +402,4 @@ def check_consonance(design: DesignSpec, inputs: AnalysisInputs) -> bool:
     is ROADMAP item 4.
     """
     test = _ClosedTest(design, inputs)
-    return bool(test.final_intersection <= test.elementary_final + 1e-9)
+    return test.final_intersection() <= test.elementary_final() + 1e-9

@@ -10,9 +10,19 @@ these oracles are used at.
 
 ``bisect_root`` is the reference root finder for the inflation solver:
 plain bisection on an increasing function, with no derivative.
+
+``ExactLaw`` gives the exact outcome probabilities of one procedure's
+decision rule under a normal law of the three statistics it reads, without
+Monte Carlo.
 """
 
 import math
+
+import numpy as np
+from scipy.special import ndtri
+
+from duosurv.mvnorm import OrthantQuery, mvn_upper_orthant
+from duosurv.testing import AnalysisInputs, _ClosedTest, run_procedure
 
 
 def observe(patients, calendar_time, endpoint):
@@ -110,3 +120,73 @@ def bisect_root(func, target, lo, hi, tol=1e-10):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _interior(grid):
+    """One point inside each interval ``(grid[i], grid[i + 1]]``."""
+    lo, hi = grid[:-1], grid[1:]
+    with np.errstate(invalid="ignore"):
+        mid = 0.5 * (lo + hi)
+    return np.where(np.isinf(lo) & np.isinf(hi), 0.0,
+                    np.where(np.isinf(lo), hi - 1.0,
+                             np.where(np.isinf(hi), lo + 1.0, mid)))
+
+
+class ExactLaw:
+    """Exact outcome probabilities of one procedure's decision rule at one
+    correlation and interim fraction, when (Z_P1, Z_O1, Z_O2) is normal
+    with unit variances, the three correlations and a given mean.
+
+    Every decision compares one z value with a threshold that depends on
+    the design, the correlations and the fraction only.  So the finite
+    thresholds cut each axis into at most three intervals, and the outcome
+    is constant on each box of intervals.  The law takes the thresholds
+    from ``_ClosedTest``, reads each box's outcome from ``run_procedure`` at
+    a point inside it, and weighs each box by its normal mass, eight signed
+    upper orthants from ``mvn_upper_orthant``.  It runs the pipeline's own
+    rule, not a copy of it.
+    """
+
+    def __init__(self, design, r_p1o1, r_p1o2, r_o1o2, tau):
+        test = _ClosedTest(design, AnalysisInputs(
+            0.0, 0.0, 0.0, r_p1o1, r_p1o2, r_o1o2, tau))
+        cuts = ((test.interim[0][0],),
+                (test.interim[1][0], ndtri(test.e1[0])),
+                (test.final_intersection()[0], test.elementary_final()[0]))
+        self.grids = [np.concatenate(
+            ([-np.inf], np.unique([c for c in axis if np.isfinite(c)]),
+             [np.inf])) for axis in cuts]
+        mesh = np.meshgrid(*map(_interior, self.grids), indexing="ij")
+        n = mesh[0].size
+        boxes = run_procedure(design, AnalysisInputs(
+            *(m.ravel() for m in mesh), np.full(n, r_p1o1),
+            np.full(n, r_p1o2), np.full(n, r_o1o2), np.full(n, tau)))
+        shape = mesh[0].shape
+        pfs = boxes.rejected_pfs.reshape(shape)
+        os_ = boxes.rejected_os.reshape(shape)
+        self.events = {"pfs": pfs, "os": os_, "any": pfs | os_,
+                       "all": pfs & os_,
+                       "early_stop": boxes.early_stop.reshape(shape),
+                       "global": boxes.rejected_global.reshape(shape)}
+        self.corr = np.array([[1.0, r_p1o1, r_p1o2],
+                              [r_p1o1, 1.0, r_o1o2],
+                              [r_p1o2, r_o1o2, 1.0]])
+
+    def box_masses(self, mean) -> np.ndarray:
+        """Probability of each box under N(``mean``, correlation)."""
+        mesh = np.meshgrid(*(g - m for g, m in zip(self.grids, mean)),
+                           indexing="ij")
+        upper = mvn_upper_orthant(OrthantQuery(
+            np.stack([m.ravel() for m in mesh], axis=1), self.corr))
+        mass = upper.reshape(mesh[0].shape)
+        # P[a < Z <= b] along an axis is P[Z > a] - P[Z > b]
+        for axis in range(3):
+            mass = -np.diff(mass, axis=axis)
+        return mass
+
+    def rates(self, mean=(0.0, 0.0, 0.0)) -> dict:
+        """Probability of each outcome: PFS, OS, either or both rejected,
+        an early stop, the intersection rejected."""
+        mass = self.box_masses(mean)
+        return {name: float(mass[event].sum())
+                for name, event in self.events.items()}

@@ -1,13 +1,14 @@
 """Scenario builders, the replication pipeline and experiment aggregation."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from duosurv import harness, testing
+from duosurv import harness, mvnorm
 from duosurv.errors import ConfigError, NoSolution
 from duosurv.harness import (
     CSV_COLUMNS,
@@ -135,7 +136,7 @@ def test_analysis_inputs_hold_the_interim_pfs_and_os_correlations(scenario):
             simulate_cohort(scenario.model, SEED, rep), scenario.targets)
         # rows pfs@interim, os@interim, pfs@final, os@final
         corr = covariance_matrix(interim, final).corr
-        read = (inputs.r_p1o1, inputs.r_p1o2, inputs.r_o1o2)
+        read = (inputs.r_p1o1[0], inputs.r_p1o2[0], inputs.r_o1o2[0])
         assert read == (corr[0, 1], corr[0, 3], corr[1, 3])
         # the three read entries and the final-PFS ones all differ, so a
         # wrong or swapped index cannot go unseen
@@ -143,18 +144,18 @@ def test_analysis_inputs_hold_the_interim_pfs_and_os_correlations(scenario):
 
 
 def test_procedures_of_one_trial_share_inflation_solves(monkeypatch):
-    # outcomes are the same without the per-trial cache in
-    # AnalysisInputs.solves; only the solve count shows that it dedupes
-    # across the nine procedures (327 solves here without it)
-    calls = []
+    # outcomes are the same without the per-block cache in
+    # AnalysisInputs.solves; only the count of solved trials shows that it
+    # dedupes across the nine procedures (327 trial-solves here without it)
+    solved = []
 
     def counting(problem):
-        calls.append(problem)
+        solved.append(len(problem.base_levels))
         return solve_inflation(problem)
 
-    monkeypatch.setattr(testing, "solve_inflation", counting)
+    monkeypatch.setattr(mvnorm, "solve_inflation", counting)
     run_experiment(power_scenario(1), default_designs(), 50, SEED)
-    assert len(calls) == 202
+    assert sum(solved) == 202
 
 
 def test_simulate_replication_failure_labels():
@@ -202,6 +203,48 @@ def test_run_experiment_worker_count_is_invisible():
     assert one.failures == three.failures
     for proc in one.procedures:
         assert np.array_equal(one.counts[proc], three.counts[proc])
+
+
+FACTORS = ("interim_joint", "final_joint", "elementary_final")
+
+
+@pytest.mark.parametrize("scenario", [power_scenario(1),
+                                      null_scenario(1, 128, FrailtySpec())],
+                         ids=["power", "null_128_frailty"])
+def test_chunk_and_block_bounds_change_no_decision_and_no_factor(
+        scenario, monkeypatch):
+    designs = default_designs()
+    recorded = []
+    original = harness.run_procedure
+
+    def recording(design, inputs):
+        out = original(design, inputs)
+        recorded.append(out)
+        return out
+
+    monkeypatch.setattr(harness, "run_procedure", recording)
+
+    def run(bounds):
+        """Rep ids, outcome bits, failures and every factor of every
+        procedure (nan where not computed), over consecutive chunks."""
+        recorded.clear()
+        parts = [harness._run_chunk(scenario, designs, SEED, a, b)
+                 for a, b in zip(bounds[:-1], bounds[1:])]
+        factors = {(p, name): np.concatenate(
+            [out.inflation_factors.get(name, np.full(len(out), np.nan))
+             for out in recorded if out.procedure == p]).tobytes()
+            for p in PROCEDURES for name in FACTORS}
+        return ([r for ids, _, _ in parts for r in ids],
+                np.concatenate([bits for _, bits, _ in parts]).tobytes(),
+                sum((f for _, _, f in parts), Counter()), factors)
+
+    n = 40
+    whole = run([0, n])
+    assert len(whole[0]) > 30
+    for k in (1, 17, 39):
+        assert run([0, k, n]) == whole
+    monkeypatch.setattr(harness, "_BLOCK", 7)
+    assert run([0, n]) == whole
 
 
 def test_run_experiment_validation():

@@ -283,21 +283,22 @@ SOLVER_WORK_CASES = (
 
 
 def test_inflation_solver_work(monkeypatch):
-    calls = []
-    original = mvnorm.mvn_upper_orthant
+    # one evaluation is one row of one orthant call
+    rows = []
+    original = mvnorm._upper_orthant
 
-    def counted(query):
-        calls.append(query)
-        return original(query)
+    def counted(lower, corr):
+        rows.append(len(lower))
+        return original(lower, corr)
 
-    monkeypatch.setattr(mvnorm, "mvn_upper_orthant", counted)
+    monkeypatch.setattr(mvnorm, "_upper_orthant", counted)
     evals = []
     for problem in SOLVER_WORK_CASES:
-        calls.clear()
+        rows.clear()
         xi = solve_inflation(problem)
-        evals.append(len(calls))
+        evals.append(sum(rows))
         bounds = [norm.ppf(xi * a) for a in problem.base_levels]
-        achieved = 1.0 - original(OrthantQuery(
+        achieved = 1.0 - mvn_upper_orthant(OrthantQuery(
             tuple(bounds) + problem.fixed_thresholds, problem.corr))
         assert achieved == pytest.approx(problem.target, abs=2e-6), problem
     assert np.mean(evals) <= 4.5, evals
@@ -323,3 +324,97 @@ def test_inflation_certain_continuation_is_dropped():
         (0.0125, 0.0125), equicorr(3, 0.3), 0.025,
         fixed_thresholds=(-np.inf,)))
     assert padded == pytest.approx(plain, abs=2e-6)
+
+
+def random_correlations(rng, m, dim):
+    """``m`` positive-loading factor-model correlations of dimension
+    ``dim``, the kind the log-rank estimator produces."""
+    loadings = rng.uniform(0.05, 0.69, size=(m, dim, 2))
+    corr = loadings @ np.swapaxes(loadings, 1, 2)
+    corr[:, np.arange(dim), np.arange(dim)] = 1.0
+    return corr
+
+
+def test_a_block_of_queries_gives_the_bits_of_its_rows():
+    rng = np.random.default_rng(11)
+    corr2 = np.array([equicorr(2, r) for r in (-1.0, -0.6, 0.0, 0.45, 1.0,
+                                               0.3, 0.3, 0.8)])
+    b2 = rng.uniform(-3.0, 1.0, size=(8, 2))
+    b2[5:7] = ([0.0, 0.0], [-0.0, 0.0])  # the arcsine limit amid the block
+    # dimension 3: first bounds spread over every segment layout, plus
+    # rows that drop a component or cannot happen
+    corr3 = random_correlations(rng, 12, 3)
+    b3 = rng.uniform(-3.0, 1.0, size=(12, 3))
+    b3[:, 0] = np.linspace(-9.0, 9.0, 12)
+    b3[2, 1] = b3[7, 0] = -np.inf
+    b3[4, 2] = np.inf
+    for bounds, corr in ((b2, corr2), (b3, corr3)):
+        block = mvn_upper_orthant(OrthantQuery(bounds, corr))
+        alone = [mvn_upper_orthant(OrthantQuery(tuple(b), c))
+                 for b, c in zip(bounds, corr)]
+        assert block.tolist() == alone
+    assert mvn_upper_orthant(OrthantQuery(b3[4], corr3[4])) == 0.0
+    # one matrix for every row
+    shared = mvn_upper_orthant(OrthantQuery(b2, corr2[3]))
+    assert shared.tolist() == [upper(b, corr2[3]) for b in b2]
+
+
+def test_a_block_of_problems_gives_the_factors_of_its_rows():
+    rng = np.random.default_rng(12)
+    m = 20
+    b1 = rng.uniform(0.001, 0.01, m)
+    interim = InflationProblem(
+        base_levels=np.column_stack((np.full(m, 0.005), b1)),
+        corr=random_correlations(rng, m, 2), target=0.005 + b1,
+        fixed_thresholds=np.empty((m, 0)))
+    final = InflationProblem(
+        base_levels=rng.uniform(0.008, 0.018, (m, 1)),
+        corr=random_correlations(rng, m, 3), target=0.025,
+        fixed_thresholds=rng.uniform(-3.4, -2.7, (m, 2)))
+    # a zero level or a -inf threshold drops a component from some rows
+    interim.base_levels[3, 0] = 0.0
+    final.fixed_thresholds[[5, 9], 1] = -np.inf
+    for problem in (interim, final):
+        block = solve_inflation(problem)
+        target = np.broadcast_to(problem.target, (m,))
+        alone = [solve_inflation(InflationProblem(
+            tuple(problem.base_levels[i]), problem.corr[i], target[i],
+            tuple(problem.fixed_thresholds[i]))) for i in range(m)]
+        assert block.tolist() == alone
+        assert (block >= 1.0).all()
+    # a block of none, and thresholds shared by every row
+    assert solve_inflation(InflationProblem(
+        np.empty((0, 1)), np.empty((0, 3, 3)), 0.025,
+        np.empty((0, 2)))).shape == (0,)
+    shared = solve_inflation(InflationProblem(
+        final.base_levels[:4], final.corr[:4], 0.025, (-3.0, -2.9)))
+    assert shared.tolist() == solve_inflation(InflationProblem(
+        final.base_levels[:4], final.corr[:4], 0.025,
+        np.tile([-3.0, -2.9], (4, 1)))).tolist()
+
+
+def test_a_block_solve_raises_what_its_worst_row_raises():
+    corr = np.array([equicorr(2, 0.5)] * 3)
+    levels = np.array([[0.0125, 0.0125]] * 3)
+    with pytest.raises(NoSolution, match="already exceeds"):
+        solve_inflation(InflationProblem(levels, corr, [0.025, 0.02, 0.025]))
+    with pytest.raises(NoSolution, match="lie in"):
+        solve_inflation(InflationProblem(levels, corr, [0.025, 0.5, 0.025]))
+    with pytest.raises(InvalidCorrelation, match="unit diagonal"):
+        bad = corr.copy()
+        bad[1] = [[2.0, 0.3], [0.3, 2.0]]
+        solve_inflation(InflationProblem(levels, bad, 0.025))
+    with pytest.raises(InvalidCorrelation, match="eigenvalue"):
+        solve_inflation(InflationProblem(
+            np.full((2, 3), 0.005),
+            np.array([equicorr(3, 0.2), [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9],
+                                         [-0.9, 0.9, 1.0]]]), 0.025))
+
+
+def test_a_stack_repairs_each_singular_matrix_as_alone():
+    stack = np.array([equicorr(3, 0.4), np.ones((3, 3)), equicorr(3, -0.5)])
+    repaired = mvnorm._validated_correlation(stack)
+    for matrix, alone in zip(repaired, stack):
+        assert matrix.tobytes() == \
+            mvnorm._validated_correlation(alone).tobytes()
+    assert repaired[0].tobytes() == stack[0].tobytes()

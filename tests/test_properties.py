@@ -72,8 +72,8 @@ def straddling_inputs(draw):
     *_, corr, tau = draw(analysis_inputs())
     test = _ClosedTest(DESIGNS[draw(st.sampled_from(PROCEDURES))],
                        make_inputs(0.0, 0.0, 0.0, corr, tau))
-    looks = ((test.interim[0],), (test.interim[1], ndtri(test.e1)),
-             (test.final_intersection, test.elementary_final))
+    looks = ((test.interim[0][0],), (test.interim[1][0], ndtri(test.e1[0])),
+             (test.final_intersection()[0], test.elementary_final()[0]))
     z = []
     for thresholds in looks:
         finite = [t for t in thresholds if np.isfinite(t)]
@@ -118,7 +118,8 @@ def elementary_os_rejects(design, zo1, zo2, corr, tau, budget) -> bool:
 
 def assert_closed_test_properties(case):
     zp1, zo1, zo2, corr, tau = case
-    out = {p: run_procedure(d, make_inputs(*case)) for p, d in DESIGNS.items()}
+    out = {p: run_procedure(d, make_inputs(*case))[0]
+           for p, d in DESIGNS.items()}
 
     for chain in NESTED:
         for weaker, stronger in zip(chain[:-1], chain[1:]):
@@ -156,7 +157,7 @@ def test_consonance_holds_except_for_the_first_variants(case):
     inputs = make_inputs(*case)
     for p, d in DESIGNS.items():
         if not p.endswith("_first"):
-            assert check_consonance(d, inputs), p
+            assert check_consonance(d, inputs)[0], p
 
 
 @property_settings(100)
@@ -171,7 +172,7 @@ def test_single_final_look_without_an_interim_os_look(case):
                 "rec": (rej_pfs, zo2 <= norm.ppf(alpha if rej_pfs else oa)),
                 "os": (False, zo2 <= norm.ppf(alpha))}
     for p, (pfs, os_) in expected.items():
-        out = run_procedure(DESIGNS[p], inputs)
+        out = run_procedure(DESIGNS[p], inputs)[0]
         assert (out.rejected_pfs, out.rejected_os) == (pfs, bool(os_)), p
         # a PFS rejection settles the intersection at the interim (case
         # 1.2, OS has no interim look); otherwise it runs to the final (2)
@@ -188,8 +189,8 @@ def test_outcome_does_not_depend_on_other_procedures(case):
     for design in DESIGNS.values():
         run_procedure(design, shared)
     for design in DESIGNS.values():
-        assert run_procedure(design, shared) == \
-            run_procedure(design, make_inputs(*case))
+        assert run_procedure(design, shared)[0] == \
+            run_procedure(design, make_inputs(*case))[0]
 
 
 def factor_correlation(draw, dim):

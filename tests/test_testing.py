@@ -40,7 +40,8 @@ def make_inputs(zp1, zo1, zo2, tau=TAU):
 
 
 def run(procedure, zp1, zo1, zo2, tau=TAU) -> TrialOutcome:
-    return run_procedure(DesignSpec(procedure), make_inputs(zp1, zo1, zo2, tau))
+    return run_procedure(DesignSpec(procedure),
+                         make_inputs(zp1, zo1, zo2, tau))[0]
 
 
 def test_bonferroni_thresholds_are_exact_quantiles():
@@ -252,7 +253,7 @@ def test_ex_first_os_rejection_requires_its_elementary_test():
     inputs = AnalysisInputs(
         z_pfs_interim=0.0, z_os_interim=0.0, z_os_final=-2.0273,
         r_p1o1=0.2, r_p1o2=0.6, r_o1o2=0.5, os_fraction_interim=0.3)
-    out = run_procedure(DesignSpec("ex_first"), inputs)
+    out = run_procedure(DesignSpec("ex_first"), inputs)[0]
     assert out.case_label == "2" and out.rejected_global
     assert not out.rejected_os
     assert out.analysis_of_os_rejection is None
@@ -261,23 +262,23 @@ def test_ex_first_os_rejection_requires_its_elementary_test():
                                                                abs=1e-4)
     assert norm.ppf(xi["elementary_final"] * 0.02) == pytest.approx(
         -2.0283, abs=1e-4)
-    assert not check_consonance(DesignSpec("ex_first"), inputs)
+    assert not check_consonance(DesignSpec("ex_first"), inputs)[0]
     # ex_last has no elementary interim look: its final test at full alpha
     # follows from the intersection rejection
-    assert run_procedure(DesignSpec("ex_last"), inputs).rejected_os
+    assert run_procedure(DesignSpec("ex_last"), inputs)[0].rejected_os
 
 
 def test_consonance_check():
     inputs = make_inputs(0.0, 0.0, 0.0)
     for proc in PROCEDURES:
-        assert check_consonance(DesignSpec(proc), inputs)
+        assert check_consonance(DesignSpec(proc), inputs)[0]
 
 
 def test_every_procedure_reports_a_closed_test_case():
     for zp1, zo1 in ((0.0, 0.0), (PPF_PA, 0.0), (0.0, -9.0)):
         inputs = make_inputs(zp1, zo1, 0.0)
         for proc in PROCEDURES:
-            out = run_procedure(DesignSpec(proc), inputs)
+            out = run_procedure(DesignSpec(proc), inputs)[0]
             assert out.case_label in ("1.1", "1.2", "2"), proc
             # uninflated procedures test the interim shares at their own
             # levels, so only the exhaustive ones report an interim factor
@@ -345,3 +346,36 @@ def test_thresholds_do_not_depend_on_observed_statistics():
         b.inflation_factors["interim_joint"]
     assert a.inflation_factors["final_joint"] == \
         b.inflation_factors["final_joint"]
+
+
+SEVEN = ("z_pfs_interim", "z_os_interim", "z_os_final", "r_p1o1", "r_p1o2",
+         "r_o1o2", "os_fraction_interim")
+
+
+def test_a_block_decides_each_trial_as_alone():
+    # random trials: positive-loading factor-model correlations, z values
+    # over every closed-test case, interim fractions from 0.2 to 0.98
+    rng = np.random.default_rng(20260814)
+    m = 60
+    loadings = rng.uniform(0.05, 0.69, size=(m, 4, 2))
+    corr = loadings @ np.swapaxes(loadings, 1, 2)
+    block = AnalysisInputs(
+        *rng.uniform(-4.0, 0.5, size=(3, m)), r_p1o1=corr[:, 0, 1],
+        r_p1o2=corr[:, 0, 3], r_o1o2=corr[:, 1, 3],
+        os_fraction_interim=rng.uniform(0.2, 0.98, m))
+    assert len(block) == m
+    for proc in PROCEDURES:
+        outcomes = run_procedure(DesignSpec(proc), block)
+        assert len(outcomes) == m
+        for i in range(m):
+            alone = AnalysisInputs(*(getattr(block, f)[i] for f in SEVEN))
+            assert outcomes[i] == run_procedure(DesignSpec(proc), alone)[0]
+
+
+def test_analysis_inputs_are_equal_length_arrays():
+    one = make_inputs(0.0, -1.0, -2.0)
+    assert len(one) == 1 and one.z_os_final.tolist() == [-2.0]
+    two = AnalysisInputs.concatenate([one, make_inputs(1.0, 1.0, 1.0)])
+    assert two.z_pfs_interim.tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError, match="one length"):
+        AnalysisInputs([0.0, 1.0], 0.0, 0.0, 0.5, 0.5, 0.5, 0.6)

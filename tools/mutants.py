@@ -65,23 +65,20 @@ MUTANTS = (
            "(tau >= 1.0)",
            ("tests/test_properties.py",)),
     Mutant("interim_elementary_check_dropped", "src/duosurv/testing.py",
-           'if zo1 <= ndtri(self.e1):\n            return "interim"\n'
-           "        if",
-           "if",
+           "at_interim = zo1 <= ndtri(test.e1)",
+           "at_interim = np.zeros_like(case1)",
            ("tests/test_properties.py",)),
     Mutant("final_3x3_p1o2_o1o2_swapped", "src/duosurv/testing.py",
-           "[1.0, x.r_p1o2, x.r_o1o2],\n"
-           "                [x.r_p1o2, 1.0, x.r_p1o1],\n"
-           "                [x.r_o1o2, x.r_p1o1, 1.0],",
-           "[1.0, x.r_o1o2, x.r_p1o2],\n"
-           "                [x.r_o1o2, 1.0, x.r_p1o1],\n"
-           "                [x.r_p1o2, x.r_p1o1, 1.0],",
+           "[one, x.r_p1o2, x.r_o1o2],\n"
+           "                [x.r_p1o2, one, x.r_p1o1],\n"
+           "                [x.r_o1o2, x.r_p1o1, one],",
+           "[one, x.r_o1o2, x.r_p1o2],\n"
+           "                [x.r_o1o2, one, x.r_p1o1],\n"
+           "                [x.r_p1o2, x.r_p1o1, one],",
            ("tests/test_testing.py::test_ex_gs_case2_threshold_and_gate",)),
     Mutant("solve_cache_dropped", "src/duosurv/testing.py",
-           "    if key not in inputs.solves:\n"
-           "        inputs.solves[key] = solve_inflation(problem)\n"
-           "    return inputs.solves[key]",
-           "    return solve_inflation(problem)",
+           "xi = inputs.solves.setdefault(key, np.full(len(inputs), np.nan))",
+           "xi = np.full(len(inputs), np.nan)",
            ("tests/test_harness.py::"
             "test_procedures_of_one_trial_share_inflation_solves",)),
     # the statistics -> thresholds boundary
@@ -108,9 +105,20 @@ MUTANTS = (
            "beta = np.where((h < 0.0) != (k < 0.0), 0.5, 0.0)",
            ("tests/test_mvnorm.py::test_bivariate_independence_factorizes",)),
     Mutant("newton_slope_sign", "src/duosurv/mvnorm.py",
-           "return float(sum(a * _conditional_upper(b, corr, k)",
-           "return float(-sum(a * _conditional_upper(b, corr, k)",
+           "total = total + levels[:, k] * _conditional_upper(b, corr, k)",
+           "total = total - levels[:, k] * _conditional_upper(b, corr, k)",
            ("tests/test_mvnorm.py::test_inflation_solver_work",)),
+    # blocks of trials
+    Mutant("solved_factors_reversed", "src/duosurv/testing.py",
+           "fixed_thresholds=problem.fixed_thresholds[todo]))",
+           "fixed_thresholds=problem.fixed_thresholds[todo]))[::-1]",
+           ("tests/test_testing.py::"
+            "test_a_block_decides_each_trial_as_alone",)),
+    Mutant("newton_stops_at_first_converged_row", "src/duosurv/mvnorm.py",
+           "if not rows.size:\n            return out",
+           "if rows.size < len(out):\n            return out",
+           ("tests/test_mvnorm.py::"
+            "test_a_block_of_problems_gives_the_factors_of_its_rows",)),
     # the statistics and the cohort
     Mutant("c12_c21", "src/duosurv/logrank.py",
            "c11, c12, c21, c22 = (",
