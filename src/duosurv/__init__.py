@@ -62,7 +62,6 @@ from .testing import (
     DesignSpec,
     Outcomes,
     TrialOutcome,
-    check_consonance,
     run_procedure,
 )
 from .trialdata import (

@@ -389,7 +389,6 @@ def cmd_analyze(args) -> int:
     inputs, interim, final = analyze_cohort(read_cohort(args.data), targets)
     outcome = run_procedure(design, inputs)[0]
     t_interim, t_final = interim.calendar_time, final.calendar_time
-    # the final-PFS curve is cached on the snapshot by analyze_cohort
     z = dict(z_pfs_interim=inputs.z_pfs_interim[0],
              z_os_interim=inputs.z_os_interim[0],
              z_pfs_final=logrank(final, PFS).z,

@@ -4,10 +4,12 @@ A scenario pairs the cohort model (arm intensities, recruitment, dropout,
 frailty) with the two event targets.  One replication simulates a
 cohort, locates the two event-triggered analysis times, freezes the two data
 snapshots, and reduces them to the seven numbers the testing layer
-consumes.  Each procedure then decides a block of replications at once.
-Experiments keep one outcome row per replication and procedure, in
-replication order, so results depend neither on the worker count nor on
-how the replications are cut into blocks.
+consumes.  Cohorts are drawn one by one and reduced a sub-block at a time,
+one row per trial, and each procedure then decides a block of replications
+at once; a single cohort is a block of one.  Experiments keep one outcome
+row per replication and procedure, in replication order, so results depend
+neither on the worker count nor on how the replications are cut into
+sub-blocks and blocks.
 
 Replication ``r`` of an experiment derives its random stream from
 ``(seed, r)`` alone; the frailty variates are drawn after the shared base
@@ -27,12 +29,12 @@ import numpy as np
 
 from .errors import (ConfigError, CutoffOrder, DegenerateVariance,
                      InsufficientEvents, NoSolution, WorkerCrash)
-from .logrank import covariance_matrix, logrank
-from .multistate import (CohortModel, FrailtySpec, TransitionIntensities,
-                         simulate_cohort)
+from .logrank import correlation, joint_covariance
+from .multistate import (Cohort, CohortModel, FrailtySpec,
+                         TransitionIntensities, simulate_cohorts)
 from .testing import AnalysisInputs, DesignSpec, PROCEDURES, run_procedure
-from .trialdata import (OS, PFS, CutoffTargets, event_cutoff,
-                        information_fraction, snapshot)
+from .trialdata import (OS, CutoffTargets, analysis_times,
+                        information_fraction, observe, snapshot)
 
 __all__ = [
     "DROPOUT_RATE",
@@ -73,6 +75,9 @@ _FWER_OS_RATE = 38.0 / 64.0
 # replications decided together: large enough that the procedures' numpy
 # calls cover many trials each, small enough to keep a chunk's memory flat
 _BLOCK = 256
+# patients (trials x cohort size) whose cohorts are reduced together: many
+# trials per numpy call at 128 patients, a flat memory at 1,600
+_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -145,52 +150,81 @@ def default_designs(procedures=PROCEDURES, alpha: float = 0.025,
             for p in procedures]
 
 
+# failure labels of the replications no trial could analyze
+_LABELS = {InsufficientEvents: "insufficient_events",
+           CutoffOrder: "cutoff_order",
+           DegenerateVariance: "degenerate_variance"}
+
+
+def _reduce(cohort: Cohort, targets: CutoffTargets):
+    """Cutoffs, snapshots and statistics of a block of cohorts, one per
+    row, reduced to the seven numbers the testing layer reads.
+
+    Returns ``(inputs, errors, t_interim, t_final)``: ``inputs`` holds the
+    analyzable rows, in order; ``errors[i]`` is the ``InsufficientEvents``,
+    ``CutoffOrder`` or ``DegenerateVariance`` row ``i`` fails with, None if
+    it is analyzable.  Every number of a row depends on that row alone.
+    """
+    t_interim, t_final, errors = analysis_times(cohort, targets)
+    rows = np.flatnonzero([e is None for e in errors])
+    if not rows.size:
+        return AnalysisInputs(*[()] * 7), errors, t_interim, t_final
+    # each trial keeps the patients entered by its final cutoff; the block
+    # drops the positions no row keeps
+    kept = cohort.entry[rows] <= t_final[rows, None]
+    width = kept.shape[1] - np.argmax(kept[:, ::-1], axis=1).min()
+    block = cohort.restricted_to((rows[:, None], np.arange(width)))
+    n_ref = kept.sum(axis=1)
+    interim = observe(block, t_interim[rows], n_ref)
+    final = observe(block, t_final[rows], n_ref)
+    lr, matrix = joint_covariance(interim, final)
+    # lr[2] goes unread, but the covariance needs its curve; the rows and
+    # columns of corr are pfs@interim, os@interim, pfs@final, os@final
+    corr, _, degenerate = correlation(matrix)
+    for i, error in zip(rows, degenerate):
+        errors[i] = error
+    ok = np.array([e is None for e in degenerate])
+    inputs = AnalysisInputs(
+        z_pfs_interim=lr[0].z[ok], z_os_interim=lr[1].z[ok],
+        z_os_final=lr[3].z[ok],
+        r_p1o1=corr[ok, 0, 1], r_p1o2=corr[ok, 0, 3],
+        r_o1o2=corr[ok, 1, 3],
+        os_fraction_interim=information_fraction(interim, OS,
+                                                 targets.d_os)[ok])
+    return inputs, errors, t_interim, t_final
+
+
 def analyze_cohort(cohort, targets: CutoffTargets):
-    """Event-driven cutoffs, snapshots and statistics of one cohort.
+    """Event-driven cutoffs, snapshots and statistics of one cohort, a
+    block of one.
 
     Returns ``(inputs, interim, final)``: the testing layer's inputs, a
-    block of one trial, plus the two snapshots, whose calendar times are
-    the cutoffs.  Raises ``InsufficientEvents``, ``CutoffOrder`` or
-    ``DegenerateVariance``.
+    block of one trial, plus the two snapshots of the patients entered by
+    the final cutoff, whose calendar times are the cutoffs.  Raises
+    ``InsufficientEvents``, ``CutoffOrder`` or ``DegenerateVariance``.
     """
-    t_interim = event_cutoff(cohort, PFS, targets.d_pfs)
-    t_final = event_cutoff(cohort, OS, targets.d_os)
-    if t_interim >= t_final:
-        raise CutoffOrder(
-            f"interim cutoff {t_interim:.4f} not before final {t_final:.4f}; "
-            "check the event targets")
-    kept = cohort.restricted_to(cohort.entry <= t_final)
-    interim = snapshot(kept, t_interim)
-    final = snapshot(kept, t_final)
-    lr = [logrank(interim, PFS), logrank(interim, OS),
-          logrank(final, PFS), logrank(final, OS)]
-    # lr[2] goes unread, but covariance_matrix needs its curve; the rows are
-    # pfs@interim, os@interim, pfs@final, os@final
-    corr = covariance_matrix(interim, final).corr
-    inputs = AnalysisInputs(
-        z_pfs_interim=lr[0].z, z_os_interim=lr[1].z, z_os_final=lr[3].z,
-        r_p1o1=float(corr[0, 1]), r_p1o2=float(corr[0, 3]),
-        r_o1o2=float(corr[1, 3]),
-        os_fraction_interim=information_fraction(interim, OS, targets.d_os))
-    return inputs, interim, final
+    inputs, errors, t_interim, t_final = _reduce(Cohort.stack([cohort]),
+                                                 targets)
+    if errors[0] is not None:
+        raise errors[0]
+    kept = cohort.restricted_to(cohort.entry <= t_final[0])
+    return (inputs, snapshot(kept, float(t_interim[0])),
+            snapshot(kept, float(t_final[0])))
 
 
 def simulate_replication(scenario: Scenario, seed: int, replication: int):
-    """One cohort reduced to analysis statistics.
+    """One cohort reduced to analysis statistics, a block of one.
 
     Returns ``(inputs, failure)``: exactly one of the two is set.  Failures
     are replications no trial of this design could analyze: not enough
     events for a cutoff, analyses out of order, or a degenerate variance.
     """
-    cohort = simulate_cohort(scenario.model, seed, replication)
-    try:
-        return analyze_cohort(cohort, scenario.targets)[0], None
-    except InsufficientEvents:
-        return None, "insufficient_events"
-    except CutoffOrder:
-        return None, "cutoff_order"
-    except DegenerateVariance:
-        return None, "degenerate_variance"
+    inputs, errors, _, _ = _reduce(
+        simulate_cohorts(scenario.model, seed, [replication]),
+        scenario.targets)
+    if errors[0] is not None:
+        return None, _LABELS[type(errors[0])]
+    return inputs, None
 
 
 def _outcome_bits(out) -> np.ndarray:
@@ -206,22 +240,30 @@ def _run_chunk(scenario, designs, seed, start, stop):
     """Analyzable replication ids in ``[start, stop)``, their outcome bits
     (one row per design) and the failures by label.
 
-    Replications are simulated one by one and decided in blocks of up to
-    ``_BLOCK``: each design runs once per block.  No trial's decision
-    depends on the others of its block, so the chunk bounds change nothing.
+    Each cohort is drawn from its own stream; the cohorts of up to
+    ``_CELLS`` patients are simulated and reduced together, and the trials
+    are decided in blocks of up to ``_BLOCK``: each design runs once per
+    block.  No trial's numbers or decision depend on the others of its
+    sub-block or block, so the chunk bounds change nothing.
     """
     rep_ids, bits, failures = [], [], Counter()
+    rows = max(1, _CELLS // (2 * scenario.model.max_per_arm))
     for first in range(start, stop, _BLOCK):
         block = []
-        for rep in range(first, min(first + _BLOCK, stop)):
-            inputs, fail = simulate_replication(scenario, seed, rep)
-            if fail is not None:
-                failures[fail] += 1
-                continue
-            rep_ids.append(rep)
+        last = min(first + _BLOCK, stop)
+        for low in range(first, last, rows):
+            reps = range(low, min(low + rows, last))
+            inputs, errors, _, _ = _reduce(
+                simulate_cohorts(scenario.model, seed, reps),
+                scenario.targets)
+            for rep, error in zip(reps, errors):
+                if error is None:
+                    rep_ids.append(rep)
+                else:
+                    failures[_LABELS[type(error)]] += 1
             block.append(inputs)
-        if block:
-            inputs = AnalysisInputs.concatenate(block)
+        inputs = AnalysisInputs.concatenate(block)
+        if len(inputs):
             bits.append(np.stack([_outcome_bits(run_procedure(d, inputs))
                                   for d in designs], axis=1))
     if not bits:

@@ -10,8 +10,11 @@ products over events.  Covariances between endpoints and between analysis
 times come from per-patient martingale residuals built out of the pooled
 Nelson-Aalen estimator and the arm-wise at-risk shares; same-endpoint
 covariances across analysis times reduce to the variance at the earlier time
-(independent increments).  Score, variance and residuals of one endpoint at
-one snapshot come from a single pass over the tie groups of its sorted times.
+(independent increments).  Score, variance and residuals of one endpoint
+come from a single pass over the tie groups of each row's sorted times, for
+a whole block of trials at once: one row per trial, absent patients masked.
+Every row sum adds left to right, so a row's numbers do not depend on the
+block it sits in.  A single snapshot is a block of one.
 """
 
 from __future__ import annotations
@@ -21,13 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVariance, InconsistentSnapshots
-from .trialdata import OS, PFS, Snapshot
+from .trialdata import OS, PFS, Snapshot, SnapshotBlock
 
 __all__ = [
     "LogrankResult",
     "CovarianceEstimate",
     "logrank",
     "cross_covariance",
+    "joint_covariance",
+    "correlation",
     "covariance_matrix",
 ]
 
@@ -36,67 +41,115 @@ CORRELATION_CLAMP = 0.9999
 
 @dataclass(frozen=True)
 class LogrankResult:
-    """Scaled log-rank score, variance estimate and event count."""
+    """Scaled log-rank score, variance estimate and event count: numbers
+    for one snapshot, arrays over the rows of a block."""
 
     u: float
     var: float
     n_events: int
 
     @property
-    def z(self) -> float:
-        """Standardized statistic; nan when the variance is 0."""
-        if self.var <= 0.0:
-            return float("nan")
-        return self.u / np.sqrt(self.var)
+    def z(self):
+        """Standardized statistic; nan where the variance is 0."""
+        u, var = np.asarray(self.u, dtype=float), np.asarray(self.var)
+        return np.divide(u, np.sqrt(var), out=np.full(u.shape, np.nan),
+                         where=var > 0.0)[()]
+
+
+def _sorted_rows(snaps: SnapshotBlock, endpoint: str):
+    """Each row of a block sorted by time on study.
+
+    Returns the flat block position of each sorted patient, the flags of
+    the first patient of each tie group, of each event and of each present
+    arm-1 patient in sorted order, and each row's count of present
+    patients.  Absent patients sort behind every present one, whose times
+    are finite.
+    """
+    present = snaps.present
+    rows, width = present.shape
+    key = np.where(present, snaps.times(endpoint), np.inf)
+    flat = np.argsort(key, axis=1)
+    flat += width * np.arange(rows)[:, None]
+    flat = flat.ravel()
+    xs = key.ravel()[flat].reshape(rows, width)
+    first = np.empty((rows, width), dtype=bool)
+    first[:, 0] = True
+    np.greater(xs[:, 1:], xs[:, :-1], out=first[:, 1:])
+    n_present = present.sum(axis=1)
+    zs = (snaps.arm == 1).ravel()[flat]
+    zs &= (np.arange(width) < n_present[:, None]).ravel()
+    return (flat, first.ravel(), snaps.events(endpoint).ravel()[flat], zs,
+            n_present)
 
 
 class _EndpointCurves:
-    """Everything the estimators need for one (snapshot, endpoint) pair."""
+    """Everything the estimators need for one endpoint at each row's
+    snapshot of a block: the log-rank results and the per-patient
+    residuals, in cohort positions.
 
-    def __init__(self, snap: Snapshot, endpoint: str):
-        n_ref = snap.n_ref
-        order = np.argsort(snap.times(endpoint), kind="stable")
-        xs = snap.times(endpoint)[order]
-        ds = snap.events(endpoint)[order]
-        zs = snap.arm[order] == 1
+    Every quantity is a function of the tie groups of each row's sorted
+    times, so the order of tied patients changes no bit and the sort need
+    not be stable.  Absent patients are left out of every count and sum.
+    """
 
-        # tie groups of the sorted times; every per-patient quantity is read
-        # at the patient's group
-        first = np.empty(len(xs), dtype=bool)
-        first[:1] = True
-        first[1:] = xs[1:] > xs[:-1]
-        group = np.cumsum(first) - 1
+    def __init__(self, snaps: SnapshotBlock, endpoint: str):
+        rows, width = snaps.present.shape
+        flat, first, ds, zs, n_present = _sorted_rows(snaps, endpoint)
+        # tie groups, numbered over the whole block; every per-patient
+        # quantity is read at the patient's group
         starts = np.flatnonzero(first)
-        # at-risk counts at each group's time; never 0, as the group is at risk
-        at_risk = len(xs) - starts
-        at_risk1 = np.cumsum(zs[::-1])[::-1][starts]
-        share1 = at_risk1 / at_risk
-        share0 = (at_risk - at_risk1) / at_risk
+        group = np.cumsum(first)
+        group -= 1
+        event_group, event_arm1 = group[ds], zs[ds]
 
-        u = float(np.where(ds, zs - share1[group], 0.0).sum())
-        var = float(np.where(ds, (share0 * share1)[group], 0.0).sum())
-        self.result = LogrankResult(u / np.sqrt(n_ref) if n_ref else 0.0,
-                                    var / n_ref if n_ref else 0.0, int(ds.sum()))
+        # at-risk counts at each group's time, the present patients and
+        # those of arm 1 from the group to the end of its row; a group of
+        # absent patients only has none, and nothing reads it
+        row = starts // width
+        at_risk = n_present[row] - (starts - row * width)
+        arm1 = np.bincount(group[zs], minlength=len(starts))
+        up_to = np.cumsum(arm1)
+        at_risk1 = up_to[group[width - 1::width]][row] - up_to + arm1
+        y = np.maximum(at_risk, 1)
+        share1 = at_risk1 / y
+        share0 = (at_risk - at_risk1) / y
+        # the block's peak memory is in the sums below
+        del group, row, at_risk, arm1, up_to, at_risk1
 
-        # pooled hazard jumps and each arm's compensator, the opposite-arm
-        # share mu = 1 - Y_arm / Y integrated against them; groups without
-        # events add exact zeros
-        d_lambda = np.bincount(group[ds], minlength=len(starts)) / at_risk
-        mu0, mu1 = 1.0 - share0, 1.0 - share1
-        psi0, psi1 = np.cumsum(mu0 * d_lambda), np.cumsum(mu1 * d_lambda)
+        # per group: the score and variance terms of its events, and the
+        # pooled hazard jump times each arm's opposite-arm share mu = 1 -
+        # Y_arm / Y.  Each sits at its group's start and zeros fill the
+        # rest of the row, so the running row sums, added left to right,
+        # end in the score and variance and read at a patient give the
+        # compensators at the patient's group
+        events = np.bincount(event_group, minlength=len(starts))
+        events1 = np.bincount(event_group[event_arm1], minlength=len(starts))
+        steps = np.zeros((4, rows, width))
+        u, var, psi0, psi1 = steps
+        u.ravel()[starts] = events1 - events * share1
+        var.ravel()[starts] = events * (share0 * share1)
+        d_lambda = events / y
+        psi0.ravel()[starts] = (1.0 - share0) * d_lambda
+        psi1.ravel()[starts] = (1.0 - share1) * d_lambda
+        np.cumsum(steps, axis=2, out=steps)
+
+        n_ref = snaps.n_ref
+        self.result = LogrankResult(u[:, -1] / np.sqrt(n_ref),
+                                    var[:, -1] / n_ref,
+                                    ds.reshape(rows, width).sum(axis=1))
 
         # per-patient residuals mu^{(z_i)}(x_i) * d_i - psi^{(z_i)}(x_i),
-        # in cohort positions, 0 for absent patients
-        self.resid = np.zeros(n_ref)
-        self.resid[snap.index[order]] = (
-            np.where(zs, mu1[group], mu0[group]) * ds
-            - np.where(zs, psi1[group], psi0[group]))
-
-
-def _curves(snap: Snapshot, endpoint: str) -> _EndpointCurves:
-    if endpoint not in snap.curves:
-        snap.curves[endpoint] = _EndpointCurves(snap, endpoint)
-    return snap.curves[endpoint]
+        # in cohort positions, 0 for absent patients: 0 - psi for everyone,
+        # then mu added at the events
+        resid = np.where(zs.reshape(rows, width), psi1, psi0)
+        np.subtract(0.0, resid, out=resid)
+        resid[np.arange(width) >= n_present[:, None]] = 0.0
+        resid = resid.ravel()
+        resid[ds] += 1.0 - np.where(event_arm1, share1[event_group],
+                                    share0[event_group])
+        self.resid = np.empty(rows * width)
+        self.resid[flat] = resid
+        self.resid = self.resid.reshape(rows, width)
 
 
 def logrank(snap: Snapshot, endpoint: str) -> LogrankResult:
@@ -107,7 +160,9 @@ def logrank(snap: Snapshot, endpoint: str) -> LogrankResult:
     statistic negative, which is the rejection direction everywhere in this
     package.
     """
-    return _curves(snap, endpoint).result
+    res = _EndpointCurves(snap.block(), endpoint).result
+    return LogrankResult(float(res.u[0]), float(res.var[0]),
+                         int(res.n_events[0]))
 
 
 def _check_compatible(a: Snapshot, b: Snapshot) -> None:
@@ -124,10 +179,14 @@ def _check_compatible(a: Snapshot, b: Snapshot) -> None:
         raise InconsistentSnapshots("snapshots do not come from the same cohort")
 
 
-def _cross(snap_pfs: Snapshot, snap_os: Snapshot) -> float:
-    """Mean per-patient product of the PFS and OS residuals, unchecked."""
-    r_pfs, r_os = _curves(snap_pfs, PFS).resid, _curves(snap_os, OS).resid
-    return float(r_pfs @ r_os) / snap_pfs.n_ref
+def _cross(pfs: _EndpointCurves, os_: _EndpointCurves, n_ref) -> np.ndarray:
+    """Per row, the mean per-patient product of the PFS and OS residuals.
+
+    The products are added left to right: trailing zeros change no bit of
+    such a sum, so a row's value does not depend on how far its block pads
+    it, where a pairwise ``sum`` would group the terms by the row length.
+    """
+    return np.cumsum(pfs.resid * os_.resid, axis=1)[:, -1] / n_ref
 
 
 def cross_covariance(snap_pfs: Snapshot, snap_os: Snapshot) -> float:
@@ -139,19 +198,89 @@ def cross_covariance(snap_pfs: Snapshot, snap_os: Snapshot) -> float:
     the value is 0 whenever either side has no events yet.
     """
     _check_compatible(snap_pfs, snap_os)
-    return _cross(snap_pfs, snap_os)
+    return float(_cross(_EndpointCurves(snap_pfs.block(), PFS),
+                        _EndpointCurves(snap_os.block(), OS),
+                        snap_pfs.n_ref)[0])
+
+
+def joint_covariance(interim: SnapshotBlock, final: SnapshotBlock):
+    """Log-rank results and joint covariance of both endpoints at both
+    cutoffs, for each trial of a block; row ``i`` of ``final`` is the later
+    snapshot of the cohort of row ``i`` of ``interim``.
+
+    Returns ``(results, matrix)``: the results of (PFS@t1, OS@t1, PFS@t2,
+    OS@t2) and an (R, 4, 4) stack in that order.  Same-endpoint entries
+    across the two times equal the earlier-time variance.
+    """
+    snaps = (interim, final)
+    curves = [_EndpointCurves(s, e) for s in snaps for e in (PFS, OS)]
+    v_p1, v_o1, v_p2, v_o2 = (c.result.var for c in curves)
+    # the cross covariance of each (PFS time, OS time) pair
+    c11, c12, c21, c22 = (
+        _cross(curves[2 * a], curves[2 * b + 1], snaps[a].n_ref)
+        for a in (0, 1) for b in (0, 1))
+    matrix = np.moveaxis(np.array([
+        [v_p1, c11, v_p1, c12],
+        [c11, v_o1, c21, v_o1],
+        [v_p1, c21, v_p2, c22],
+        [c12, v_o1, c22, v_o2],
+    ]), -1, 0)
+    return [c.result for c in curves], matrix
+
+
+def correlation(matrix: np.ndarray):
+    """Correlations of a stack of 4x4 covariance estimates.
+
+    Off-diagonal entries are clamped to +/-0.9999 and, where the raw
+    estimate is indefinite (possible in small samples because the entries
+    come from two different estimators), the row is projected onto the
+    nearest positive-semidefinite correlation matrix.  Returns ``(corr,
+    clamped, errors)``: ``clamped`` per row whether either adjustment
+    fired; ``errors[i]`` a ``DegenerateVariance`` when some variance of row
+    ``i`` is 0, so no correlation exists (its entries are nan), else None.
+    """
+    diag = np.diagonal(matrix, axis1=1, axis2=2)
+    valid = (diag > 0.0).all(axis=1)
+    errors = [None] * len(matrix)
+    for i in np.flatnonzero(~valid):
+        errors[i] = DegenerateVariance(
+            f"zero variance on the diagonal: {diag[i].tolist()}")
+    corr = np.full(matrix.shape, np.nan)
+    clamped = np.zeros(len(matrix), dtype=bool)
+    if not valid.any():
+        return corr, clamped, errors
+
+    scale = 1.0 / np.sqrt(diag[valid])
+    c = matrix[valid] * scale[:, :, None] * scale[:, None, :]
+    off = ~np.eye(4, dtype=bool)
+    clipped = (np.abs(c[:, off]) > CORRELATION_CLAMP).any(axis=1)
+    c[:, off] = np.clip(c[:, off], -CORRELATION_CLAMP, CORRELATION_CLAMP)
+    c[:, ~off] = 1.0
+    vals, vecs = np.linalg.eigh(c)
+    indefinite = vals.min(axis=1) < 0.0
+    if indefinite.any():
+        # clip the spectrum and restore unit diagonal; principal submatrices
+        # of the result stay valid for the orthant code
+        vecs = vecs[indefinite]
+        p = (vecs * np.maximum(vals[indefinite], 0.0)[:, None, :]) \
+            @ np.swapaxes(vecs, 1, 2)
+        d = 1.0 / np.sqrt(np.diagonal(p, axis1=1, axis2=2))
+        p = p * d[:, :, None] * d[:, None, :]
+        p = 0.5 * (p + np.swapaxes(p, 1, 2))
+        p[:, ~off] = 1.0
+        c[indefinite] = p
+    corr[valid] = c
+    clamped[valid] = clipped | indefinite
+    return corr, clamped, errors
 
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    """Joint 4x4 covariance of (PFS@t1, OS@t1, PFS@t2, OS@t2).
+    """Joint 4x4 covariance of (PFS@t1, OS@t1, PFS@t2, OS@t2) of one trial.
 
     Same-endpoint off-diagonal entries equal the earlier-time variance.
-    ``corr`` is the derived correlation matrix with off-diagonal entries
-    clamped to +/-0.9999 and, if the raw estimate is indefinite (possible in
-    small samples because the entries come from two different estimators),
-    projected onto the nearest positive-semidefinite correlation matrix.
-    ``clamped`` records whether either adjustment fired.
+    ``corr`` is the derived correlation matrix of :func:`correlation`, and
+    ``clamped`` records whether its clamp or its projection fired.
     """
 
     matrix: np.ndarray
@@ -173,38 +302,9 @@ def covariance_matrix(snap_interim: Snapshot, snap_final: Snapshot) -> Covarianc
     if snap_interim.calendar_time > snap_final.calendar_time:
         raise InconsistentSnapshots("interim snapshot must not be later than final")
     _check_compatible(snap_interim, snap_final)
-
-    snaps = (snap_interim, snap_final)
-    v_p1, v_o1, v_p2, v_o2 = (logrank(s, e).var for s in snaps for e in (PFS, OS))
-    # cross_covariance for each (PFS time, OS time) pair, checked once above
-    c11, c12, c21, c22 = (_cross(s_pfs, s_os) for s_pfs in snaps for s_os in snaps)
-
-    m = np.array([
-        [v_p1, c11, v_p1, c12],
-        [c11, v_o1, c21, v_o1],
-        [v_p1, c21, v_p2, c22],
-        [c12, v_o1, c22, v_o2],
-    ])
-
-    diag = np.diag(m)
-    if np.any(diag <= 0.0):
-        raise DegenerateVariance(
-            f"zero variance on the diagonal: {diag.tolist()}")
-    scale = 1.0 / np.sqrt(diag)
-    corr = m * scale[:, None] * scale[None, :]
-    off = ~np.eye(4, dtype=bool)
-    clamped = bool(np.any(np.abs(corr[off]) > CORRELATION_CLAMP))
-    corr[off] = np.clip(corr[off], -CORRELATION_CLAMP, CORRELATION_CLAMP)
-    np.fill_diagonal(corr, 1.0)
-    vals, vecs = np.linalg.eigh(corr)
-    if vals.min() < 0.0:
-        # indefinite estimate: clip the spectrum and restore unit diagonal;
-        # principal submatrices of the result stay valid for the orthant code
-        clamped = True
-        vals = np.maximum(vals, 0.0)
-        corr = (vecs * vals) @ vecs.T
-        d = 1.0 / np.sqrt(np.diag(corr))
-        corr = corr * d[:, None] * d[None, :]
-        corr = 0.5 * (corr + corr.T)
-        np.fill_diagonal(corr, 1.0)
-    return CovarianceEstimate(matrix=m, corr=corr, clamped=clamped)
+    _, matrix = joint_covariance(snap_interim.block(), snap_final.block())
+    corr, clamped, errors = correlation(matrix)
+    if errors[0] is not None:
+        raise errors[0]
+    return CovarianceEstimate(matrix=matrix[0], corr=corr[0],
+                              clamped=bool(clamped[0]))

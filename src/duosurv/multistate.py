@@ -12,7 +12,8 @@ optional gamma frailty.  Each value checks itself when it is built and
 raises :class:`InvalidModel`, so an invalid model cannot exist.  The
 frailty multiplies all three intensities of a patient, which is equivalent
 to dividing that patient's event times by the frailty draw; entry and
-drop-out are not affected by it.
+drop-out are not affected by it.  :func:`simulate_cohorts` draws a block
+of cohorts, one row per replication, each from its own random stream.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "FrailtySpec",
     "CohortModel",
     "Cohort",
+    "simulate_cohorts",
     "simulate_cohort",
 ]
 
@@ -120,7 +122,8 @@ class CohortModel:
 
 class Cohort:
     """Latent (uncensored) patient paths as contiguous numpy arrays, one
-    entry per cohort position."""
+    entry per cohort position.  A block of trials stacks one cohort per
+    row, so its arrays have shape (trials, patients)."""
 
     def __init__(self, arm, entry, t_pfs, t_os, dropout):
         self.arm = np.asarray(arm, dtype=np.int8)
@@ -130,12 +133,23 @@ class Cohort:
         self.dropout = np.asarray(dropout, dtype=float)
 
     def __len__(self) -> int:
-        return self.arm.shape[0]
+        """Patients per trial."""
+        return self.arm.shape[-1]
 
-    def restricted_to(self, mask: np.ndarray) -> "Cohort":
-        """Sub-cohort of the patients selected by a boolean mask."""
-        return Cohort(self.arm[mask], self.entry[mask], self.t_pfs[mask],
-                      self.t_os[mask], self.dropout[mask])
+    @classmethod
+    def stack(cls, cohorts) -> "Cohort":
+        """Cohorts of one size as a block, one row per cohort."""
+        cohorts = list(cohorts)
+        return cls(*(np.stack([getattr(c, name) for c in cohorts])
+                     for name in _COLUMNS))
+
+    def restricted_to(self, index) -> "Cohort":
+        """Sub-cohort at a numpy index: a mask of patients, or rows and
+        columns of a block."""
+        return Cohort(*(getattr(self, name)[index] for name in _COLUMNS))
+
+
+_COLUMNS = ("arm", "entry", "t_pfs", "t_os", "dropout")
 
 
 def _rng_for_replication(seed: int, replication: int) -> np.random.Generator:
@@ -157,40 +171,60 @@ def _exponential_from_uniform(u: np.ndarray, rate: np.ndarray | float) -> np.nda
         return np.where(np.asarray(rate) > 0.0, -np.log1p(-u) / rate, np.inf)
 
 
-def _sample_base_cohort(model: CohortModel, rng: np.random.Generator) -> Cohort:
-    """Frailty-free cohort from a fixed block of uniforms.
+def simulate_cohorts(model: CohortModel, seed: int, replications) -> Cohort:
+    """Simulate a block of trial cohorts, one row per replication.
 
-    Exactly ``4 * n`` uniforms are consumed in one block of shape (n, 4), one
-    row per cohort position, so that enabling the frailty afterwards does not
-    disturb the base paths.
+    Each replication draws from its own stream, ``(seed, replication)``,
+    so a row does not depend on the others.  A stream first yields ``4 *
+    n`` uniforms in one block of shape (n, 4), one row per cohort position,
+    and only then the frailty draws, so that enabling the frailty does not
+    disturb the base paths.  The block turns all rows' draws into times at
+    once.
     """
     k = model.max_per_arm
     n = 2 * k
+    replications = list(replications)
+    u = np.empty((len(replications), n, _DRAWS_PER_PATIENT))
+    frailty = model.frailty
+    gamma = np.empty((len(replications), n)) if frailty is not None else None
+    for row, replication in enumerate(replications):
+        rng = _rng_for_replication(seed, replication)
+        rng.random(out=u[row])
+        if frailty is not None:
+            gamma[row] = rng.gamma(shape=frailty.shape,
+                                   scale=1.0 / frailty.rate, size=n)
+
     # an entry time that overflows is +inf: that patient never enters
     with np.errstate(over="ignore"):
         grid = np.arange(k, dtype=float) / model.per_arm_rate
+    # one row of the shared entry grid and arms, and of the intensities of
+    # each position's arm, for every row of the block
     entry = np.repeat(grid, 2)
     arm = np.tile(np.array([0, 1], dtype=np.int8), k)
-
     lam0, lam1 = model.control, model.experimental
     lam01 = np.where(arm == 0, lam0.lambda_01, lam1.lambda_01)
     lam02 = np.where(arm == 0, lam0.lambda_02, lam1.lambda_02)
     lam12 = np.where(arm == 0, lam0.lambda_12, lam1.lambda_12)
 
-    u = rng.random((n, _DRAWS_PER_PATIENT))
-    sojourn0 = _exponential_from_uniform(u[:, 0], lam01 + lam02)
-    progressed = u[:, 1] < lam01 / (lam01 + lam02)
-    sojourn1 = _exponential_from_uniform(u[:, 2], lam12)
-    drop = _exponential_from_uniform(u[:, 3], model.dropout_rate)
-
-    t_pfs = sojourn0
-    t_os = np.where(progressed, sojourn0 + sojourn1, sojourn0)
-    return Cohort(arm, entry, t_pfs, t_os, drop)
+    sojourn0 = _exponential_from_uniform(u[..., 0], lam01 + lam02)
+    progressed = u[..., 1] < lam01 / (lam01 + lam02)
+    sojourn1 = _exponential_from_uniform(u[..., 2], lam12)
+    drop = _exponential_from_uniform(u[..., 3], model.dropout_rate)
+    rows = (len(replications), 1)
+    cohort = Cohort(np.tile(arm, rows), np.tile(entry, rows), sojourn0,
+                    np.where(progressed, sojourn0 + sojourn1, sojourn0), drop)
+    if frailty is not None:
+        # a draw of 0 (or one so small that the time overflows) gives +inf:
+        # that patient's events are never observed
+        with np.errstate(divide="ignore", over="ignore"):
+            cohort = Cohort(cohort.arm, cohort.entry, cohort.t_pfs / gamma,
+                            cohort.t_os / gamma, cohort.dropout)
+    return cohort
 
 
 def simulate_cohort(model: CohortModel, seed: int,
                     replication: int = 0) -> Cohort:
-    """Simulate one trial cohort.
+    """Simulate one trial cohort, a block of one.
 
     Args:
         model: arm intensities, entry grid, drop-out and frailty.
@@ -203,15 +237,4 @@ def simulate_cohort(model: CohortModel, seed: int,
         on the entry grid.  Frailty divides the event times only; entry and
         drop-out are untouched.
     """
-    rng = _rng_for_replication(seed, replication)
-    cohort = _sample_base_cohort(model, rng)
-    frailty = model.frailty
-    if frailty is not None:
-        gamma = rng.gamma(shape=frailty.shape, scale=1.0 / frailty.rate,
-                          size=len(cohort))
-        # a draw of 0 (or one so small that the time overflows) gives +inf:
-        # that patient's events are never observed
-        with np.errstate(divide="ignore", over="ignore"):
-            cohort = Cohort(cohort.arm, cohort.entry, cohort.t_pfs / gamma,
-                            cohort.t_os / gamma, cohort.dropout)
-    return cohort
+    return simulate_cohorts(model, seed, [replication]).restricted_to(0)

@@ -63,7 +63,6 @@ __all__ = [
     "TrialOutcome",
     "Outcomes",
     "run_procedure",
-    "check_consonance",
 ]
 
 PROCEDURES = (
@@ -388,18 +387,3 @@ def run_procedure(design: DesignSpec, inputs: AnalysisInputs) -> Outcomes:
         case_label=np.where(case1, np.where(early, "1.1", "1.2"), "2"),
         inflation_factors=test.xi)
 
-
-def check_consonance(design: DesignSpec, inputs: AnalysisInputs):
-    """Per trial, whether rejecting the intersection lets an elementary
-    test follow.
-
-    Statically the level split must exhaust alpha (enforced by DesignSpec
-    already).  At runtime the final intersection threshold for OS must not
-    exceed what the elementary OS test grants at the final analysis.  The
-    PFS side is not checked: PFS is rejected only by the intersection's
-    interim component, ``z_pfs_interim <= ndtri(xi1 * pa)``, and no
-    separate elementary PFS test runs.  Whether that rule is the paper's
-    is ROADMAP item 4.
-    """
-    test = _ClosedTest(design, inputs)
-    return test.final_intersection() <= test.elementary_final() + 1e-9

@@ -4,25 +4,31 @@ A snapshot freezes what is visible at calendar time t: each entered patient
 contributes the censored time on study for both endpoints.  Analyses are
 triggered when a prescribed number of endpoint events has accumulated, so the
 calendar dates of the interim and final analysis are themselves random.
+Both work on blocks of cohorts, one trial per row: the cutoffs of a block
+come from one partition, and its snapshot at one time per row masks the
+patients not entered yet.  A single cohort is a block of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientEvents, InvalidModel
+from .errors import CutoffOrder, InsufficientEvents, InvalidModel
 from .multistate import Cohort, _check_finite
 
 __all__ = [
     "PFS",
     "OS",
     "Snapshot",
+    "SnapshotBlock",
     "CutoffTargets",
+    "observe",
     "snapshot",
     "event_cutoff",
+    "analysis_times",
     "information_fraction",
 ]
 
@@ -31,15 +37,53 @@ OS = "os"
 _ENDPOINTS = (PFS, OS)
 
 
+class _Columns:
+    """Endpoint columns of a snapshot: times on study and event indicators."""
+
+    def times(self, endpoint: str) -> np.ndarray:
+        _check_endpoint(endpoint)
+        return self.x_pfs if endpoint == PFS else self.x_os
+
+    def events(self, endpoint: str) -> np.ndarray:
+        _check_endpoint(endpoint)
+        return self.d_pfs if endpoint == PFS else self.d_os
+
+    def n_events(self, endpoint: str):
+        """Observed events: a count, or one per row of a block."""
+        return self.events(endpoint).sum(axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
+class SnapshotBlock(_Columns):
+    """Observable data of a block of trials, one row per trial at its own
+    calendar time, over the positions of its cohort.
+
+    ``present`` marks the patients entered by the row's time; the other
+    columns mean something only where it is set, the times of present
+    patients are finite and the event indicators are False wherever it is
+    not.  ``n_ref`` is each row's reference cohort size for the 1/sqrt(n)
+    scalings of the statistics.
+    """
+
+    present: np.ndarray
+    arm: np.ndarray
+    x_pfs: np.ndarray
+    d_pfs: np.ndarray
+    x_os: np.ndarray
+    d_os: np.ndarray
+    n_ref: np.ndarray
+
+
 @dataclass
-class Snapshot:
-    """Observable data of all entered patients at one calendar time.
+class Snapshot(_Columns):
+    """Observable data of all entered patients of one trial at one calendar
+    time.
 
     ``n_ref`` is the reference cohort size used for the 1/sqrt(n) scalings of
     the statistics; :func:`snapshot` sets it to the cohort size so that
     statistics computed at different calendar times of the same trial share
     one normalization.  ``index`` holds each record's position in that
-    cohort.  ``curves`` caches each endpoint's log-rank curves.
+    cohort.
     """
 
     calendar_time: float
@@ -51,22 +95,23 @@ class Snapshot:
     d_os: np.ndarray
     index: np.ndarray
     n_ref: int
-    curves: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def __len__(self) -> int:
         return len(self.arm)
 
-    def times(self, endpoint: str) -> np.ndarray:
-        _check_endpoint(endpoint)
-        return self.x_pfs if endpoint == PFS else self.x_os
+    def block(self) -> SnapshotBlock:
+        """This snapshot as a block of one, over its ``n_ref`` positions."""
+        def placed(values, fill):
+            row = np.full((1, self.n_ref), fill,
+                          dtype=np.asarray(values).dtype)
+            row[0, self.index] = values
+            return row
 
-    def events(self, endpoint: str) -> np.ndarray:
-        _check_endpoint(endpoint)
-        return self.d_pfs if endpoint == PFS else self.d_os
-
-    def n_events(self, endpoint: str) -> int:
-        return int(self.events(endpoint).sum())
+        return SnapshotBlock(
+            present=placed(True, False), arm=placed(self.arm, 0),
+            x_pfs=placed(self.x_pfs, 0.0), d_pfs=placed(self.d_pfs, False),
+            x_os=placed(self.x_os, 0.0), d_os=placed(self.d_os, False),
+            n_ref=np.array([self.n_ref]))
 
 
 @dataclass(frozen=True)
@@ -103,37 +148,57 @@ def _event_dates(cohort: Cohort, endpoint: str) -> np.ndarray:
         return np.where(t <= cohort.dropout, cohort.entry + t, np.inf)
 
 
-def snapshot(cohort: Cohort, calendar_time: float) -> Snapshot:
-    """Observable data at a calendar time.
+def observe(cohort: Cohort, calendar_time, n_ref) -> SnapshotBlock:
+    """Observable data of a block of cohorts, row ``i`` at
+    ``calendar_time[i]`` with reference size ``n_ref[i]``.
 
-    Patients who have not entered yet are excluded.  For an included patient
-    the endpoint time on study is the event time if the event happened under
+    A patient is present once entered.  For a present patient the endpoint
+    time on study is the event time if the event happened under
     observation (before drop-out and before the cutoff), otherwise the
-    censoring time ``min(dropout, calendar_time - entry)``.  Event indicators
-    compare calendar event dates with the cutoff so that a snapshot taken at
-    an event-driven cutoff contains that event exactly.
+    censoring time ``min(dropout, calendar_time - entry)``.  Event
+    indicators compare calendar event dates with the cutoff so that a
+    snapshot taken at an event-driven cutoff contains that event exactly;
+    an absent patient's event date lies beyond the cutoff.
     """
-    entered = cohort.entry <= calendar_time
-    sub = cohort.restricted_to(entered)
-    exposure = calendar_time - sub.entry
-
+    t = np.asarray(calendar_time, dtype=float)[:, None]
     columns = {}
-    for endpoint, t_event in ((PFS, sub.t_pfs), (OS, sub.t_os)):
-        d = _event_dates(sub, endpoint) <= calendar_time
-        x = np.where(d, t_event, np.minimum(sub.dropout, exposure))
-        columns[endpoint] = (x, d)
+    for endpoint, t_event in ((PFS, cohort.t_pfs), (OS, cohort.t_os)):
+        d = _event_dates(cohort, endpoint) <= t
+        columns[endpoint] = (
+            np.where(d, t_event, np.minimum(cohort.dropout, t - cohort.entry)),
+            d)
+    return SnapshotBlock(
+        present=cohort.entry <= t, arm=cohort.arm,
+        x_pfs=columns[PFS][0], d_pfs=columns[PFS][1],
+        x_os=columns[OS][0], d_os=columns[OS][1],
+        n_ref=np.asarray(n_ref))
 
+
+def snapshot(cohort: Cohort, calendar_time: float) -> Snapshot:
+    """Observable data of one cohort's entered patients at a calendar time,
+    by :func:`observe` on a block of one; ``n_ref`` is the cohort size."""
+    block = observe(Cohort.stack([cohort]), [calendar_time], [len(cohort)])
+    entered = block.present[0]
     return Snapshot(
-        calendar_time=calendar_time,
-        arm=sub.arm,
-        entry=sub.entry,
-        x_pfs=columns[PFS][0],
-        d_pfs=columns[PFS][1],
-        x_os=columns[OS][0],
-        d_os=columns[OS][1],
-        index=np.flatnonzero(entered),
-        n_ref=len(cohort),
-    )
+        calendar_time=calendar_time, arm=cohort.arm[entered],
+        entry=cohort.entry[entered],
+        x_pfs=block.x_pfs[0, entered], d_pfs=block.d_pfs[0, entered],
+        x_os=block.x_os[0, entered], d_os=block.d_os[0, entered],
+        index=np.flatnonzero(entered), n_ref=len(cohort))
+
+
+def _shortfall(dates: np.ndarray, endpoint: str, d_target: int):
+    """The ``InsufficientEvents`` of a trial whose ``d_target``-th event
+    never comes, given its event dates; None if it comes."""
+    if d_target > len(dates):
+        return InsufficientEvents(
+            f"{endpoint}: target {d_target} exceeds cohort size {len(dates)}")
+    observed = int(np.isfinite(dates).sum())
+    if observed < d_target:
+        return InsufficientEvents(
+            f"{endpoint}: only {observed} events ever observed, "
+            f"target {d_target}")
+    return None
 
 
 def event_cutoff(cohort: Cohort, endpoint: str, d_target: int) -> float:
@@ -149,19 +214,43 @@ def event_cutoff(cohort: Cohort, endpoint: str, d_target: int) -> float:
     if d_target < 1:
         raise InvalidModel("event target must be at least 1")
     dates = _event_dates(cohort, endpoint)
-    if d_target > len(dates):
-        raise InsufficientEvents(
-            f"{endpoint}: target {d_target} exceeds cohort size {len(dates)}")
-    cut = np.partition(dates, d_target - 1)[d_target - 1]
-    if not np.isfinite(cut):
-        observed = int(np.isfinite(dates).sum())
-        raise InsufficientEvents(
-            f"{endpoint}: only {observed} events ever observed, target {d_target}")
-    return float(cut)
+    error = _shortfall(dates, endpoint, d_target)
+    if error is not None:
+        raise error
+    return float(np.partition(dates, d_target - 1)[d_target - 1])
 
 
-def information_fraction(snap: Snapshot, endpoint: str, d_target: int) -> float:
-    """Observed events divided by the target; deliberately not capped at 1."""
+def analysis_times(cohort: Cohort, targets: CutoffTargets):
+    """Interim (PFS) and final (OS) cutoffs of each trial of a cohort block.
+
+    Both come from one partition of both endpoints' event dates.  Returns
+    ``(t_interim, t_final, errors)``: ``errors[i]`` is what row ``i`` fails
+    with, an ``InsufficientEvents`` when a target is never reached (its
+    cutoff is then +inf) or a ``CutoffOrder`` when the interim cutoff is
+    not before the final one, and None when both cutoffs are usable.
+    """
+    n = len(cohort)
+    d_pfs, d_os = targets.d_pfs, targets.d_os
+    dates = np.stack([_event_dates(cohort, PFS), _event_dates(cohort, OS)])
+    # a target beyond the cohort size is never reached
+    kth = [min(d_pfs, n) - 1, min(d_os, n) - 1]
+    cut = np.partition(dates, sorted(set(kth)), axis=-1)
+    t_interim = np.where(d_pfs <= n, cut[0, :, kth[0]], np.inf)
+    t_final = np.where(d_os <= n, cut[1, :, kth[1]], np.inf)
+    errors = [None] * len(t_final)
+    for i in np.flatnonzero(~np.isfinite(t_interim) | ~np.isfinite(t_final)):
+        errors[i] = (_shortfall(dates[0, i], PFS, d_pfs)
+                     or _shortfall(dates[1, i], OS, d_os))
+    for i in np.flatnonzero(t_interim >= t_final):
+        errors[i] = errors[i] or CutoffOrder(
+            f"interim cutoff {t_interim[i]:.4f} not before final "
+            f"{t_final[i]:.4f}; check the event targets")
+    return t_interim, t_final, errors
+
+
+def information_fraction(snap, endpoint: str, d_target: int):
+    """Observed events divided by the target, of a snapshot or per row of
+    a block; deliberately not capped at 1."""
     if d_target < 1:
         raise InvalidModel("event target must be at least 1")
     return snap.n_events(endpoint) / d_target

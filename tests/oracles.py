@@ -13,7 +13,8 @@ plain bisection on an increasing function, with no derivative.
 
 ``ExactLaw`` gives the exact outcome probabilities of one procedure's
 decision rule under a normal law of the three statistics it reads, without
-Monte Carlo.
+Monte Carlo; ``check_consonance`` tells, per trial, whether rejecting the
+intersection lets the elementary OS test follow.
 """
 
 import math
@@ -120,6 +121,22 @@ def bisect_root(func, target, lo, hi, tol=1e-10):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def check_consonance(design, inputs):
+    """Per trial, whether rejecting the intersection lets an elementary
+    test follow.
+
+    Statically the level split must exhaust alpha (enforced by DesignSpec
+    already).  At runtime the final intersection threshold for OS must not
+    exceed what the elementary OS test grants at the final analysis.  The
+    PFS side is not checked: PFS is rejected only by the intersection's
+    interim component, ``z_pfs_interim <= ndtri(xi1 * pa)``, and no
+    separate elementary PFS test runs.  Whether that rule is the paper's
+    is an open question of the roadmap.
+    """
+    test = _ClosedTest(design, inputs)
+    return test.final_intersection() <= test.elementary_final() + 1e-9
 
 
 def _interior(grid):

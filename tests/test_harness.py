@@ -8,8 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracles
 from duosurv import harness, mvnorm
-from duosurv.errors import ConfigError, NoSolution
+from duosurv.errors import ConfigError, InsufficientEvents, NoSolution
 from duosurv.harness import (
     CSV_COLUMNS,
     DROPOUT_RATE,
@@ -25,14 +26,16 @@ from duosurv.harness import (
     table_intensities,
 )
 from duosurv.logrank import covariance_matrix, logrank
-from duosurv.multistate import (CohortModel, FrailtySpec,
+from duosurv.multistate import (Cohort, CohortModel, FrailtySpec,
                                 TransitionIntensities, simulate_cohort)
 from duosurv.mvnorm import solve_inflation
-from duosurv.testing import PROCEDURES, DesignSpec
-from duosurv.trialdata import PFS, CutoffTargets
+from duosurv.testing import PROCEDURES, AnalysisInputs, DesignSpec
+from duosurv.trialdata import OS, PFS, CutoffTargets, event_cutoff
 
 NO_EARLY_STOP = ("bon", "rec", "ex_last", "os")
 SEED = 20260814
+NUMBERS = ("z_pfs_interim", "z_os_interim", "z_os_final", "r_p1o1", "r_p1o2",
+           "r_o1o2", "os_fraction_interim")
 
 
 def test_dropout_rate_constant():
@@ -213,38 +216,121 @@ FACTORS = ("interim_joint", "final_joint", "elementary_final")
                          ids=["power", "null_128_frailty"])
 def test_chunk_and_block_bounds_change_no_decision_and_no_factor(
         scenario, monkeypatch):
+    # nor any bit of the seven numbers, however the cohorts are cut into
+    # sub-blocks or the replications into chunks, blocks and workers
     designs = default_designs()
     recorded = []
     original = harness.run_procedure
 
     def recording(design, inputs):
         out = original(design, inputs)
-        recorded.append(out)
+        recorded.append((inputs, out))
         return out
 
     monkeypatch.setattr(harness, "run_procedure", recording)
 
     def run(bounds):
-        """Rep ids, outcome bits, failures and every factor of every
-        procedure (nan where not computed), over consecutive chunks."""
+        """Rep ids, outcome bits, failures, every factor of every procedure
+        (nan where not computed) and the seven numbers, over consecutive
+        chunks."""
         recorded.clear()
         parts = [harness._run_chunk(scenario, designs, SEED, a, b)
                  for a, b in zip(bounds[:-1], bounds[1:])]
         factors = {(p, name): np.concatenate(
             [out.inflation_factors.get(name, np.full(len(out), np.nan))
-             for out in recorded if out.procedure == p]).tobytes()
+             for _, out in recorded if out.procedure == p]).tobytes()
             for p in PROCEDURES for name in FACTORS}
+        inputs = AnalysisInputs.concatenate(
+            [inputs for inputs, out in recorded if out.procedure == "bon"])
         return ([r for ids, _, _ in parts for r in ids],
                 np.concatenate([bits for _, bits, _ in parts]).tobytes(),
-                sum((f for _, _, f in parts), Counter()), factors)
+                sum((f for _, _, f in parts), Counter()), factors,
+                [getattr(inputs, name).tobytes() for name in NUMBERS])
 
     n = 40
     whole = run([0, n])
     assert len(whole[0]) > 30
+    # the trials keep different numbers of patients, so a sub-block pads
+    # all but its widest
+    kept = {len(analyze_cohort(simulate_cohort(scenario.model, SEED, r),
+                               scenario.targets)[2]) for r in whole[0]}
+    assert len(kept) > 5
     for k in (1, 17, 39):
         assert run([0, k, n]) == whole
+    for rows in (1, 3, 7):
+        monkeypatch.setattr(harness, "_CELLS",
+                            rows * 2 * scenario.model.max_per_arm)
+        assert run([0, n]) == whole
+    assert run([0, 4, 11, 12, n]) == whole
     monkeypatch.setattr(harness, "_BLOCK", 7)
     assert run([0, n]) == whole
+    # a worker runs one chunk
+    one = run_experiment(scenario, designs, n, SEED, workers=1)
+    two = run_experiment(scenario, designs, n, SEED, workers=2)
+    assert (one.failures, one.rep_ids.tobytes()) == (two.failures,
+                                                     two.rep_ids.tobytes())
+    for proc in PROCEDURES:
+        assert np.array_equal(one.outcomes[proc], two.outcomes[proc])
+
+
+def test_block_rows_match_the_brute_force_scores():
+    # each row of a sub-block of 128-patient trials, against the oracle's
+    # score and variance over the patients kept by its final cutoff
+    sc = null_scenario(1, 128)
+    cohorts = [simulate_cohort(sc.model, SEED, r) for r in range(6)]
+    inputs, errors, t_interim, t_final = harness._reduce(
+        Cohort.stack(cohorts), sc.targets)
+    assert errors == [None] * 6
+    for i, cohort in enumerate(cohorts):
+        keep = cohort.entry <= t_final[i]
+        patients = list(zip(cohort.arm[keep], cohort.entry[keep],
+                            cohort.t_pfs[keep], cohort.t_os[keep],
+                            cohort.dropout[keep]))
+        for z, t, endpoint in ((inputs.z_pfs_interim, t_interim, PFS),
+                               (inputs.z_os_interim, t_interim, OS),
+                               (inputs.z_os_final, t_final, OS)):
+            u, var = oracles.logrank_score(
+                oracles.observe(patients, t[i], endpoint), len(patients))
+            assert z[i] == pytest.approx(u / math.sqrt(var), abs=1e-12)
+
+
+def test_a_mixed_block_labels_each_failure_as_the_per_trial_rule():
+    # near the cohort size some trials run out of events and others reach
+    # the final target first; every label and message is the per-trial
+    # rule's, and every analyzable trial's numbers are its block of one's
+    sc = Scenario(name="mixed", model=null_scenario(1, 128).model,
+                  targets=CutoffTargets(d_pfs=124, d_os=122))
+    cohorts = [simulate_cohort(sc.model, SEED, r) for r in range(24)]
+    inputs, errors, _, _ = harness._reduce(Cohort.stack(cohorts), sc.targets)
+
+    def per_trial(cohort):
+        try:
+            t_interim = event_cutoff(cohort, PFS, sc.targets.d_pfs)
+            t_final = event_cutoff(cohort, OS, sc.targets.d_os)
+        except InsufficientEvents as exc:
+            return "insufficient_events", str(exc)
+        return ("cutoff_order", None) if t_interim >= t_final else (None, None)
+
+    got = [(None, None) if e is None else (harness._LABELS[type(e)], str(e))
+           for e in errors]
+    want = [per_trial(c) for c in cohorts]
+    assert [g[0] for g in got] == [w[0] for w in want]
+    assert {w[0] for w in want} == {None, "insufficient_events",
+                                    "cutoff_order"}
+    for (_, message), (label, expected) in zip(got, want):
+        if label == "insufficient_events":
+            assert message == expected
+    ok = [r for r, e in enumerate(errors) if e is None]
+    assert len(inputs) == len(ok)
+    for k, rep in enumerate(ok):
+        alone, failure = simulate_replication(sc, SEED, rep)
+        assert failure is None
+        assert [getattr(alone, name).tobytes() for name in NUMBERS] == [
+            getattr(inputs, name)[k:k + 1].tobytes() for name in NUMBERS]
+    for rep, error in enumerate(errors):
+        if error is not None:
+            assert simulate_replication(sc, SEED, rep) == (
+                None, harness._LABELS[type(error)])
 
 
 def test_run_experiment_validation():

@@ -15,9 +15,11 @@ from duosurv.logrank import (
     CORRELATION_CLAMP,
     covariance_matrix,
     cross_covariance,
+    joint_covariance,
     logrank,
 )
-from duosurv.trialdata import OS, PFS, Snapshot, snapshot
+from duosurv.multistate import Cohort
+from duosurv.trialdata import OS, PFS, Snapshot, observe, snapshot
 
 TOL = 1e-12
 
@@ -61,6 +63,41 @@ def test_cross_covariance_matches_oracle_all_time_pairs():
                 got = cross_covariance(snaps[ta], snaps[tb])
                 want = oracles.cross_covariance(patients, ta, tb)
                 assert got == pytest.approx(want, abs=TOL)
+
+
+def test_block_rows_match_the_oracles_whatever_their_padding():
+    # blocks of micro cohorts of 2 to 12 patients, padded to one width by
+    # arm-1 patients who never enter, each row at its own pair of cutoffs:
+    # every row's scores, variances and cross covariances are the oracles',
+    # and, ties and all, bit for bit those of its snapshots alone
+    rng = np.random.default_rng(515)
+    never = (1, np.inf, 1.0, 1.0, 64.0)
+    for _ in range(20):
+        cohorts = [micro_patients(rng) for _ in range(6)]
+        cuts = [micro_cutoffs(rng) for _ in cohorts]
+        width = max(map(len, cohorts)) + int(rng.integers(0, 3))
+        block = Cohort.stack(
+            cohort_from_patients(p + [never] * (width - len(p)))
+            for p in cohorts)
+        n_ref = [len(p) for p in cohorts]
+        results, matrix = joint_covariance(
+            observe(block, [c[0] for c in cuts], n_ref),
+            observe(block, [c[1] for c in cuts], n_ref))
+        for i, (patients, (t1, t2)) in enumerate(zip(cohorts, cuts)):
+            for res, (t, endpoint) in zip(results, ((t1, PFS), (t1, OS),
+                                                    (t2, PFS), (t2, OS))):
+                u, var = oracles.logrank_score(
+                    oracles.observe(patients, t, endpoint), len(patients))
+                assert res.u[i] == pytest.approx(u, abs=TOL)
+                assert res.var[i] == pytest.approx(var, abs=TOL)
+            for (a, b), (ta, tb) in (((0, 1), (t1, t1)), ((0, 3), (t1, t2)),
+                                     ((1, 2), (t2, t1)), ((2, 3), (t2, t2))):
+                assert matrix[i, a, b] == pytest.approx(
+                    oracles.cross_covariance(patients, ta, tb), abs=TOL)
+            cohort = cohort_from_patients(patients)
+            _, alone = joint_covariance(snapshot(cohort, t1).block(),
+                                        snapshot(cohort, t2).block())
+            assert alone[0].tobytes() == matrix[i].tobytes()
 
 
 def test_two_patient_hand_example():

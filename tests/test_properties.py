@@ -28,7 +28,7 @@ import oracles
 from duosurv.mvnorm import (XI_TOL, InflationProblem, OrthantQuery,
                             mvn_upper_orthant, solve_inflation)
 from duosurv.testing import (PROCEDURES, AnalysisInputs, DesignSpec,
-                             _ClosedTest, check_consonance, run_procedure)
+                             _ClosedTest, run_procedure)
 
 DESIGNS = {p: DesignSpec(p) for p in PROCEDURES}
 BONFERRONI = ("bon", "bon_gs")
@@ -157,7 +157,7 @@ def test_consonance_holds_except_for_the_first_variants(case):
     inputs = make_inputs(*case)
     for p, d in DESIGNS.items():
         if not p.endswith("_first"):
-            assert check_consonance(d, inputs)[0], p
+            assert oracles.check_consonance(d, inputs)[0], p
 
 
 @property_settings(100)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from oracles import check_consonance
 from duosurv.errors import ConfigError
 from duosurv.mvnorm import InflationProblem, solve_inflation
 from duosurv.spending import SpendingFunction
@@ -19,7 +20,6 @@ from duosurv.testing import (
     AnalysisInputs,
     DesignSpec,
     TrialOutcome,
-    check_consonance,
     run_procedure,
 )
 

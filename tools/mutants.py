@@ -83,13 +83,13 @@ MUTANTS = (
             "test_procedures_of_one_trial_share_inflation_solves",)),
     # the statistics -> thresholds boundary
     Mutant("r_p1o2_reads_final_pfs", "src/duosurv/harness.py",
-           "r_p1o2=float(corr[0, 3])",
-           "r_p1o2=float(corr[0, 2])",
+           "r_p1o2=corr[ok, 0, 3]",
+           "r_p1o2=corr[ok, 0, 2]",
            ("tests/test_harness.py::"
             "test_analysis_inputs_hold_the_interim_pfs_and_os_correlations",)),
     Mutant("r_p1o2_r_o1o2_swapped", "src/duosurv/harness.py",
-           "r_p1o2=float(corr[0, 3]),\n        r_o1o2=float(corr[1, 3]),",
-           "r_p1o2=float(corr[1, 3]),\n        r_o1o2=float(corr[0, 3]),",
+           "r_p1o2=corr[ok, 0, 3],\n        r_o1o2=corr[ok, 1, 3],",
+           "r_p1o2=corr[ok, 1, 3],\n        r_o1o2=corr[ok, 0, 3],",
            ("tests/test_harness.py::"
             "test_analysis_inputs_hold_the_interim_pfs_and_os_correlations",)),
     # the orthant kernel and the solver
@@ -126,8 +126,8 @@ MUTANTS = (
            ("tests/test_logrank.py::"
             "test_covariance_matrix_layout_and_symmetry",)),
     Mutant("tie_group_ge", "src/duosurv/logrank.py",
-           "first[1:] = xs[1:] > xs[:-1]",
-           "first[1:] = xs[1:] >= xs[:-1]",
+           "np.greater(xs[:, 1:], xs[:, :-1], out=first[:, 1:])",
+           "np.greater_equal(xs[:, 1:], xs[:, :-1], out=first[:, 1:])",
            ("tests/test_acceptance.py::"
             "test_criterion_4_statistics_match_brute_force_oracles",)),
     Mutant("frailty_divides_dropout", "src/duosurv/multistate.py",
@@ -135,6 +135,17 @@ MUTANTS = (
            "cohort.t_os / gamma, cohort.dropout / gamma)",
            ("tests/test_multistate.py::"
             "test_frailty_divides_event_times_and_nothing_else",)),
+    # blocks of cohorts
+    Mutant("arm1_at_risk_counts_absent_patients", "src/duosurv/logrank.py",
+           "zs &= (np.arange(width) < n_present[:, None]).ravel()",
+           "pass",
+           ("tests/test_logrank.py::"
+            "test_block_rows_match_the_oracles_whatever_their_padding",)),
+    Mutant("row_sums_pairwise_over_padding", "src/duosurv/logrank.py",
+           "np.cumsum(pfs.resid * os_.resid, axis=1)[:, -1]",
+           "(pfs.resid * os_.resid).sum(axis=1)",
+           ("tests/test_harness.py::"
+            "test_chunk_and_block_bounds_change_no_decision_and_no_factor",)),
 )
 
 
