@@ -22,11 +22,10 @@ from .errors import ConfigError, DuosurvError, InvalidModel
 from .harness import (DROPOUT_RATE, Scenario, analyze_cohort,
                       default_designs, metrics_csv_text, null_scenario,
                       plan_events, power_scenario, run_experiment)
-from .logrank import covariance_matrix, logrank
 from .multistate import (Cohort, CohortModel, FrailtySpec,
                          TransitionIntensities)
 from .testing import PROCEDURES, run_procedure
-from .trialdata import PFS, CutoffTargets
+from .trialdata import CutoffTargets
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -386,12 +385,14 @@ def cmd_analyze(args) -> int:
         d_pfs=_integer(targets_block, "d_pfs", "targets", required=True),
         d_os=_integer(targets_block, "d_os", "targets", required=True))
 
-    inputs, interim, final = analyze_cohort(read_cohort(args.data), targets)
+    analysis = analyze_cohort(read_cohort(args.data), targets)
+    inputs = analysis.inputs
     outcome = run_procedure(design, inputs)[0]
-    t_interim, t_final = interim.calendar_time, final.calendar_time
+    t_interim = analysis.interim.calendar_time
+    t_final = analysis.final.calendar_time
     z = dict(z_pfs_interim=inputs.z_pfs_interim[0],
              z_os_interim=inputs.z_os_interim[0],
-             z_pfs_final=logrank(final, PFS).z,
+             z_pfs_final=analysis.results[2].z,
              z_os_final=inputs.z_os_final[0])
 
     yes = {True: "yes", False: "no"}
@@ -401,7 +402,7 @@ def cmd_analyze(args) -> int:
     print("z values         " + "  ".join(f"{k}={v:.4f}" for k, v in z.items()))
     print(f"os information   {inputs.os_fraction_interim[0]:.4f}")
     print("correlation matrix (pfs@interim, os@interim, pfs@final, os@final)")
-    for row in covariance_matrix(interim, final).corr:
+    for row in analysis.covariance.corr:
         print("  " + "  ".join(f"{v: .4f}" for v in row))
     if outcome.inflation_factors:
         print("inflation        " + "  ".join(

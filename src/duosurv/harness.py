@@ -11,6 +11,15 @@ row per replication and procedure, in replication order, so results depend
 neither on the worker count nor on how the replications are cut into
 sub-blocks and blocks.
 
+The reduction has two halves.  The interim half depends on the cohorts and
+``d_pfs`` only: the PFS cutoffs, the interim snapshots and their PFS and OS
+log-rank curves, unscaled.  The final half reads it at one ``d_os``: the OS
+cutoffs, the kept patients, whose count scales every statistic, the final
+snapshots and curves, the covariances and the seven numbers.  ``simulate``
+runs both per sub-block; ``plan`` computes each sub-block's interim half
+once and reads it at every candidate ``d_os``, drawing the cohorts again
+each time.  It keeps two float64 per patient entered by the interim cutoff.
+
 Replication ``r`` of an experiment derives its random stream from
 ``(seed, r)`` alone; the frailty variates are drawn after the shared base
 block, so runs with frailty on and off are coupled pairwise.
@@ -23,18 +32,21 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import (ConfigError, CutoffOrder, DegenerateVariance,
                      InsufficientEvents, NoSolution, WorkerCrash)
-from .logrank import correlation, joint_covariance
+from .logrank import (CovarianceEstimate, InterimCurves, LogrankResult,
+                      correlation, joint_covariance)
 from .multistate import (Cohort, CohortModel, FrailtySpec,
                          TransitionIntensities, simulate_cohorts)
 from .testing import AnalysisInputs, DesignSpec, PROCEDURES, run_procedure
-from .trialdata import (OS, CutoffTargets, analysis_times,
-                        information_fraction, observe, snapshot)
+from .trialdata import (OS, PFS, CutoffTargets, Snapshot, event_cutoffs,
+                        observe, snapshot)
 
 __all__ = [
     "DROPOUT_RATE",
@@ -47,6 +59,7 @@ __all__ = [
     "power_scenario",
     "null_scenario",
     "default_designs",
+    "Analysis",
     "analyze_cohort",
     "simulate_replication",
     "run_experiment",
@@ -156,31 +169,102 @@ _LABELS = {InsufficientEvents: "insufficient_events",
            DegenerateVariance: "degenerate_variance"}
 
 
-def _reduce(cohort: Cohort, targets: CutoffTargets):
+def _span(mask: np.ndarray) -> int:
+    """Columns of a block up to the last one that some row marks."""
+    return mask.shape[1] - np.argmax(mask[:, ::-1], axis=1).min()
+
+
+class _Interim:
+    """The half of a sub-block's reduction that does not depend on
+    ``d_os``: each row's PFS cutoff ``t`` and its ``InsufficientEvents`` in
+    ``errors``, and the interim curves of the ``rows`` with a cutoff,
+    computed on the columns entered by it.
+
+    It keeps the residuals of the patients entered by the cutoff only, two
+    float64 each, and :meth:`curves` puts them back into the positions of
+    the same cohorts.
+    """
+
+    def __init__(self, cohort: Cohort, d_pfs: int):
+        self.t, self.errors = event_cutoffs(cohort, PFS, d_pfs)
+        self.rows = np.flatnonzero(np.isfinite(self.t))
+        self.packed = None
+        if self.rows.size:
+            entered = self._entered(cohort)
+            curves = InterimCurves.of(observe(
+                cohort.restricted_to((self.rows, slice(entered.shape[1]))),
+                self.t[self.rows]))
+            self.packed = replace(curves, resid=curves.resid[:, entered])
+
+    def _entered(self, cohort: Cohort) -> np.ndarray:
+        entered = cohort.entry[self.rows] <= self.t[self.rows, None]
+        return entered[:, :_span(entered)]
+
+    def curves(self, cohort: Cohort, rows: np.ndarray) -> InterimCurves:
+        """The interim curves of the cohorts at ``rows``, each with a
+        cutoff; ``cohort`` is the block this half was computed from."""
+        entered = self._entered(cohort)
+        resid = np.zeros((2,) + entered.shape)
+        resid[:, entered] = self.packed.resid
+        curves = replace(self.packed, resid=resid)
+        if len(rows) == len(self.rows):
+            return curves
+        return curves.take(np.searchsorted(self.rows, rows))
+
+
+@dataclass(frozen=True)
+class _Reduction:
+    """A sub-block of cohorts reduced to the seven numbers, one row per
+    trial.
+
+    ``errors[i]`` is the ``InsufficientEvents``, ``CutoffOrder`` or
+    ``DegenerateVariance`` row ``i`` fails with, None if it is analyzable;
+    ``inputs`` holds the analyzable rows, in order.  ``results`` (PFS@t1,
+    OS@t1, PFS@t2, OS@t2) and ``covariance`` hold the rows with both
+    cutoffs in order, None if there are none.
+    """
+
+    inputs: AnalysisInputs
+    errors: list
+    t_interim: np.ndarray
+    t_final: np.ndarray
+    results: list | None = None
+    covariance: CovarianceEstimate | None = None
+
+
+def _reduce(cohort: Cohort, targets: CutoffTargets,
+            interim: _Interim | None = None) -> _Reduction:
     """Cutoffs, snapshots and statistics of a block of cohorts, one per
     row, reduced to the seven numbers the testing layer reads.
 
-    Returns ``(inputs, errors, t_interim, t_final)``: ``inputs`` holds the
-    analyzable rows, in order; ``errors[i]`` is the ``InsufficientEvents``,
-    ``CutoffOrder`` or ``DegenerateVariance`` row ``i`` fails with, None if
-    it is analyzable.  Every number of a row depends on that row alone.
+    This is the final half, on top of ``interim``, the interim half of the
+    same cohorts at ``targets.d_pfs`` (computed here when not given).
+    Every number of a row depends on that row alone.
     """
-    t_interim, t_final, errors = analysis_times(cohort, targets)
+    if interim is None:
+        interim = _Interim(cohort, targets.d_pfs)
+    t_final, errors = event_cutoffs(cohort, OS, targets.d_os)
+    errors = [a or b for a, b in zip(interim.errors, errors)]
+    for i in np.flatnonzero(interim.t >= t_final):
+        errors[i] = errors[i] or CutoffOrder(
+            f"interim cutoff {interim.t[i]:.4f} not before final "
+            f"{t_final[i]:.4f}; check the event targets")
     rows = np.flatnonzero([e is None for e in errors])
     if not rows.size:
-        return AnalysisInputs(*[()] * 7), errors, t_interim, t_final
-    # each trial keeps the patients entered by its final cutoff; the block
-    # drops the positions no row keeps
+        return _Reduction(AnalysisInputs(*[()] * 7), errors, interim.t,
+                          t_final)
+    # each trial keeps the patients entered by its final cutoff, and their
+    # count scales all its statistics; the block drops the positions no
+    # row keeps
     kept = cohort.entry[rows] <= t_final[rows, None]
-    width = kept.shape[1] - np.argmax(kept[:, ::-1], axis=1).min()
-    block = cohort.restricted_to((rows[:, None], np.arange(width)))
     n_ref = kept.sum(axis=1)
-    interim = observe(block, t_interim[rows], n_ref)
-    final = observe(block, t_final[rows], n_ref)
-    lr, matrix = joint_covariance(interim, final)
-    # lr[2] goes unread, but the covariance needs its curve; the rows and
-    # columns of corr are pfs@interim, os@interim, pfs@final, os@final
-    corr, _, degenerate = correlation(matrix)
+    final = observe(cohort.restricted_to((rows, slice(_span(kept)))),
+                    t_final[rows])
+    lr, matrix = joint_covariance(interim.curves(cohort, rows), final, n_ref)
+    # the testing layer reads no lr[2], but the covariance needs its curve;
+    # the rows and columns of corr are pfs@interim, os@interim, pfs@final,
+    # os@final
+    corr, clamped, degenerate = correlation(matrix)
     for i, error in zip(rows, degenerate):
         errors[i] = error
     ok = np.array([e is None for e in degenerate])
@@ -189,27 +273,50 @@ def _reduce(cohort: Cohort, targets: CutoffTargets):
         z_os_final=lr[3].z[ok],
         r_p1o1=corr[ok, 0, 1], r_p1o2=corr[ok, 0, 3],
         r_o1o2=corr[ok, 1, 3],
-        os_fraction_interim=information_fraction(interim, OS,
-                                                 targets.d_os)[ok])
-    return inputs, errors, t_interim, t_final
+        os_fraction_interim=lr[1].n_events[ok] / targets.d_os)
+    return _Reduction(inputs, errors, interim.t, t_final, lr,
+                      CovarianceEstimate(matrix, corr, clamped))
 
 
-def analyze_cohort(cohort, targets: CutoffTargets):
+@dataclass(frozen=True)
+class Analysis:
+    """One cohort analyzed.
+
+    ``inputs`` are the testing layer's inputs, a block of one; ``interim``
+    and ``final`` the two snapshots of the patients entered by the final
+    cutoff, whose calendar times are the cutoffs; ``results`` the log-rank
+    results of (PFS@t1, OS@t1, PFS@t2, OS@t2) and ``covariance`` their
+    joint covariance estimate.
+    """
+
+    inputs: AnalysisInputs
+    interim: Snapshot
+    final: Snapshot
+    results: tuple
+    covariance: CovarianceEstimate
+
+
+def analyze_cohort(cohort, targets: CutoffTargets) -> Analysis:
     """Event-driven cutoffs, snapshots and statistics of one cohort, a
     block of one.
 
-    Returns ``(inputs, interim, final)``: the testing layer's inputs, a
-    block of one trial, plus the two snapshots of the patients entered by
-    the final cutoff, whose calendar times are the cutoffs.  Raises
-    ``InsufficientEvents``, ``CutoffOrder`` or ``DegenerateVariance``.
+    Raises ``InsufficientEvents``, ``CutoffOrder`` or
+    ``DegenerateVariance``.
     """
-    inputs, errors, t_interim, t_final = _reduce(Cohort.stack([cohort]),
-                                                 targets)
-    if errors[0] is not None:
-        raise errors[0]
-    kept = cohort.restricted_to(cohort.entry <= t_final[0])
-    return (inputs, snapshot(kept, float(t_interim[0])),
-            snapshot(kept, float(t_final[0])))
+    reduced = _reduce(Cohort.stack([cohort]), targets)
+    if reduced.errors[0] is not None:
+        raise reduced.errors[0]
+    kept = cohort.restricted_to(cohort.entry <= reduced.t_final[0])
+    estimate = reduced.covariance
+    return Analysis(
+        inputs=reduced.inputs,
+        interim=snapshot(kept, float(reduced.t_interim[0])),
+        final=snapshot(kept, float(reduced.t_final[0])),
+        results=tuple(LogrankResult(float(r.u[0]), float(r.var[0]),
+                                    int(r.n_events[0]))
+                      for r in reduced.results),
+        covariance=CovarianceEstimate(estimate.matrix[0], estimate.corr[0],
+                                      bool(estimate.clamped[0])))
 
 
 def simulate_replication(scenario: Scenario, seed: int, replication: int):
@@ -219,12 +326,11 @@ def simulate_replication(scenario: Scenario, seed: int, replication: int):
     are replications no trial of this design could analyze: not enough
     events for a cutoff, analyses out of order, or a degenerate variance.
     """
-    inputs, errors, _, _ = _reduce(
-        simulate_cohorts(scenario.model, seed, [replication]),
-        scenario.targets)
-    if errors[0] is not None:
-        return None, _LABELS[type(errors[0])]
-    return inputs, None
+    reduced = _reduce(simulate_cohorts(scenario.model, seed, [replication]),
+                      scenario.targets)
+    if reduced.errors[0] is not None:
+        return None, _LABELS[type(reduced.errors[0])]
+    return reduced.inputs, None
 
 
 def _outcome_bits(out) -> np.ndarray:
@@ -236,7 +342,7 @@ def _outcome_bits(out) -> np.ndarray:
         out.rejected_global))
 
 
-def _run_chunk(scenario, designs, seed, start, stop):
+def _run_chunk(scenario, designs, seed, start, stop, interims=None):
     """Analyzable replication ids in ``[start, stop)``, their outcome bits
     (one row per design) and the failures by label.
 
@@ -245,6 +351,10 @@ def _run_chunk(scenario, designs, seed, start, stop):
     are decided in blocks of up to ``_BLOCK``: each design runs once per
     block.  No trial's numbers or decision depend on the others of its
     sub-block or block, so the chunk bounds change nothing.
+
+    ``interims``, if given, maps the first replication of a sub-block to
+    its interim half: a sub-block found there reads it, one not found
+    stores its own, for later calls at another ``d_os``.
     """
     rep_ids, bits, failures = [], [], Counter()
     rows = max(1, _CELLS // (2 * scenario.model.max_per_arm))
@@ -253,15 +363,19 @@ def _run_chunk(scenario, designs, seed, start, stop):
         last = min(first + _BLOCK, stop)
         for low in range(first, last, rows):
             reps = range(low, min(low + rows, last))
-            inputs, errors, _, _ = _reduce(
-                simulate_cohorts(scenario.model, seed, reps),
-                scenario.targets)
-            for rep, error in zip(reps, errors):
+            cohort = simulate_cohorts(scenario.model, seed, reps)
+            interim = None if interims is None else interims.get(low)
+            if interim is None:
+                interim = _Interim(cohort, scenario.targets.d_pfs)
+            if interims is not None:
+                interims[low] = interim
+            reduced = _reduce(cohort, scenario.targets, interim)
+            for rep, error in zip(reps, reduced.errors):
                 if error is None:
                     rep_ids.append(rep)
                 else:
                     failures[_LABELS[type(error)]] += 1
-            block.append(inputs)
+            block.append(reduced.inputs)
         inputs = AnalysisInputs.concatenate(block)
         if len(inputs):
             bits.append(np.stack([_outcome_bits(run_procedure(d, inputs))
@@ -343,6 +457,28 @@ def _worker_count(workers: int, n_reps: int) -> int:
     return max(1, min(workers, n_reps, os.cpu_count() or 1))
 
 
+def _chunks(n_reps: int, workers: int):
+    """The replication bounds ``(starts, stops)`` of one chunk per worker."""
+    bounds = [i * n_reps // workers for i in range(workers + 1)]
+    return bounds[:-1], bounds[1:]
+
+
+@contextmanager
+def _mapper(workers: int, scenario: Scenario):
+    """The ``map`` that runs a command's chunks: the built-in one for a
+    single worker, else that of one process pool, for every call the
+    command makes.  A worker process that dies raises ``WorkerCrash``."""
+    if workers == 1:
+        yield map
+        return
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield pool.map
+    except BrokenProcessPool as exc:
+        raise WorkerCrash(f"a worker process died while running "
+                          f"scenario {scenario.name}") from exc
+
+
 def run_experiment(scenario: Scenario, designs, n_reps: int, seed: int,
                    workers: int = 1) -> ExperimentResult:
     """Run ``n_reps`` replications of every design on shared cohorts.
@@ -357,19 +493,9 @@ def run_experiment(scenario: Scenario, designs, n_reps: int, seed: int,
         raise ConfigError("duplicate procedures in design list")
 
     workers = _worker_count(workers, n_reps)
-    if workers == 1:
-        parts = [_run_chunk(scenario, designs, seed, 0, n_reps)]
-    else:
-        bounds = [i * n_reps // workers for i in range(workers + 1)]
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_chunk, scenario, designs, seed,
-                                       a, b)
-                           for a, b in zip(bounds[:-1], bounds[1:])]
-                parts = [f.result() for f in futures]
-        except BrokenProcessPool as exc:
-            raise WorkerCrash(f"a worker process died while running "
-                              f"scenario {scenario.name}") from exc
+    with _mapper(workers, scenario) as run:
+        parts = list(run(partial(_run_chunk, scenario, designs, seed),
+                         *_chunks(n_reps, workers)))
 
     bits = np.concatenate([b for _, b, _ in parts])
     return ExperimentResult(
@@ -378,6 +504,16 @@ def run_experiment(scenario: Scenario, designs, n_reps: int, seed: int,
         rep_ids=np.array([r for ids, _, _ in parts for r in ids],
                          dtype=np.int64),
         outcomes={p: bits[:, i] for i, p in enumerate(procs)})
+
+
+def _plan_chunk(scenario, design, seed, start, stop, interims):
+    """OS rejections of ``design`` in replications ``[start, stop)`` at the
+    scenario's ``d_os``, and the chunk's interim halves if ``interims`` is
+    None, else None: the first candidate computes them, and they travel
+    with the chunk's tasks at later candidates."""
+    held = {} if interims is None else interims
+    _, bits, _ = _run_chunk(scenario, [design], seed, start, stop, held)
+    return int(bits[:, 0, 1].sum()), held if interims is None else None
 
 
 @dataclass(frozen=True)
@@ -398,7 +534,8 @@ def plan_events(scenario: Scenario, design: DesignSpec, target_power: float,
     replications: a replication that cannot be analyzed (say, too few
     events for the cutoff) counts as OS not rejected.  Every candidate is
     evaluated with the same seed, so the power curve is monotone up to
-    Monte Carlo wobble.
+    Monte Carlo wobble.  The interim half of each sub-block of cohorts is
+    computed at the first candidate and read at every later one.
 
     The bracket defaults to ``(0.7 * d_os, d_os)`` of the scenario.  Its top
     doubles, up to the cohort size, until it reaches the target.  If the
@@ -409,37 +546,48 @@ def plan_events(scenario: Scenario, design: DesignSpec, target_power: float,
     """
     if not 0.0 <= target_power < 1.0:
         raise ConfigError("target_power must lie in [0, 1)")
+    if n_reps <= 0:
+        raise ConfigError("n_reps must be positive")
     d0 = scenario.targets.d_os
     n_max = 2 * scenario.model.max_per_arm
-    cache: dict = {}
-
-    def power_at(d: int) -> float:
-        if d not in cache:
-            sc = replace(scenario, targets=CutoffTargets(
-                d_pfs=scenario.targets.d_pfs, d_os=d))
-            res = run_experiment(sc, [design], n_reps, seed, workers=workers)
-            cache[d] = float(res.counts[design.procedure][1]) / n_reps
-        return cache[d]
-
     lo, hi = bracket if bracket is not None else (max(2, int(0.7 * d0)), d0)
     if not 2 <= lo < hi <= n_max:
         given = (f"bracket ({lo}, {hi})" if bracket is not None
                  else f"scenario d_os={d0} (default bracket)")
         raise ConfigError(f"{given} invalid for cohort {n_max}")
-    while power_at(hi) < target_power:
-        if hi >= n_max:
-            raise NoSolution(
-                f"target power {target_power} not reached by d_os={hi}")
-        lo, hi = hi, min(2 * hi, n_max)
-    if power_at(lo) >= target_power:
-        hi = lo  # everything from the bracket floor on qualifies
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if power_at(mid) >= target_power:
-            hi = mid
-        else:
-            lo = mid
-    return PlanResult(d_os=hi, power=power_at(hi), target_power=target_power,
+
+    workers = _worker_count(workers, n_reps)
+    starts, stops = _chunks(n_reps, workers)
+    interims = [None] * workers
+    cache: dict = {}
+    with _mapper(workers, scenario) as run:
+
+        def power_at(d: int) -> float:
+            if d not in cache:
+                sc = replace(scenario, targets=CutoffTargets(
+                    d_pfs=scenario.targets.d_pfs, d_os=d))
+                parts = list(run(partial(_plan_chunk, sc, design, seed),
+                                 starts, stops, interims))
+                for k, (_, held) in enumerate(parts):
+                    if held is not None:
+                        interims[k] = held
+                cache[d] = sum(count for count, _ in parts) / n_reps
+            return cache[d]
+
+        while power_at(hi) < target_power:
+            if hi >= n_max:
+                raise NoSolution(
+                    f"target power {target_power} not reached by d_os={hi}")
+            lo, hi = hi, min(2 * hi, n_max)
+        if power_at(lo) >= target_power:
+            hi = lo  # everything from the bracket floor on qualifies
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if power_at(mid) >= target_power:
+                hi = mid
+            else:
+                lo = mid
+    return PlanResult(d_os=hi, power=cache[hi], target_power=target_power,
                       d_pfs=scenario.targets.d_pfs,
                       evaluations=dict(sorted(cache.items())))
 

@@ -15,6 +15,11 @@ come from a single pass over the tie groups of each row's sorted times, for
 a whole block of trials at once: one row per trial, absent patients masked.
 Every row sum adds left to right, so a row's numbers do not depend on the
 block it sits in.  A single snapshot is a block of one.
+
+The interim curves do not depend on the final cutoff except through the
+reference size n, which scales every entry: :class:`InterimCurves` keeps
+them unscaled, and :func:`joint_covariance` scales them with the final
+half, so one interim serves any number of final cutoffs.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .trialdata import OS, PFS, Snapshot, SnapshotBlock
 
 __all__ = [
     "LogrankResult",
+    "InterimCurves",
     "CovarianceEstimate",
     "logrank",
     "cross_covariance",
@@ -100,7 +106,8 @@ class _EndpointCurves:
         starts = np.flatnonzero(first)
         group = np.cumsum(first)
         group -= 1
-        event_group, event_arm1 = group[ds], zs[ds]
+        ev = np.flatnonzero(ds)
+        event_group, event_arm1 = group[ev], zs[ev]
 
         # at-risk counts at each group's time, the present patients and
         # those of arm 1 from the group to the end of its row; a group of
@@ -132,11 +139,9 @@ class _EndpointCurves:
         psi0.ravel()[starts] = (1.0 - share0) * d_lambda
         psi1.ravel()[starts] = (1.0 - share1) * d_lambda
         np.cumsum(steps, axis=2, out=steps)
-
-        n_ref = snaps.n_ref
-        self.result = LogrankResult(u[:, -1] / np.sqrt(n_ref),
-                                    var[:, -1] / n_ref,
-                                    ds.reshape(rows, width).sum(axis=1))
+        # unscaled row sums, copied so that the steps can go
+        self.score, self.info = u[:, -1].copy(), var[:, -1].copy()
+        self.n_events = ds.reshape(rows, width).sum(axis=1)
 
         # per-patient residuals mu^{(z_i)}(x_i) * d_i - psi^{(z_i)}(x_i),
         # in cohort positions, 0 for absent patients: 0 - psi for everyone,
@@ -145,11 +150,16 @@ class _EndpointCurves:
         np.subtract(0.0, resid, out=resid)
         resid[np.arange(width) >= n_present[:, None]] = 0.0
         resid = resid.ravel()
-        resid[ds] += 1.0 - np.where(event_arm1, share1[event_group],
+        resid[ev] += 1.0 - np.where(event_arm1, share1[event_group],
                                     share0[event_group])
         self.resid = np.empty(rows * width)
         self.resid[flat] = resid
         self.resid = self.resid.reshape(rows, width)
+
+    def result(self, n_ref) -> LogrankResult:
+        """The log-rank results of the rows with reference sizes ``n_ref``."""
+        return LogrankResult(self.score / np.sqrt(n_ref), self.info / n_ref,
+                             self.n_events)
 
 
 def logrank(snap: Snapshot, endpoint: str) -> LogrankResult:
@@ -160,7 +170,7 @@ def logrank(snap: Snapshot, endpoint: str) -> LogrankResult:
     statistic negative, which is the rejection direction everywhere in this
     package.
     """
-    res = _EndpointCurves(snap.block(), endpoint).result
+    res = _EndpointCurves(snap.block(), endpoint).result(snap.n_ref)
     return LogrankResult(float(res.u[0]), float(res.var[0]),
                          int(res.n_events[0]))
 
@@ -179,14 +189,19 @@ def _check_compatible(a: Snapshot, b: Snapshot) -> None:
         raise InconsistentSnapshots("snapshots do not come from the same cohort")
 
 
-def _cross(pfs: _EndpointCurves, os_: _EndpointCurves, n_ref) -> np.ndarray:
-    """Per row, the mean per-patient product of the PFS and OS residuals.
+def _cross(pfs: np.ndarray, os_: np.ndarray) -> np.ndarray:
+    """Per row, the sum of the per-patient products of the PFS and OS
+    residuals, over the positions both blocks cover; a patient absent from
+    either snapshot adds 0.
 
     The products are added left to right: trailing zeros change no bit of
-    such a sum, so a row's value does not depend on how far its block pads
+    such a sum, so a row's value does not depend on how far its blocks pad
     it, where a pairwise ``sum`` would group the terms by the row length.
+    Past the narrower block, the residuals of a row of the other one are 0,
+    as that row's patients there enter after both snapshots' times.
     """
-    return np.cumsum(pfs.resid * os_.resid, axis=1)[:, -1] / n_ref
+    width = min(pfs.shape[1], os_.shape[1])
+    return np.cumsum(pfs[:, :width] * os_[:, :width], axis=1)[:, -1]
 
 
 def cross_covariance(snap_pfs: Snapshot, snap_os: Snapshot) -> float:
@@ -198,34 +213,73 @@ def cross_covariance(snap_pfs: Snapshot, snap_os: Snapshot) -> float:
     the value is 0 whenever either side has no events yet.
     """
     _check_compatible(snap_pfs, snap_os)
-    return float(_cross(_EndpointCurves(snap_pfs.block(), PFS),
-                        _EndpointCurves(snap_os.block(), OS),
-                        snap_pfs.n_ref)[0])
+    return float(_cross(_EndpointCurves(snap_pfs.block(), PFS).resid,
+                        _EndpointCurves(snap_os.block(), OS).resid)[0]
+                 / snap_pfs.n_ref)
 
 
-def joint_covariance(interim: SnapshotBlock, final: SnapshotBlock):
+@dataclass(frozen=True)
+class InterimCurves:
+    """PFS (P1) and OS (O1) at the interim snapshot of each row of a block,
+    unscaled: what the joint covariance reads of them at any later cutoff.
+
+    ``score``, ``info`` and ``n_events`` hold the score sums, variance sums
+    and event counts of P1 (row 0) and O1 (row 1), one column per trial;
+    ``c11`` the sums of the P1 x O1 residual products; ``resid`` the P1 and
+    O1 residuals, shape (2, trials, positions).
+    """
+
+    score: np.ndarray
+    info: np.ndarray
+    n_events: np.ndarray
+    c11: np.ndarray
+    resid: np.ndarray
+
+    @classmethod
+    def of(cls, snaps: SnapshotBlock) -> "InterimCurves":
+        p1, o1 = _EndpointCurves(snaps, PFS), _EndpointCurves(snaps, OS)
+        # c11 is copied out of the running sums, so that they can go
+        return cls(score=np.array([p1.score, o1.score]),
+                   info=np.array([p1.info, o1.info]),
+                   n_events=np.array([p1.n_events, o1.n_events]),
+                   c11=_cross(p1.resid, o1.resid).copy(),
+                   resid=np.array([p1.resid, o1.resid]))
+
+    def take(self, rows) -> "InterimCurves":
+        """The curves of the trials at ``rows``."""
+        return InterimCurves(self.score[:, rows], self.info[:, rows],
+                             self.n_events[:, rows], self.c11[rows],
+                             self.resid[:, rows])
+
+
+def joint_covariance(interim: InterimCurves, final: SnapshotBlock, n_ref):
     """Log-rank results and joint covariance of both endpoints at both
     cutoffs, for each trial of a block; row ``i`` of ``final`` is the later
-    snapshot of the cohort of row ``i`` of ``interim``.
+    snapshot of the cohort of the trial ``i`` of ``interim``, and ``n_ref[i]``
+    its reference size, which scales every entry.
 
     Returns ``(results, matrix)``: the results of (PFS@t1, OS@t1, PFS@t2,
     OS@t2) and an (R, 4, 4) stack in that order.  Same-endpoint entries
     across the two times equal the earlier-time variance.
     """
-    snaps = (interim, final)
-    curves = [_EndpointCurves(s, e) for s in snaps for e in (PFS, OS)]
-    v_p1, v_o1, v_p2, v_o2 = (c.result.var for c in curves)
+    p2, o2 = _EndpointCurves(final, PFS), _EndpointCurves(final, OS)
+    results = [LogrankResult(interim.score[k] / np.sqrt(n_ref),
+                             interim.info[k] / n_ref, interim.n_events[k])
+               for k in (0, 1)] + [p2.result(n_ref), o2.result(n_ref)]
+    v_p1, v_o1, v_p2, v_o2 = (r.var for r in results)
     # the cross covariance of each (PFS time, OS time) pair
+    p1, o1 = interim.resid
     c11, c12, c21, c22 = (
-        _cross(curves[2 * a], curves[2 * b + 1], snaps[a].n_ref)
-        for a in (0, 1) for b in (0, 1))
+        total / n_ref for total in (interim.c11, _cross(p1, o2.resid),
+                                    _cross(p2.resid, o1),
+                                    _cross(p2.resid, o2.resid)))
     matrix = np.moveaxis(np.array([
         [v_p1, c11, v_p1, c12],
         [c11, v_o1, c21, v_o1],
         [v_p1, c21, v_p2, c22],
         [c12, v_o1, c22, v_o2],
     ]), -1, 0)
-    return [c.result for c in curves], matrix
+    return results, matrix
 
 
 def correlation(matrix: np.ndarray):
@@ -302,7 +356,8 @@ def covariance_matrix(snap_interim: Snapshot, snap_final: Snapshot) -> Covarianc
     if snap_interim.calendar_time > snap_final.calendar_time:
         raise InconsistentSnapshots("interim snapshot must not be later than final")
     _check_compatible(snap_interim, snap_final)
-    _, matrix = joint_covariance(snap_interim.block(), snap_final.block())
+    _, matrix = joint_covariance(InterimCurves.of(snap_interim.block()),
+                                 snap_final.block(), snap_final.n_ref)
     corr, clamped, errors = correlation(matrix)
     if errors[0] is not None:
         raise errors[0]

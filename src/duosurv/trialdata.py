@@ -4,9 +4,9 @@ A snapshot freezes what is visible at calendar time t: each entered patient
 contributes the censored time on study for both endpoints.  Analyses are
 triggered when a prescribed number of endpoint events has accumulated, so the
 calendar dates of the interim and final analysis are themselves random.
-Both work on blocks of cohorts, one trial per row: the cutoffs of a block
-come from one partition, and its snapshot at one time per row masks the
-patients not entered yet.  A single cohort is a block of one.
+Both work on blocks of cohorts, one trial per row: the cutoffs of one
+endpoint come from one partition, and a snapshot at one time per row masks
+the patients not entered yet.  A single cohort is a block of one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffOrder, InsufficientEvents, InvalidModel
+from .errors import InsufficientEvents, InvalidModel
 from .multistate import Cohort, _check_finite
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
     "observe",
     "snapshot",
     "event_cutoff",
-    "analysis_times",
+    "event_cutoffs",
     "information_fraction",
 ]
 
@@ -61,8 +61,8 @@ class SnapshotBlock(_Columns):
     ``present`` marks the patients entered by the row's time; the other
     columns mean something only where it is set, the times of present
     patients are finite and the event indicators are False wherever it is
-    not.  ``n_ref`` is each row's reference cohort size for the 1/sqrt(n)
-    scalings of the statistics.
+    not.  The reference cohort size of the statistics' 1/sqrt(n) scalings
+    is not part of it: it comes with the final cutoff.
     """
 
     present: np.ndarray
@@ -71,7 +71,6 @@ class SnapshotBlock(_Columns):
     d_pfs: np.ndarray
     x_os: np.ndarray
     d_os: np.ndarray
-    n_ref: np.ndarray
 
 
 @dataclass
@@ -110,8 +109,7 @@ class Snapshot(_Columns):
         return SnapshotBlock(
             present=placed(True, False), arm=placed(self.arm, 0),
             x_pfs=placed(self.x_pfs, 0.0), d_pfs=placed(self.d_pfs, False),
-            x_os=placed(self.x_os, 0.0), d_os=placed(self.d_os, False),
-            n_ref=np.array([self.n_ref]))
+            x_os=placed(self.x_os, 0.0), d_os=placed(self.d_os, False))
 
 
 @dataclass(frozen=True)
@@ -148,9 +146,9 @@ def _event_dates(cohort: Cohort, endpoint: str) -> np.ndarray:
         return np.where(t <= cohort.dropout, cohort.entry + t, np.inf)
 
 
-def observe(cohort: Cohort, calendar_time, n_ref) -> SnapshotBlock:
+def observe(cohort: Cohort, calendar_time) -> SnapshotBlock:
     """Observable data of a block of cohorts, row ``i`` at
-    ``calendar_time[i]`` with reference size ``n_ref[i]``.
+    ``calendar_time[i]``.
 
     A patient is present once entered.  For a present patient the endpoint
     time on study is the event time if the event happened under
@@ -170,14 +168,13 @@ def observe(cohort: Cohort, calendar_time, n_ref) -> SnapshotBlock:
     return SnapshotBlock(
         present=cohort.entry <= t, arm=cohort.arm,
         x_pfs=columns[PFS][0], d_pfs=columns[PFS][1],
-        x_os=columns[OS][0], d_os=columns[OS][1],
-        n_ref=np.asarray(n_ref))
+        x_os=columns[OS][0], d_os=columns[OS][1])
 
 
 def snapshot(cohort: Cohort, calendar_time: float) -> Snapshot:
     """Observable data of one cohort's entered patients at a calendar time,
     by :func:`observe` on a block of one; ``n_ref`` is the cohort size."""
-    block = observe(Cohort.stack([cohort]), [calendar_time], [len(cohort)])
+    block = observe(Cohort.stack([cohort]), [calendar_time])
     entered = block.present[0]
     return Snapshot(
         calendar_time=calendar_time, arm=cohort.arm[entered],
@@ -201,11 +198,30 @@ def _shortfall(dates: np.ndarray, endpoint: str, d_target: int):
     return None
 
 
-def event_cutoff(cohort: Cohort, endpoint: str, d_target: int) -> float:
-    """Calendar date at which the d-th endpoint event is observed.
+def event_cutoffs(cohort: Cohort, endpoint: str, d_target: int):
+    """Calendar date at which the d-th endpoint event is observed, for each
+    trial of a cohort block, from one partition of its event dates.
 
     Ties share a date, in which case the snapshot taken at the cutoff holds
-    every tied event and can exceed ``d_target``.
+    every tied event and can exceed ``d_target``.  Returns ``(t, errors)``:
+    ``errors[i]`` is the ``InsufficientEvents`` of a row whose d-th event
+    never comes (its cutoff is then +inf), None for the others.
+    """
+    n = len(cohort)
+    dates = _event_dates(cohort, endpoint)
+    # a target beyond the cohort size is never reached
+    k = min(d_target, n) - 1
+    t = np.where(d_target <= n, np.partition(dates, k, axis=-1)[:, k],
+                 np.inf)
+    errors = [None] * len(t)
+    for i in np.flatnonzero(~np.isfinite(t)):
+        errors[i] = _shortfall(dates[i], endpoint, d_target)
+    return t, errors
+
+
+def event_cutoff(cohort: Cohort, endpoint: str, d_target: int) -> float:
+    """Calendar date at which the d-th endpoint event of one cohort is
+    observed, by :func:`event_cutoffs` on a block of one.
 
     Raises:
         InsufficientEvents: fewer than ``d_target`` events ever occur.
@@ -213,39 +229,10 @@ def event_cutoff(cohort: Cohort, endpoint: str, d_target: int) -> float:
     _check_endpoint(endpoint)
     if d_target < 1:
         raise InvalidModel("event target must be at least 1")
-    dates = _event_dates(cohort, endpoint)
-    error = _shortfall(dates, endpoint, d_target)
-    if error is not None:
-        raise error
-    return float(np.partition(dates, d_target - 1)[d_target - 1])
-
-
-def analysis_times(cohort: Cohort, targets: CutoffTargets):
-    """Interim (PFS) and final (OS) cutoffs of each trial of a cohort block.
-
-    Both come from one partition of both endpoints' event dates.  Returns
-    ``(t_interim, t_final, errors)``: ``errors[i]`` is what row ``i`` fails
-    with, an ``InsufficientEvents`` when a target is never reached (its
-    cutoff is then +inf) or a ``CutoffOrder`` when the interim cutoff is
-    not before the final one, and None when both cutoffs are usable.
-    """
-    n = len(cohort)
-    d_pfs, d_os = targets.d_pfs, targets.d_os
-    dates = np.stack([_event_dates(cohort, PFS), _event_dates(cohort, OS)])
-    # a target beyond the cohort size is never reached
-    kth = [min(d_pfs, n) - 1, min(d_os, n) - 1]
-    cut = np.partition(dates, sorted(set(kth)), axis=-1)
-    t_interim = np.where(d_pfs <= n, cut[0, :, kth[0]], np.inf)
-    t_final = np.where(d_os <= n, cut[1, :, kth[1]], np.inf)
-    errors = [None] * len(t_final)
-    for i in np.flatnonzero(~np.isfinite(t_interim) | ~np.isfinite(t_final)):
-        errors[i] = (_shortfall(dates[0, i], PFS, d_pfs)
-                     or _shortfall(dates[1, i], OS, d_os))
-    for i in np.flatnonzero(t_interim >= t_final):
-        errors[i] = errors[i] or CutoffOrder(
-            f"interim cutoff {t_interim[i]:.4f} not before final "
-            f"{t_final[i]:.4f}; check the event targets")
-    return t_interim, t_final, errors
+    t, errors = event_cutoffs(Cohort.stack([cohort]), endpoint, d_target)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(t[0])
 
 
 def information_fraction(snap, endpoint: str, d_target: int):

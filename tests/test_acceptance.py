@@ -23,7 +23,7 @@ from duosurv.harness import (
     power_scenario,
     run_experiment,
 )
-from duosurv.logrank import covariance_matrix, cross_covariance, logrank
+from duosurv.logrank import cross_covariance, logrank
 from duosurv.multistate import FrailtySpec, simulate_cohort
 from duosurv.mvnorm import (
     InflationProblem,
@@ -95,11 +95,10 @@ def test_criterion_3_covariance_estimator_is_consistent():
     sc = null_scenario(1, 1600)
     u, sigma = [], []
     for r in range(2_000):
-        cohort = simulate_cohort(sc.model, SEED, r)
-        _, interim, final = analyze_cohort(cohort, sc.targets)
-        u.append([logrank(snap, endpoint).u for snap in (interim, final)
-                  for endpoint in (PFS, OS)])
-        sigma.append(covariance_matrix(interim, final).matrix)
+        analysis = analyze_cohort(simulate_cohort(sc.model, SEED, r),
+                                  sc.targets)
+        u.append([res.u for res in analysis.results])
+        sigma.append(analysis.covariance.matrix)
     mean_sigma = np.mean(sigma, axis=0)
     empirical = np.cov(np.array(u).T, ddof=1)
     relative = np.abs(mean_sigma - empirical) / np.abs(empirical)

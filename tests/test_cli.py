@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -601,6 +602,43 @@ def test_plan_reports_and_traces(tmp_path, capsys):
     assert lines[-1] == f"# selected={selected}"
     assert all("," in l for l in lines[1:-1])
     assert 15 <= selected <= 60
+
+
+def test_plan_opens_one_pool_and_traces_as_one_worker(tmp_path, capsys,
+                                                      monkeypatch):
+    # two CPUs, so the chunks really go to a process pool: one for every
+    # candidate of the plan
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    pools = []
+
+    class Counted(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Counted)
+    cfg = plan_config(tmp_path, 0.9, "[11, 40]", n_reps=30)
+    traces = []
+    for workers in (1, 2):
+        trace = tmp_path / f"w{workers}.csv"
+        assert cli.main(["plan", "--config", cfg, "--out", str(trace),
+                         "--workers", str(workers)]) == 0
+        traces.append(trace.read_bytes())
+    capsys.readouterr()
+    assert pools == [{"max_workers": 2}]
+    assert traces[0] == traces[1]
+    assert len(traces[0].splitlines()) > 4
+
+
+def test_crashed_plan_worker_is_a_runtime_error(tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_plan_chunk", _dead_worker)
+    cfg = plan_config(tmp_path, 0.6, "[15, 60]")
+    assert cli.main(["plan", "--config", cfg, "--workers", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: WorkerCrash:")
+    assert "scenario steep" in err
 
 
 @pytest.mark.parametrize("command, out_value, out_flag", [

@@ -3,7 +3,6 @@
 import math
 from collections import Counter
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -124,10 +123,10 @@ def test_simulate_replication_produces_analysis_inputs():
     for r in (inputs.r_p1o1, inputs.r_p1o2, inputs.r_o1o2):
         assert np.isfinite(r) and -1.0 <= r <= 1.0
     assert 0.0 < inputs.os_fraction_interim <= 1.5
-    _, interim, final = analyze_cohort(simulate_cohort(sc.model, 0, 0),
-                                       sc.targets)
-    assert np.isfinite(logrank(final, PFS).z)
-    assert covariance_matrix(interim, final).matrix.shape == (4, 4)
+    analysis = analyze_cohort(simulate_cohort(sc.model, 0, 0), sc.targets)
+    assert np.isfinite(logrank(analysis.final, PFS).z)
+    assert covariance_matrix(analysis.interim,
+                             analysis.final).matrix.shape == (4, 4)
 
 
 @pytest.mark.parametrize("scenario", [power_scenario(1),
@@ -135,10 +134,11 @@ def test_simulate_replication_produces_analysis_inputs():
                          ids=["power", "null_128"])
 def test_analysis_inputs_hold_the_interim_pfs_and_os_correlations(scenario):
     for rep in range(3):
-        inputs, interim, final = analyze_cohort(
+        analysis = analyze_cohort(
             simulate_cohort(scenario.model, SEED, rep), scenario.targets)
+        inputs = analysis.inputs
         # rows pfs@interim, os@interim, pfs@final, os@final
-        corr = covariance_matrix(interim, final).corr
+        corr = covariance_matrix(analysis.interim, analysis.final).corr
         read = (inputs.r_p1o1[0], inputs.r_p1o2[0], inputs.r_o1o2[0])
         assert read == (corr[0, 1], corr[0, 3], corr[1, 3])
         # the three read entries and the final-PFS ones all differ, so a
@@ -253,7 +253,7 @@ def test_chunk_and_block_bounds_change_no_decision_and_no_factor(
     # the trials keep different numbers of patients, so a sub-block pads
     # all but its widest
     kept = {len(analyze_cohort(simulate_cohort(scenario.model, SEED, r),
-                               scenario.targets)[2]) for r in whole[0]}
+                               scenario.targets).final) for r in whole[0]}
     assert len(kept) > 5
     for k in (1, 17, 39):
         assert run([0, k, n]) == whole
@@ -278,9 +278,10 @@ def test_block_rows_match_the_brute_force_scores():
     # score and variance over the patients kept by its final cutoff
     sc = null_scenario(1, 128)
     cohorts = [simulate_cohort(sc.model, SEED, r) for r in range(6)]
-    inputs, errors, t_interim, t_final = harness._reduce(
-        Cohort.stack(cohorts), sc.targets)
-    assert errors == [None] * 6
+    reduced = harness._reduce(Cohort.stack(cohorts), sc.targets)
+    inputs, t_interim, t_final = (reduced.inputs, reduced.t_interim,
+                                  reduced.t_final)
+    assert reduced.errors == [None] * 6
     for i, cohort in enumerate(cohorts):
         keep = cohort.entry <= t_final[i]
         patients = list(zip(cohort.arm[keep], cohort.entry[keep],
@@ -301,7 +302,8 @@ def test_a_mixed_block_labels_each_failure_as_the_per_trial_rule():
     sc = Scenario(name="mixed", model=null_scenario(1, 128).model,
                   targets=CutoffTargets(d_pfs=124, d_os=122))
     cohorts = [simulate_cohort(sc.model, SEED, r) for r in range(24)]
-    inputs, errors, _, _ = harness._reduce(Cohort.stack(cohorts), sc.targets)
+    reduced = harness._reduce(Cohort.stack(cohorts), sc.targets)
+    inputs, errors = reduced.inputs, reduced.errors
 
     def per_trial(cohort):
         try:
@@ -412,18 +414,16 @@ def test_plan_events_bisection():
 
 
 def table_power(monkeypatch, power):
-    """Make ``run_experiment`` read the OS rejection rate at ``d_os = d``
-    from ``power(d)``; returns the candidates in evaluation order."""
+    """Make each chunk read the OS rejection rate at ``d_os = d`` from
+    ``power(d)``; returns the candidates in evaluation order."""
     calls = []
 
-    def fake(scenario, designs, n_reps, seed, workers=1):
+    def fake(scenario, design, seed, start, stop, interims):
         d = scenario.targets.d_os
         calls.append(d)
-        counts = np.zeros(5, dtype=np.int64)
-        counts[1] = round(power(d) * n_reps)
-        return SimpleNamespace(counts={designs[0].procedure: counts})
+        return round(power(d) * (stop - start)), None
 
-    monkeypatch.setattr(harness, "run_experiment", fake)
+    monkeypatch.setattr(harness, "_plan_chunk", fake)
     return calls
 
 
@@ -499,6 +499,114 @@ def test_plan_power_counts_failed_replications_as_not_rejected():
     plan = plan_events(sc, DesignSpec("os"), target_power=0.1, n_reps=40,
                        seed=0, bracket=(116, 118))
     assert plan.evaluations == {116: 6 / 40, 118: 5 / 40}
+
+
+def mixed_scenario():
+    """Near the cohort size some trials run out of events and others reach
+    the final target first."""
+    return Scenario(name="mixed", model=null_scenario(1, 128).model,
+                    targets=CutoffTargets(d_pfs=124, d_os=122))
+
+
+def record_reductions(monkeypatch):
+    """Record the ``d_os`` and the result of every sub-block reduction, and
+    each interim half computed, by its cohort rows."""
+    reductions, interims = [], []
+    reduce, interim = harness._reduce, harness._Interim
+
+    def recording(cohort, targets, half=None):
+        reduced = reduce(cohort, targets, half)
+        reductions.append((targets.d_os, reduced))
+        return reduced
+
+    class Counted(interim):
+        def __init__(self, cohort, d_pfs):
+            interims.append(len(cohort.entry))
+            super().__init__(cohort, d_pfs)
+
+    monkeypatch.setattr(harness, "_reduce", recording)
+    monkeypatch.setattr(harness, "_Interim", Counted)
+    return reductions, interims
+
+
+@pytest.mark.parametrize("scenario, rows, target, bracket", [
+    (steep_scenario(), 1, 0.9, (11, 40)),
+    (steep_scenario(), 3, 0.9, (11, 40)),
+    (steep_scenario(), 7, 0.9, (11, 40)),
+    (mixed_scenario(), 3, 0.0, (121, 123)),
+], ids=["steep_rows1", "steep_rows3", "steep_rows7", "mixed_rows3"])
+def test_a_plan_reads_each_candidate_as_a_standalone_reduction(
+        scenario, rows, target, bracket, monkeypatch):
+    # at every d_os the plan reads, each trial's seven numbers and failure
+    # label are, bit for bit, those of its block of one reduced from
+    # scratch at that d_os, though each sub-block's interim half was
+    # computed once, at the first candidate
+    n = 20
+    monkeypatch.setattr(harness, "_CELLS",
+                        rows * 2 * scenario.model.max_per_arm)
+    reductions, interims = record_reductions(monkeypatch)
+    design = DesignSpec("os")
+    plan = plan_events(scenario, design, target, n, SEED, bracket=bracket)
+    assert interims == [len(r.errors) for _, r in
+                        reductions[:len(interims)]]
+    assert len(interims) == -(-n // rows)
+    assert len(plan.evaluations) > 1
+
+    labels = set()
+    for d in plan.evaluations:
+        got = [r for d_os, r in reductions if d_os == d]
+        errors = [e for r in got for e in r.errors]
+        inputs = AnalysisInputs.concatenate([r.inputs for r in got])
+        sc = replace(scenario, targets=CutoffTargets(scenario.targets.d_pfs,
+                                                     d))
+        alone = [simulate_replication(sc, SEED, rep) for rep in range(n)]
+        assert [None if e is None else harness._LABELS[type(e)]
+                for e in errors] == [failure for _, failure in alone]
+        want = AnalysisInputs.concatenate(
+            [one for one, failure in alone if failure is None])
+        assert [getattr(inputs, name).tobytes() for name in NUMBERS] == [
+            getattr(want, name).tobytes() for name in NUMBERS]
+        labels |= {failure for _, failure in alone}
+    if scenario.name == "mixed":
+        assert {"insufficient_events", "cutoff_order"} <= labels
+
+
+@pytest.mark.parametrize("scenario", [steep_scenario(), mixed_scenario()],
+                         ids=["steep", "mixed"])
+def test_a_plan_on_two_workers_evaluates_as_on_one(scenario, monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_CELLS", 3 * 2 * scenario.model.max_per_arm)
+    target, bracket = ((0.9, (11, 40)) if scenario.name == "steep"
+                       else (0.0, (121, 123)))
+    one, two = (plan_events(scenario, DesignSpec("os"), target, 20, SEED,
+                            workers=workers, bracket=bracket)
+                for workers in (1, 2))
+    assert one == two
+    assert len(one.evaluations) > 1
+
+
+def test_a_plan_keeps_two_float64_per_patient_entered_by_the_interim_cutoff():
+    # the interim halves of a chunk hold no cohort and no view of a larger
+    # block: their residuals take 16 bytes per patient entered by the
+    # interim cutoff, and the rest a few numbers per trial
+    sc, n = power_scenario(1), 12
+    interims = {}
+    harness._run_chunk(sc, [DesignSpec("ex_last")], SEED, 0, n, interims)
+    entered = sum(int((cohort.entry <= event_cutoff(
+        cohort, PFS, sc.targets.d_pfs)).sum())
+        for cohort in (simulate_cohort(sc.model, SEED, r) for r in range(n)))
+
+    owners = {}
+    for half in interims.values():
+        curves = half.packed
+        for value in (half.t, half.rows, curves.score, curves.info,
+                      curves.n_events, curves.c11, curves.resid):
+            while value.base is not None:
+                value = value.base
+            owners[id(value)] = value.nbytes
+    resid = sum(half.packed.resid.nbytes for half in interims.values())
+    assert resid == 16 * entered
+    assert sum(owners.values()) <= resid + 80 * n
 
 
 def test_plan_events_validation():

@@ -13,6 +13,7 @@ from conftest import cohort_from_patients, micro_cutoffs, micro_patients
 from duosurv.errors import DegenerateVariance, InconsistentSnapshots
 from duosurv.logrank import (
     CORRELATION_CLAMP,
+    InterimCurves,
     covariance_matrix,
     cross_covariance,
     joint_covariance,
@@ -79,10 +80,10 @@ def test_block_rows_match_the_oracles_whatever_their_padding():
         block = Cohort.stack(
             cohort_from_patients(p + [never] * (width - len(p)))
             for p in cohorts)
-        n_ref = [len(p) for p in cohorts]
+        n_ref = np.array([len(p) for p in cohorts])
         results, matrix = joint_covariance(
-            observe(block, [c[0] for c in cuts], n_ref),
-            observe(block, [c[1] for c in cuts], n_ref))
+            InterimCurves.of(observe(block, [c[0] for c in cuts])),
+            observe(block, [c[1] for c in cuts]), n_ref)
         for i, (patients, (t1, t2)) in enumerate(zip(cohorts, cuts)):
             for res, (t, endpoint) in zip(results, ((t1, PFS), (t1, OS),
                                                     (t2, PFS), (t2, OS))):
@@ -95,8 +96,9 @@ def test_block_rows_match_the_oracles_whatever_their_padding():
                 assert matrix[i, a, b] == pytest.approx(
                     oracles.cross_covariance(patients, ta, tb), abs=TOL)
             cohort = cohort_from_patients(patients)
-            _, alone = joint_covariance(snapshot(cohort, t1).block(),
-                                        snapshot(cohort, t2).block())
+            _, alone = joint_covariance(
+                InterimCurves.of(snapshot(cohort, t1).block()),
+                snapshot(cohort, t2).block(), len(patients))
             assert alone[0].tobytes() == matrix[i].tobytes()
 
 

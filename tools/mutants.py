@@ -142,10 +142,25 @@ MUTANTS = (
            ("tests/test_logrank.py::"
             "test_block_rows_match_the_oracles_whatever_their_padding",)),
     Mutant("row_sums_pairwise_over_padding", "src/duosurv/logrank.py",
-           "np.cumsum(pfs.resid * os_.resid, axis=1)[:, -1]",
-           "(pfs.resid * os_.resid).sum(axis=1)",
+           "np.cumsum(pfs[:, :width] * os_[:, :width], axis=1)[:, -1]",
+           "(pfs[:, :width] * os_[:, :width]).sum(axis=1)",
            ("tests/test_harness.py::"
             "test_chunk_and_block_bounds_change_no_decision_and_no_factor",)),
+    # the interim half shared by the candidates of a plan
+    Mutant("interim_sums_scaled_by_a_fixed_n_ref", "src/duosurv/logrank.py",
+           "results = [LogrankResult(interim.score[k] / np.sqrt(n_ref),\n"
+           "                             interim.info[k] / n_ref,",
+           "results = [LogrankResult(interim.score[k] / np.sqrt("
+           "interim.resid.shape[2]),\n"
+           "                             interim.info[k] / "
+           "interim.resid.shape[2],",
+           ("tests/test_harness.py::"
+            "test_analysis_inputs_hold_the_interim_pfs_and_os_correlations",)),
+    Mutant("sub_block_reads_another_interim", "src/duosurv/harness.py",
+           "interim = None if interims is None else interims.get(low)",
+           "interim = None if interims is None else interims.get(first)",
+           ("tests/test_harness.py::"
+            "test_a_plan_reads_each_candidate_as_a_standalone_reduction",)),
 )
 
 
