@@ -11,7 +11,6 @@ from .errors import (
     CutoffOrder,
     DegenerateVariance,
     DuosurvError,
-    InconsistentSnapshots,
     InsufficientEvents,
     InvalidCorrelation,
     InvalidModel,
@@ -38,9 +37,6 @@ from .harness import (
 from .logrank import (
     CovarianceEstimate,
     LogrankResult,
-    covariance_matrix,
-    cross_covariance,
-    logrank,
 )
 from .multistate import (
     Cohort,
@@ -68,10 +64,6 @@ from .trialdata import (
     OS,
     PFS,
     CutoffTargets,
-    Snapshot,
-    event_cutoff,
-    information_fraction,
-    snapshot,
 )
 
 __version__ = "0.1.0"

@@ -388,8 +388,7 @@ def cmd_analyze(args) -> int:
     analysis = analyze_cohort(read_cohort(args.data), targets)
     inputs = analysis.inputs
     outcome = run_procedure(design, inputs)[0]
-    t_interim = analysis.interim.calendar_time
-    t_final = analysis.final.calendar_time
+    t_interim, t_final = analysis.t_interim, analysis.t_final
     z = dict(z_pfs_interim=inputs.z_pfs_interim[0],
              z_os_interim=inputs.z_os_interim[0],
              z_pfs_final=analysis.results[2].z,

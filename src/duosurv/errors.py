@@ -9,10 +9,6 @@ class InsufficientEvents(DuosurvError):
     """Raised when a requested event count is never reached by a cohort."""
 
 
-class InconsistentSnapshots(DuosurvError):
-    """Raised when two snapshots do not come from the same cohort."""
-
-
 class DegenerateVariance(DuosurvError):
     """Raised when a standardized statistic is requested but its estimated
     variance is zero."""

@@ -2,11 +2,12 @@
 
 A scenario pairs the cohort model (arm intensities, recruitment, dropout,
 frailty) with the two event targets.  One replication simulates a
-cohort, locates the two event-triggered analysis times, freezes the two data
-snapshots, and reduces them to the seven numbers the testing layer
+cohort, locates the two event-triggered analysis times, observes the data
+at both, and reduces them to the seven numbers the testing layer
 consumes.  Cohorts are drawn one by one and reduced a sub-block at a time,
 one row per trial, and each procedure then decides a block of replications
-at once; a single cohort is a block of one.  Experiments keep one outcome
+at once; ``analyze_cohort`` and ``simulate_replication`` run the same
+reduction on one cohort, a block of one.  Experiments keep one outcome
 row per replication and procedure, in replication order, so results depend
 neither on the worker count nor on how the replications are cut into
 sub-blocks and blocks.
@@ -45,8 +46,7 @@ from .logrank import (CovarianceEstimate, InterimCurves, LogrankResult,
 from .multistate import (Cohort, CohortModel, FrailtySpec,
                          TransitionIntensities, simulate_cohorts)
 from .testing import AnalysisInputs, DesignSpec, PROCEDURES, run_procedure
-from .trialdata import (OS, PFS, CutoffTargets, Snapshot, event_cutoffs,
-                        observe, snapshot)
+from .trialdata import OS, PFS, CutoffTargets, event_cutoffs, observe
 
 __all__ = [
     "DROPOUT_RATE",
@@ -282,23 +282,21 @@ def _reduce(cohort: Cohort, targets: CutoffTargets,
 class Analysis:
     """One cohort analyzed.
 
-    ``inputs`` are the testing layer's inputs, a block of one; ``interim``
-    and ``final`` the two snapshots of the patients entered by the final
-    cutoff, whose calendar times are the cutoffs; ``results`` the log-rank
-    results of (PFS@t1, OS@t1, PFS@t2, OS@t2) and ``covariance`` their
-    joint covariance estimate.
+    ``inputs`` are the testing layer's inputs, a block of one;
+    ``t_interim`` and ``t_final`` the calendar times of the two cutoffs;
+    ``results`` the log-rank results of (PFS@t1, OS@t1, PFS@t2, OS@t2) and
+    ``covariance`` their joint covariance estimate.
     """
 
     inputs: AnalysisInputs
-    interim: Snapshot
-    final: Snapshot
+    t_interim: float
+    t_final: float
     results: tuple
     covariance: CovarianceEstimate
 
 
 def analyze_cohort(cohort, targets: CutoffTargets) -> Analysis:
-    """Event-driven cutoffs, snapshots and statistics of one cohort, a
-    block of one.
+    """Event-driven cutoffs and statistics of one cohort, a block of one.
 
     Raises ``InsufficientEvents``, ``CutoffOrder`` or
     ``DegenerateVariance``.
@@ -306,12 +304,11 @@ def analyze_cohort(cohort, targets: CutoffTargets) -> Analysis:
     reduced = _reduce(Cohort.stack([cohort]), targets)
     if reduced.errors[0] is not None:
         raise reduced.errors[0]
-    kept = cohort.restricted_to(cohort.entry <= reduced.t_final[0])
     estimate = reduced.covariance
     return Analysis(
         inputs=reduced.inputs,
-        interim=snapshot(kept, float(reduced.t_interim[0])),
-        final=snapshot(kept, float(reduced.t_final[0])),
+        t_interim=float(reduced.t_interim[0]),
+        t_final=float(reduced.t_final[0]),
         results=tuple(LogrankResult(float(r.u[0]), float(r.var[0]),
                                     int(r.n_events[0]))
                       for r in reduced.results),

@@ -5,16 +5,20 @@ Both endpoints are compared between arms with the unweighted log-rank score
     u = n^{-1/2} * sum_i d_i * (z_i - Y1(x_i) / Y(x_i)),
 
 where Y and Y1 are the pooled and the arm-1 at-risk counts at the patient's
-own time on study.  The marginal variance estimator sums the at-risk-share
-products over events.  Covariances between endpoints and between analysis
-times come from per-patient martingale residuals built out of the pooled
-Nelson-Aalen estimator and the arm-wise at-risk shares; same-endpoint
-covariances across analysis times reduce to the variance at the earlier time
-(independent increments).  Score, variance and residuals of one endpoint
-come from a single pass over the tie groups of each row's sorted times, for
-a whole block of trials at once: one row per trial, absent patients masked.
-Every row sum adds left to right, so a row's numbers do not depend on the
-block it sits in.  A single snapshot is a block of one.
+own time on study.  The score is positive when arm 1 accumulates more
+events than its at-risk share predicts; an arm-1 benefit therefore pushes
+the standardized statistic negative, which is the rejection direction
+everywhere in this package.  The marginal variance estimator sums the
+at-risk-share products over events.  Covariances between endpoints and
+between analysis times come from per-patient martingale residuals built
+out of the pooled Nelson-Aalen estimator and the arm-wise at-risk shares;
+same-endpoint covariances across analysis times reduce to the variance at
+the earlier time (independent increments).  Score, variance and residuals
+of one endpoint come from a single pass over the tie groups of each row's
+sorted times, for a whole block of trials at once: one row per trial,
+absent patients masked.  Every row sum adds left to right, so a row's
+numbers do not depend on the block it sits in; one trial is a block of
+one.
 
 The interim curves do not depend on the final cutoff except through the
 reference size n, which scales every entry: :class:`InterimCurves` keeps
@@ -28,18 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance, InconsistentSnapshots
-from .trialdata import OS, PFS, Snapshot, SnapshotBlock
+from .errors import DegenerateVariance
+from .trialdata import OS, PFS, SnapshotBlock
 
 __all__ = [
     "LogrankResult",
     "InterimCurves",
     "CovarianceEstimate",
-    "logrank",
-    "cross_covariance",
     "joint_covariance",
     "correlation",
-    "covariance_matrix",
 ]
 
 CORRELATION_CLAMP = 0.9999
@@ -47,8 +48,8 @@ CORRELATION_CLAMP = 0.9999
 
 @dataclass(frozen=True)
 class LogrankResult:
-    """Scaled log-rank score, variance estimate and event count: numbers
-    for one snapshot, arrays over the rows of a block."""
+    """Scaled log-rank score, variance estimate and event count, arrays
+    over the rows of a block (numbers once a trial's row is read out)."""
 
     u: float
     var: float
@@ -162,33 +163,6 @@ class _EndpointCurves:
                              self.n_events)
 
 
-def logrank(snap: Snapshot, endpoint: str) -> LogrankResult:
-    """Calendar-time log-rank score and variance at this snapshot.
-
-    The score is positive when arm 1 accumulates more events than its at-risk
-    share predicts; an arm-1 benefit therefore pushes the standardized
-    statistic negative, which is the rejection direction everywhere in this
-    package.
-    """
-    res = _EndpointCurves(snap.block(), endpoint).result(snap.n_ref)
-    return LogrankResult(float(res.u[0]), float(res.var[0]),
-                         int(res.n_events[0]))
-
-
-def _check_compatible(a: Snapshot, b: Snapshot) -> None:
-    if a.n_ref != b.n_ref:
-        raise InconsistentSnapshots(
-            f"snapshots reference different cohort sizes ({a.n_ref} vs {b.n_ref})")
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    pos = np.searchsorted(large.index, small.index)
-    if pos.size and (pos >= len(large.index)).any():
-        raise InconsistentSnapshots("snapshot patient sets are not nested")
-    if not (np.array_equal(large.index[pos], small.index)
-            and np.array_equal(large.arm[pos], small.arm)
-            and np.array_equal(large.entry[pos], small.entry)):
-        raise InconsistentSnapshots("snapshots do not come from the same cohort")
-
-
 def _cross(pfs: np.ndarray, os_: np.ndarray) -> np.ndarray:
     """Per row, the sum of the per-patient products of the PFS and OS
     residuals, over the positions both blocks cover; a patient absent from
@@ -202,20 +176,6 @@ def _cross(pfs: np.ndarray, os_: np.ndarray) -> np.ndarray:
     """
     width = min(pfs.shape[1], os_.shape[1])
     return np.cumsum(pfs[:, :width] * os_[:, :width], axis=1)[:, -1]
-
-
-def cross_covariance(snap_pfs: Snapshot, snap_os: Snapshot) -> float:
-    """Covariance estimate between the PFS score at ``snap_pfs``'s time and
-    the OS score at ``snap_os``'s time.
-
-    Per-patient products of the two endpoint residuals are averaged over the
-    reference cohort; patients absent from one snapshot contribute zero, so
-    the value is 0 whenever either side has no events yet.
-    """
-    _check_compatible(snap_pfs, snap_os)
-    return float(_cross(_EndpointCurves(snap_pfs.block(), PFS).resid,
-                        _EndpointCurves(snap_os.block(), OS).resid)[0]
-                 / snap_pfs.n_ref)
 
 
 @dataclass(frozen=True)
@@ -330,7 +290,8 @@ def correlation(matrix: np.ndarray):
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    """Joint 4x4 covariance of (PFS@t1, OS@t1, PFS@t2, OS@t2) of one trial.
+    """Joint 4x4 covariance of (PFS@t1, OS@t1, PFS@t2, OS@t2), stacked
+    over the rows of a block (one matrix once a trial's row is read out).
 
     Same-endpoint off-diagonal entries equal the earlier-time variance.
     ``corr`` is the derived correlation matrix of :func:`correlation`, and
@@ -340,26 +301,3 @@ class CovarianceEstimate:
     matrix: np.ndarray
     corr: np.ndarray
     clamped: bool
-
-
-def covariance_matrix(snap_interim: Snapshot, snap_final: Snapshot) -> CovarianceEstimate:
-    """Assemble the joint covariance of both endpoints at both analysis times.
-
-    Args:
-        snap_interim: snapshot at the earlier cutoff.
-        snap_final: snapshot at the later cutoff, same cohort.
-
-    Raises:
-        InconsistentSnapshots: different cohorts or wrong time order.
-        DegenerateVariance: some diagonal entry is 0, so no correlation exists.
-    """
-    if snap_interim.calendar_time > snap_final.calendar_time:
-        raise InconsistentSnapshots("interim snapshot must not be later than final")
-    _check_compatible(snap_interim, snap_final)
-    _, matrix = joint_covariance(InterimCurves.of(snap_interim.block()),
-                                 snap_final.block(), snap_final.n_ref)
-    corr, clamped, errors = correlation(matrix)
-    if errors[0] is not None:
-        raise errors[0]
-    return CovarianceEstimate(matrix=matrix[0], corr=corr[0],
-                              clamped=bool(clamped[0]))

@@ -1,12 +1,12 @@
 """Observable trial data at a calendar time and event-driven cutoffs.
 
-A snapshot freezes what is visible at calendar time t: each entered patient
-contributes the censored time on study for both endpoints.  Analyses are
-triggered when a prescribed number of endpoint events has accumulated, so the
-calendar dates of the interim and final analysis are themselves random.
-Both work on blocks of cohorts, one trial per row: the cutoffs of one
-endpoint come from one partition, and a snapshot at one time per row masks
-the patients not entered yet.  A single cohort is a block of one.
+Observed data freeze what is visible at calendar time t: each entered
+patient contributes the censored time on study for both endpoints.
+Analyses are triggered when a prescribed number of endpoint events has
+accumulated, so the calendar dates of the interim and final analysis are
+themselves random.  Both work on blocks of cohorts, one trial per row: the
+cutoffs of one endpoint come from one partition, and the data observed at
+one time per row mask the patients not entered yet.
 """
 
 from __future__ import annotations
@@ -22,14 +22,10 @@ from .multistate import Cohort, _check_finite
 __all__ = [
     "PFS",
     "OS",
-    "Snapshot",
     "SnapshotBlock",
     "CutoffTargets",
     "observe",
-    "snapshot",
-    "event_cutoff",
     "event_cutoffs",
-    "information_fraction",
 ]
 
 PFS = "pfs"
@@ -37,24 +33,8 @@ OS = "os"
 _ENDPOINTS = (PFS, OS)
 
 
-class _Columns:
-    """Endpoint columns of a snapshot: times on study and event indicators."""
-
-    def times(self, endpoint: str) -> np.ndarray:
-        _check_endpoint(endpoint)
-        return self.x_pfs if endpoint == PFS else self.x_os
-
-    def events(self, endpoint: str) -> np.ndarray:
-        _check_endpoint(endpoint)
-        return self.d_pfs if endpoint == PFS else self.d_os
-
-    def n_events(self, endpoint: str):
-        """Observed events: a count, or one per row of a block."""
-        return self.events(endpoint).sum(axis=-1)
-
-
 @dataclass(frozen=True, eq=False)
-class SnapshotBlock(_Columns):
+class SnapshotBlock:
     """Observable data of a block of trials, one row per trial at its own
     calendar time, over the positions of its cohort.
 
@@ -72,44 +52,13 @@ class SnapshotBlock(_Columns):
     x_os: np.ndarray
     d_os: np.ndarray
 
+    def times(self, endpoint: str) -> np.ndarray:
+        _check_endpoint(endpoint)
+        return self.x_pfs if endpoint == PFS else self.x_os
 
-@dataclass
-class Snapshot(_Columns):
-    """Observable data of all entered patients of one trial at one calendar
-    time.
-
-    ``n_ref`` is the reference cohort size used for the 1/sqrt(n) scalings of
-    the statistics; :func:`snapshot` sets it to the cohort size so that
-    statistics computed at different calendar times of the same trial share
-    one normalization.  ``index`` holds each record's position in that
-    cohort.
-    """
-
-    calendar_time: float
-    arm: np.ndarray
-    entry: np.ndarray
-    x_pfs: np.ndarray
-    d_pfs: np.ndarray
-    x_os: np.ndarray
-    d_os: np.ndarray
-    index: np.ndarray
-    n_ref: int
-
-    def __len__(self) -> int:
-        return len(self.arm)
-
-    def block(self) -> SnapshotBlock:
-        """This snapshot as a block of one, over its ``n_ref`` positions."""
-        def placed(values, fill):
-            row = np.full((1, self.n_ref), fill,
-                          dtype=np.asarray(values).dtype)
-            row[0, self.index] = values
-            return row
-
-        return SnapshotBlock(
-            present=placed(True, False), arm=placed(self.arm, 0),
-            x_pfs=placed(self.x_pfs, 0.0), d_pfs=placed(self.d_pfs, False),
-            x_os=placed(self.x_os, 0.0), d_os=placed(self.d_os, False))
+    def events(self, endpoint: str) -> np.ndarray:
+        _check_endpoint(endpoint)
+        return self.d_pfs if endpoint == PFS else self.d_os
 
 
 @dataclass(frozen=True)
@@ -171,19 +120,6 @@ def observe(cohort: Cohort, calendar_time) -> SnapshotBlock:
         x_os=columns[OS][0], d_os=columns[OS][1])
 
 
-def snapshot(cohort: Cohort, calendar_time: float) -> Snapshot:
-    """Observable data of one cohort's entered patients at a calendar time,
-    by :func:`observe` on a block of one; ``n_ref`` is the cohort size."""
-    block = observe(Cohort.stack([cohort]), [calendar_time])
-    entered = block.present[0]
-    return Snapshot(
-        calendar_time=calendar_time, arm=cohort.arm[entered],
-        entry=cohort.entry[entered],
-        x_pfs=block.x_pfs[0, entered], d_pfs=block.d_pfs[0, entered],
-        x_os=block.x_os[0, entered], d_os=block.d_os[0, entered],
-        index=np.flatnonzero(entered), n_ref=len(cohort))
-
-
 def _shortfall(dates: np.ndarray, endpoint: str, d_target: int):
     """The ``InsufficientEvents`` of a trial whose ``d_target``-th event
     never comes, given its event dates; None if it comes."""
@@ -217,27 +153,3 @@ def event_cutoffs(cohort: Cohort, endpoint: str, d_target: int):
     for i in np.flatnonzero(~np.isfinite(t)):
         errors[i] = _shortfall(dates[i], endpoint, d_target)
     return t, errors
-
-
-def event_cutoff(cohort: Cohort, endpoint: str, d_target: int) -> float:
-    """Calendar date at which the d-th endpoint event of one cohort is
-    observed, by :func:`event_cutoffs` on a block of one.
-
-    Raises:
-        InsufficientEvents: fewer than ``d_target`` events ever occur.
-    """
-    _check_endpoint(endpoint)
-    if d_target < 1:
-        raise InvalidModel("event target must be at least 1")
-    t, errors = event_cutoffs(Cohort.stack([cohort]), endpoint, d_target)
-    if errors[0] is not None:
-        raise errors[0]
-    return float(t[0])
-
-
-def information_fraction(snap, endpoint: str, d_target: int):
-    """Observed events divided by the target, of a snapshot or per row of
-    a block; deliberately not capped at 1."""
-    if d_target < 1:
-        raise InvalidModel("event target must be at least 1")
-    return snap.n_events(endpoint) / d_target

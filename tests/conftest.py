@@ -8,7 +8,9 @@ The grids carry heavy tie mass on purpose.
 
 import numpy as np
 
+from duosurv.logrank import InterimCurves, LogrankResult, joint_covariance
 from duosurv.multistate import Cohort
+from duosurv.trialdata import observe
 
 MICRO_ENTRY_GRID = (0.0, 0.5, 1.0, 2.0)
 MICRO_TIME_GRID = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
@@ -46,3 +48,15 @@ def cohort_from_patients(patients) -> Cohort:
     data = np.asarray([p[:5] for p in patients], dtype=float)
     return Cohort(arm=data[:, 0].astype(int), entry=data[:, 1],
                   t_pfs=data[:, 2], t_os=data[:, 3], dropout=data[:, 4])
+
+
+def one_trial(cohort, t1, t2, n_ref=None):
+    """Log-rank results of (PFS@t1, OS@t1, PFS@t2, OS@t2) and their 4x4
+    joint covariance, of one cohort observed at ``t1`` and ``t2`` as a
+    block of one; ``n_ref`` defaults to the cohort size."""
+    block = Cohort.stack([cohort])
+    results, matrix = joint_covariance(
+        InterimCurves.of(observe(block, [t1])), observe(block, [t2]),
+        len(cohort) if n_ref is None else n_ref)
+    return [LogrankResult(r.u[0], r.var[0], r.n_events[0])
+            for r in results], matrix[0]

@@ -13,7 +13,8 @@ import pytest
 from scipy.stats import norm
 
 import oracles
-from conftest import cohort_from_patients, micro_cutoffs, micro_patients
+from conftest import (cohort_from_patients, micro_cutoffs, micro_patients,
+                      one_trial)
 from duosurv import cli
 from duosurv.harness import (
     analyze_cohort,
@@ -23,7 +24,6 @@ from duosurv.harness import (
     power_scenario,
     run_experiment,
 )
-from duosurv.logrank import cross_covariance, logrank
 from duosurv.multistate import FrailtySpec, simulate_cohort
 from duosurv.mvnorm import (
     InflationProblem,
@@ -31,7 +31,7 @@ from duosurv.mvnorm import (
     mvn_upper_orthant,
     solve_inflation,
 )
-from duosurv.trialdata import OS, PFS, snapshot
+from duosurv.trialdata import OS, PFS
 
 SEED = 20260814
 N_REPS = 10_000
@@ -111,19 +111,18 @@ def test_criterion_4_statistics_match_brute_force_oracles():
         patients = micro_patients(rng)
         cohort = cohort_from_patients(patients)
         t1, t2 = micro_cutoffs(rng)
-        snaps = {t: snapshot(cohort, t) for t in (t1, t2)}
-        for t in (t1, t2):
-            for endpoint in (PFS, OS):
-                got = logrank(snaps[t], endpoint)
-                u, var = oracles.logrank_score(
-                    oracles.observe(patients, t, endpoint), len(patients))
-                assert got.u == pytest.approx(u, abs=1e-12)
-                assert got.var == pytest.approx(var, abs=1e-12)
-        for ta in (t1, t2):
-            for tb in (t1, t2):
-                got = cross_covariance(snaps[ta], snaps[tb])
-                want = oracles.cross_covariance(patients, ta, tb)
-                assert got == pytest.approx(want, abs=1e-12)
+        results, m = one_trial(cohort, t1, t2)
+        for got, (t, endpoint) in zip(results, ((t1, PFS), (t1, OS),
+                                                (t2, PFS), (t2, OS))):
+            u, var = oracles.logrank_score(
+                oracles.observe(patients, t, endpoint), len(patients))
+            assert got.u == pytest.approx(u, abs=1e-12)
+            assert got.var == pytest.approx(var, abs=1e-12)
+        # each (PFS time, OS time) pair: (t1, t1), (t1, t2), (t2, t1), (t2, t2)
+        for (i, j), (ta, tb) in (((0, 1), (t1, t1)), ((0, 3), (t1, t2)),
+                                 ((2, 1), (t2, t1)), ((2, 3), (t2, t2))):
+            want = oracles.cross_covariance(patients, ta, tb)
+            assert m[i, j] == pytest.approx(want, abs=1e-12)
 
 
 def test_criterion_5_mvn_layer_numerics():

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import one_trial
 from duosurv import harness, mvnorm
-from duosurv.errors import ConfigError, InsufficientEvents, NoSolution
+from duosurv.errors import ConfigError, NoSolution
 from duosurv.harness import (
     CSV_COLUMNS,
     DROPOUT_RATE,
@@ -24,12 +25,12 @@ from duosurv.harness import (
     simulate_replication,
     table_intensities,
 )
-from duosurv.logrank import covariance_matrix, logrank
+from duosurv.logrank import correlation
 from duosurv.multistate import (Cohort, CohortModel, FrailtySpec,
                                 TransitionIntensities, simulate_cohort)
 from duosurv.mvnorm import solve_inflation
 from duosurv.testing import PROCEDURES, AnalysisInputs, DesignSpec
-from duosurv.trialdata import OS, PFS, CutoffTargets, event_cutoff
+from duosurv.trialdata import OS, PFS, CutoffTargets, event_cutoffs
 
 NO_EARLY_STOP = ("bon", "rec", "ex_last", "os")
 SEED = 20260814
@@ -124,9 +125,8 @@ def test_simulate_replication_produces_analysis_inputs():
         assert np.isfinite(r) and -1.0 <= r <= 1.0
     assert 0.0 < inputs.os_fraction_interim <= 1.5
     analysis = analyze_cohort(simulate_cohort(sc.model, 0, 0), sc.targets)
-    assert np.isfinite(logrank(analysis.final, PFS).z)
-    assert covariance_matrix(analysis.interim,
-                             analysis.final).matrix.shape == (4, 4)
+    assert np.isfinite(analysis.results[2].z)
+    assert analysis.covariance.matrix.shape == (4, 4)
 
 
 @pytest.mark.parametrize("scenario", [power_scenario(1),
@@ -134,11 +134,15 @@ def test_simulate_replication_produces_analysis_inputs():
                          ids=["power", "null_128"])
 def test_analysis_inputs_hold_the_interim_pfs_and_os_correlations(scenario):
     for rep in range(3):
-        analysis = analyze_cohort(
-            simulate_cohort(scenario.model, SEED, rep), scenario.targets)
+        cohort = simulate_cohort(scenario.model, SEED, rep)
+        analysis = analyze_cohort(cohort, scenario.targets)
         inputs = analysis.inputs
+        # the patients entered by the final cutoff alone, at both cutoffs;
         # rows pfs@interim, os@interim, pfs@final, os@final
-        corr = covariance_matrix(analysis.interim, analysis.final).corr
+        _, m = one_trial(cohort.restricted_to(
+            cohort.entry <= analysis.t_final), analysis.t_interim,
+            analysis.t_final)
+        corr = correlation(m[None])[0][0]
         read = (inputs.r_p1o1[0], inputs.r_p1o2[0], inputs.r_o1o2[0])
         assert read == (corr[0, 1], corr[0, 3], corr[1, 3])
         # the three read entries and the final-PFS ones all differ, so a
@@ -252,8 +256,10 @@ def test_chunk_and_block_bounds_change_no_decision_and_no_factor(
     assert len(whole[0]) > 30
     # the trials keep different numbers of patients, so a sub-block pads
     # all but its widest
-    kept = {len(analyze_cohort(simulate_cohort(scenario.model, SEED, r),
-                               scenario.targets).final) for r in whole[0]}
+    kept = {int((cohort.entry <= analyze_cohort(
+        cohort, scenario.targets).t_final).sum())
+        for cohort in (simulate_cohort(scenario.model, SEED, r)
+                       for r in whole[0])}
     assert len(kept) > 5
     for k in (1, 17, 39):
         assert run([0, k, n]) == whole
@@ -306,11 +312,11 @@ def test_a_mixed_block_labels_each_failure_as_the_per_trial_rule():
     inputs, errors = reduced.inputs, reduced.errors
 
     def per_trial(cohort):
-        try:
-            t_interim = event_cutoff(cohort, PFS, sc.targets.d_pfs)
-            t_final = event_cutoff(cohort, OS, sc.targets.d_os)
-        except InsufficientEvents as exc:
-            return "insufficient_events", str(exc)
+        block = Cohort.stack([cohort])
+        (t_interim,), (e_pfs,) = event_cutoffs(block, PFS, sc.targets.d_pfs)
+        (t_final,), (e_os,) = event_cutoffs(block, OS, sc.targets.d_os)
+        if e_pfs or e_os:
+            return "insufficient_events", str(e_pfs or e_os)
         return ("cutoff_order", None) if t_interim >= t_final else (None, None)
 
     got = [(None, None) if e is None else (harness._LABELS[type(e)], str(e))
@@ -592,8 +598,8 @@ def test_a_plan_keeps_two_float64_per_patient_entered_by_the_interim_cutoff():
     sc, n = power_scenario(1), 12
     interims = {}
     harness._run_chunk(sc, [DesignSpec("ex_last")], SEED, 0, n, interims)
-    entered = sum(int((cohort.entry <= event_cutoff(
-        cohort, PFS, sc.targets.d_pfs)).sum())
+    entered = sum(int((cohort.entry <= event_cutoffs(
+        Cohort.stack([cohort]), PFS, sc.targets.d_pfs)[0][0]).sum())
         for cohort in (simulate_cohort(sc.model, SEED, r) for r in range(n)))
 
     owners = {}

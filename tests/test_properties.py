@@ -55,7 +55,7 @@ def analysis_inputs(draw, taus=st.floats(0.2, 0.98)):
 
 def make_inputs(zp1, zo1, zo2, corr, tau):
     """The inputs of a drawn case: its 4x4 ``corr`` is in the order pfs@t1,
-    os@t1, pfs@t2, os@t2 of ``logrank.covariance_matrix``."""
+    os@t1, pfs@t2, os@t2 of ``logrank.joint_covariance``."""
     return AnalysisInputs(z_pfs_interim=zp1, z_os_interim=zo1, z_os_final=zo2,
                           r_p1o1=corr[0, 1], r_p1o2=corr[0, 3],
                           r_o1o2=corr[1, 3], os_fraction_interim=tau)

@@ -130,6 +130,11 @@ MUTANTS = (
            "np.greater_equal(xs[:, 1:], xs[:, :-1], out=first[:, 1:])",
            ("tests/test_acceptance.py::"
             "test_criterion_4_statistics_match_brute_force_oracles",)),
+    Mutant("event_on_cutoff_excluded", "src/duosurv/trialdata.py",
+           "d = _event_dates(cohort, endpoint) <= t",
+           "d = _event_dates(cohort, endpoint) < t",
+           ("tests/test_trialdata.py::"
+            "test_event_on_cutoff_date_is_included",)),
     Mutant("frailty_divides_dropout", "src/duosurv/multistate.py",
            "cohort.t_os / gamma, cohort.dropout)",
            "cohort.t_os / gamma, cohort.dropout / gamma)",

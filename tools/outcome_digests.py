@@ -1,5 +1,5 @@
-"""Print one SHA-256 digest per acceptance fixture, to check that no
-decision moved between two trees.
+"""Print one SHA-256 digest per acceptance fixture, and one of a set of
+``analyze`` reports, to check that no decision moved between two trees.
 
 The five fixtures are those of ``tests/test_acceptance.py``: criterion 1
 (model 1 at full effect, all nine procedures), criterion 2 (model 1
@@ -14,15 +14,29 @@ UTF-8 text of the line ``selected=<d_os>`` followed by one line
 ``<d_os>,<repr(power)>`` per evaluation, in ``d_os`` order; the line also
 prints the selected ``d_os`` and the number of evaluations.
 
+The sixth line covers ``analyze``: 32 simulated cohorts (16 of model 1 at
+full effect, 8 each of the model-1 null at 128 and 256 patients, seed
+20260814, replications 0 up), every other one with its rows shuffled, are
+written with ``%.17g`` to a temporary directory and run through
+``cli.main`` in-process under each of the nine procedures, at the
+scenario's event targets.  Its digest covers, per report in that order,
+the UTF-8 text of the exit code, a newline and the report's stdout; the
+line also prints the number of reports.  It does not depend on ``--reps``.
+
     PYTHONPATH=src python tools/outcome_digests.py            # 10,000 reps
     PYTHONPATH=src python tools/outcome_digests.py --reps 200 # quick check
 """
 
 import argparse
 import hashlib
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 
+from duosurv import cli
 from duosurv.harness import (
     default_designs,
     null_scenario,
@@ -30,7 +44,8 @@ from duosurv.harness import (
     power_scenario,
     run_experiment,
 )
-from duosurv.multistate import FrailtySpec
+from duosurv.multistate import FrailtySpec, simulate_cohort
+from duosurv.testing import PROCEDURES
 
 SEED = 20260814
 
@@ -61,6 +76,37 @@ def plan_digest(plan) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def analyze_digest(tmp: Path):
+    """Digest and count of the ``analyze`` reports of the sixth line, with
+    the data and config files written to ``tmp``."""
+    h, reports = hashlib.sha256(), 0
+    rng = np.random.default_rng(SEED)
+    for scenario, count in ((power_scenario(1, 1.0), 16),
+                            (null_scenario(1, 128), 8),
+                            (null_scenario(1, 256), 8)):
+        config = tmp / f"{scenario.name}.yaml"
+        config.write_text(f"targets: {{d_pfs: {scenario.targets.d_pfs}, "
+                          f"d_os: {scenario.targets.d_os}}}\n")
+        for rep in range(count):
+            cohort = simulate_cohort(scenario.model, SEED, rep)
+            rows = np.column_stack((cohort.arm, cohort.entry, cohort.t_pfs,
+                                    cohort.t_os, cohort.dropout))
+            if rep % 2:
+                rows = rows[rng.permutation(len(rows))]
+            data = tmp / f"{scenario.name}_{rep}.txt"
+            data.write_text("".join("%d %.17g %.17g %.17g %.17g\n"
+                                    % tuple(row) for row in rows))
+            for procedure in PROCEDURES:
+                out = io.StringIO()
+                with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                    code = cli.main(["analyze", "--data", str(data),
+                                     "--config", str(config),
+                                     "--procedures", procedure])
+                h.update(f"{code}\n{out.getvalue()}".encode())
+                reports += 1
+    return h.hexdigest(), reports
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=10_000,
@@ -74,6 +120,9 @@ def main(argv=None) -> None:
                        n_reps=args.reps, seed=SEED)
     print(f"criterion7_plan {plan_digest(plan)} selected={plan.d_os} "
           f"evaluations={len(plan.evaluations)}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="duosurv-analyze-") as tmp:
+        report_digest, reports = analyze_digest(Path(tmp))
+    print(f"analyze {report_digest} reports={reports}", flush=True)
 
 
 if __name__ == "__main__":
