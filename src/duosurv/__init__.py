@@ -31,7 +31,6 @@ from .harness import (
     plan_events,
     power_scenario,
     run_experiment,
-    simulate_replication,
     table_intensities,
 )
 from .logrank import (
@@ -43,7 +42,7 @@ from .multistate import (
     CohortModel,
     FrailtySpec,
     TransitionIntensities,
-    simulate_cohort,
+    simulate_cohorts,
 )
 from .mvnorm import (
     InflationProblem,
@@ -57,7 +56,6 @@ from .testing import (
     AnalysisInputs,
     DesignSpec,
     Outcomes,
-    TrialOutcome,
     run_procedure,
 )
 from .trialdata import (

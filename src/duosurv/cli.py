@@ -332,7 +332,7 @@ def _cohort_row_problem(values) -> str | None:
 
 
 def read_cohort(path: str) -> Cohort:
-    """Parse the plain-text cohort format.
+    """Parse the plain-text cohort format into a block of one cohort.
 
     One patient per line with five whitespace-separated columns
     ``arm entry t_pfs t_os dropout``; ``#`` comments and blank lines are
@@ -365,9 +365,10 @@ def read_cohort(path: str) -> Cohort:
         raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
     if not rows:
         raise ConfigError(f"dataset {path} contains no patients")
-    data = np.asarray(rows, dtype=float)
-    return Cohort(arm=data[:, 0].astype(int), entry=data[:, 1],
-                  t_pfs=data[:, 2], t_os=data[:, 3], dropout=data[:, 4])
+    # one (1, n) row per column
+    data = np.asarray(rows, dtype=float).T[:, None]
+    return Cohort(arm=data[0].astype(int), entry=data[1], t_pfs=data[2],
+                  t_os=data[3], dropout=data[4])
 
 
 def cmd_analyze(args) -> int:
@@ -387,12 +388,21 @@ def cmd_analyze(args) -> int:
 
     analysis = analyze_cohort(read_cohort(args.data), targets)
     inputs = analysis.inputs
-    outcome = run_procedure(design, inputs)[0]
-    t_interim, t_final = analysis.t_interim, analysis.t_final
+    outcome = run_procedure(design, inputs)
+    t_interim, t_final = analysis.t_interim[0], analysis.t_final[0]
     z = dict(z_pfs_interim=inputs.z_pfs_interim[0],
              z_os_interim=inputs.z_os_interim[0],
-             z_pfs_final=analysis.results[2].z,
+             z_pfs_final=analysis.results[2].z[0],
              z_os_final=inputs.z_os_final[0])
+    # the trial's decisions, and the inflation factors it computed (the
+    # others are nan)
+    decided = {name: bool(getattr(outcome, name)[0]) for name in (
+        "rejected_global", "rejected_pfs", "rejected_os", "early_stop")}
+    factors = {k: v[0] for k, v in sorted(outcome.inflation_factors.items())
+               if not np.isnan(v[0])}
+    case = outcome.case_label[0]
+    # OS rejected at the interim stops the trial early
+    when = "interim" if decided["early_stop"] else "final"
 
     yes = {True: "yes", False: "no"}
     print(f"procedure        {design.procedure}")
@@ -401,18 +411,17 @@ def cmd_analyze(args) -> int:
     print("z values         " + "  ".join(f"{k}={v:.4f}" for k, v in z.items()))
     print(f"os information   {inputs.os_fraction_interim[0]:.4f}")
     print("correlation matrix (pfs@interim, os@interim, pfs@final, os@final)")
-    for row in analysis.covariance.corr:
+    for row in analysis.covariance.corr[0]:
         print("  " + "  ".join(f"{v: .4f}" for v in row))
-    if outcome.inflation_factors:
+    if factors:
         print("inflation        " + "  ".join(
-            f"{k}={v:.5f}" for k, v in sorted(outcome.inflation_factors.items())))
-    print(f"case             {outcome.case_label}")
-    print(f"reject global    {yes[outcome.rejected_global]}")
-    print(f"reject pfs       {yes[outcome.rejected_pfs]}")
-    print(f"reject os        {yes[outcome.rejected_os]}"
-          + (f"  (at {outcome.analysis_of_os_rejection})"
-             if outcome.rejected_os else ""))
-    print(f"early stop       {yes[outcome.early_stop]}")
+            f"{k}={v:.5f}" for k, v in factors.items()))
+    print(f"case             {case}")
+    print(f"reject global    {yes[decided['rejected_global']]}")
+    print(f"reject pfs       {yes[decided['rejected_pfs']]}")
+    print(f"reject os        {yes[decided['rejected_os']]}"
+          + (f"  (at {when})" if decided["rejected_os"] else ""))
+    print(f"early stop       {yes[decided['early_stop']]}")
 
     print("---")
     report = {"procedure": design.procedure,
@@ -422,12 +431,9 @@ def cmd_analyze(args) -> int:
               "os_interim_os_final": f"{inputs.r_o1o2[0]:.6f}",
               "pfs_interim_os_final": f"{inputs.r_p1o2[0]:.6f}",
               "pfs_interim_os_interim": f"{inputs.r_p1o1[0]:.6f}",
-              **{k: f"{v:.6f}" for k, v in sorted(outcome.inflation_factors.items())},
-              "case": outcome.case_label,
-              "rejected_global": int(outcome.rejected_global),
-              "rejected_pfs": int(outcome.rejected_pfs),
-              "rejected_os": int(outcome.rejected_os),
-              "early_stop": int(outcome.early_stop)}
+              **{k: f"{v:.6f}" for k, v in factors.items()},
+              "case": case,
+              **{k: int(v) for k, v in decided.items()}}
     for key, value in report.items():
         print(f"{key}={value}")
     return EXIT_OK

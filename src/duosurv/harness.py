@@ -6,11 +6,10 @@ cohort, locates the two event-triggered analysis times, observes the data
 at both, and reduces them to the seven numbers the testing layer
 consumes.  Cohorts are drawn one by one and reduced a sub-block at a time,
 one row per trial, and each procedure then decides a block of replications
-at once; ``analyze_cohort`` and ``simulate_replication`` run the same
-reduction on one cohort, a block of one.  Experiments keep one outcome
-row per replication and procedure, in replication order, so results depend
-neither on the worker count nor on how the replications are cut into
-sub-blocks and blocks.
+at once; ``analyze_cohort`` runs the same reduction on a block of one
+cohort.  Experiments keep one outcome row per replication and procedure,
+in replication order, so results depend neither on the worker count nor
+on how the replications are cut into sub-blocks and blocks.
 
 The reduction has two halves.  The interim half depends on the cohorts and
 ``d_pfs`` only: the PFS cutoffs, the interim snapshots and their PFS and OS
@@ -41,8 +40,8 @@ import numpy as np
 
 from .errors import (ConfigError, CutoffOrder, DegenerateVariance,
                      InsufficientEvents, NoSolution, WorkerCrash)
-from .logrank import (CovarianceEstimate, InterimCurves, LogrankResult,
-                      correlation, joint_covariance)
+from .logrank import (CovarianceEstimate, InterimCurves, correlation,
+                      joint_covariance)
 from .multistate import (Cohort, CohortModel, FrailtySpec,
                          TransitionIntensities, simulate_cohorts)
 from .testing import AnalysisInputs, DesignSpec, PROCEDURES, run_procedure
@@ -61,7 +60,6 @@ __all__ = [
     "default_designs",
     "Analysis",
     "analyze_cohort",
-    "simulate_replication",
     "run_experiment",
     "plan_events",
     "metrics_csv_text",
@@ -213,15 +211,17 @@ class _Interim:
 
 
 @dataclass(frozen=True)
-class _Reduction:
-    """A sub-block of cohorts reduced to the seven numbers, one row per
-    trial.
+class Analysis:
+    """A block of cohorts analyzed, one row per trial.
 
     ``errors[i]`` is the ``InsufficientEvents``, ``CutoffOrder`` or
     ``DegenerateVariance`` row ``i`` fails with, None if it is analyzable;
-    ``inputs`` holds the analyzable rows, in order.  ``results`` (PFS@t1,
-    OS@t1, PFS@t2, OS@t2) and ``covariance`` hold the rows with both
-    cutoffs in order, None if there are none.
+    ``inputs`` holds the testing layer's inputs of the analyzable rows, in
+    order.  ``t_interim`` and ``t_final`` are the calendar times of the two
+    cutoffs, +inf where a cutoff never comes.  ``results`` (the log-rank
+    results of PFS@t1, OS@t1, PFS@t2, OS@t2) and ``covariance`` (their
+    joint covariance estimate) hold the rows with both cutoffs in order,
+    None if there are none.
     """
 
     inputs: AnalysisInputs
@@ -233,7 +233,7 @@ class _Reduction:
 
 
 def _reduce(cohort: Cohort, targets: CutoffTargets,
-            interim: _Interim | None = None) -> _Reduction:
+            interim: _Interim | None = None) -> Analysis:
     """Cutoffs, snapshots and statistics of a block of cohorts, one per
     row, reduced to the seven numbers the testing layer reads.
 
@@ -251,8 +251,8 @@ def _reduce(cohort: Cohort, targets: CutoffTargets,
             f"{t_final[i]:.4f}; check the event targets")
     rows = np.flatnonzero([e is None for e in errors])
     if not rows.size:
-        return _Reduction(AnalysisInputs(*[()] * 7), errors, interim.t,
-                          t_final)
+        return Analysis(AnalysisInputs(*[()] * 7), errors, interim.t,
+                        t_final)
     # each trial keeps the patients entered by its final cutoff, and their
     # count scales all its statistics; the block drops the positions no
     # row keeps
@@ -274,60 +274,20 @@ def _reduce(cohort: Cohort, targets: CutoffTargets,
         r_p1o1=corr[ok, 0, 1], r_p1o2=corr[ok, 0, 3],
         r_o1o2=corr[ok, 1, 3],
         os_fraction_interim=lr[1].n_events[ok] / targets.d_os)
-    return _Reduction(inputs, errors, interim.t, t_final, lr,
-                      CovarianceEstimate(matrix, corr, clamped))
+    return Analysis(inputs, errors, interim.t, t_final, lr,
+                    CovarianceEstimate(matrix, corr, clamped))
 
 
-@dataclass(frozen=True)
-class Analysis:
-    """One cohort analyzed.
+def analyze_cohort(cohort: Cohort, targets: CutoffTargets) -> Analysis:
+    """Event-driven cutoffs and statistics of a block of one cohort.
 
-    ``inputs`` are the testing layer's inputs, a block of one;
-    ``t_interim`` and ``t_final`` the calendar times of the two cutoffs;
-    ``results`` the log-rank results of (PFS@t1, OS@t1, PFS@t2, OS@t2) and
-    ``covariance`` their joint covariance estimate.
+    Raises the ``InsufficientEvents``, ``CutoffOrder`` or
+    ``DegenerateVariance`` the cohort fails with.
     """
-
-    inputs: AnalysisInputs
-    t_interim: float
-    t_final: float
-    results: tuple
-    covariance: CovarianceEstimate
-
-
-def analyze_cohort(cohort, targets: CutoffTargets) -> Analysis:
-    """Event-driven cutoffs and statistics of one cohort, a block of one.
-
-    Raises ``InsufficientEvents``, ``CutoffOrder`` or
-    ``DegenerateVariance``.
-    """
-    reduced = _reduce(Cohort.stack([cohort]), targets)
-    if reduced.errors[0] is not None:
-        raise reduced.errors[0]
-    estimate = reduced.covariance
-    return Analysis(
-        inputs=reduced.inputs,
-        t_interim=float(reduced.t_interim[0]),
-        t_final=float(reduced.t_final[0]),
-        results=tuple(LogrankResult(float(r.u[0]), float(r.var[0]),
-                                    int(r.n_events[0]))
-                      for r in reduced.results),
-        covariance=CovarianceEstimate(estimate.matrix[0], estimate.corr[0],
-                                      bool(estimate.clamped[0])))
-
-
-def simulate_replication(scenario: Scenario, seed: int, replication: int):
-    """One cohort reduced to analysis statistics, a block of one.
-
-    Returns ``(inputs, failure)``: exactly one of the two is set.  Failures
-    are replications no trial of this design could analyze: not enough
-    events for a cutoff, analyses out of order, or a degenerate variance.
-    """
-    reduced = _reduce(simulate_cohorts(scenario.model, seed, [replication]),
-                      scenario.targets)
-    if reduced.errors[0] is not None:
-        return None, _LABELS[type(reduced.errors[0])]
-    return reduced.inputs, None
+    analysis = _reduce(cohort, targets)
+    if analysis.errors[0] is not None:
+        raise analysis.errors[0]
+    return analysis
 
 
 def _outcome_bits(out) -> np.ndarray:

@@ -49,18 +49,18 @@ CORRELATION_CLAMP = 0.9999
 @dataclass(frozen=True)
 class LogrankResult:
     """Scaled log-rank score, variance estimate and event count, arrays
-    over the rows of a block (numbers once a trial's row is read out)."""
+    over the rows of a block."""
 
-    u: float
-    var: float
-    n_events: int
+    u: np.ndarray
+    var: np.ndarray
+    n_events: np.ndarray
 
     @property
-    def z(self):
+    def z(self) -> np.ndarray:
         """Standardized statistic; nan where the variance is 0."""
-        u, var = np.asarray(self.u, dtype=float), np.asarray(self.var)
-        return np.divide(u, np.sqrt(var), out=np.full(u.shape, np.nan),
-                         where=var > 0.0)[()]
+        return np.divide(self.u, np.sqrt(self.var),
+                         out=np.full(self.u.shape, np.nan),
+                         where=self.var > 0.0)
 
 
 def _sorted_rows(snaps: SnapshotBlock, endpoint: str):
@@ -291,7 +291,7 @@ def correlation(matrix: np.ndarray):
 @dataclass(frozen=True)
 class CovarianceEstimate:
     """Joint 4x4 covariance of (PFS@t1, OS@t1, PFS@t2, OS@t2), stacked
-    over the rows of a block (one matrix once a trial's row is read out).
+    over the rows of a block.
 
     Same-endpoint off-diagonal entries equal the earlier-time variance.
     ``corr`` is the derived correlation matrix of :func:`correlation`, and
@@ -300,4 +300,4 @@ class CovarianceEstimate:
 
     matrix: np.ndarray
     corr: np.ndarray
-    clamped: bool
+    clamped: np.ndarray

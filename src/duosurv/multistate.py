@@ -31,7 +31,6 @@ __all__ = [
     "CohortModel",
     "Cohort",
     "simulate_cohorts",
-    "simulate_cohort",
 ]
 
 # Number of uniforms consumed per patient for the base path, in draw order:
@@ -220,21 +219,3 @@ def simulate_cohorts(model: CohortModel, seed: int, replications) -> Cohort:
             cohort = Cohort(cohort.arm, cohort.entry, cohort.t_pfs / gamma,
                             cohort.t_os / gamma, cohort.dropout)
     return cohort
-
-
-def simulate_cohort(model: CohortModel, seed: int,
-                    replication: int = 0) -> Cohort:
-    """Simulate one trial cohort, a block of one.
-
-    Args:
-        model: arm intensities, entry grid, drop-out and frailty.
-        seed: experiment seed.
-        replication: replication index; (seed, replication) fully determines
-            the cohort regardless of execution order or worker count.
-
-    Returns:
-        A :class:`Cohort` of ``2 * max_per_arm`` patients, arms interleaved
-        on the entry grid.  Frailty divides the event times only; entry and
-        drop-out are untouched.
-    """
-    return simulate_cohorts(model, seed, [replication]).restricted_to(0)

@@ -60,7 +60,6 @@ __all__ = [
     "PROCEDURES",
     "DesignSpec",
     "AnalysisInputs",
-    "TrialOutcome",
     "Outcomes",
     "run_procedure",
 ]
@@ -187,32 +186,11 @@ class AnalysisInputs:
                      for name in _INPUTS))
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    procedure: str
-    rejected_pfs: bool
-    rejected_os: bool
-    rejected_global: bool
-    early_stop: bool
-    case_label: str
-    analysis_of_os_rejection: str | None
-    inflation_factors: dict = field(default_factory=dict)
-
-    @property
-    def rejected_any(self) -> bool:
-        return self.rejected_pfs or self.rejected_os
-
-    @property
-    def rejected_all(self) -> bool:
-        return self.rejected_pfs and self.rejected_os
-
-
 @dataclass(frozen=True, eq=False)
 class Outcomes:
     """One procedure's decisions on a block of trials, one entry per trial
     in each array.  ``inflation_factors`` maps each factor to its values,
-    nan where a trial did not compute it.  ``outcomes[i]`` is trial ``i``'s
-    ``TrialOutcome``."""
+    nan where a trial did not compute it."""
 
     procedure: str
     rejected_pfs: np.ndarray
@@ -224,20 +202,6 @@ class Outcomes:
 
     def __len__(self) -> int:
         return len(self.rejected_pfs)
-
-    def __getitem__(self, i: int) -> TrialOutcome:
-        when = ("interim" if self.early_stop[i]
-                else "final" if self.rejected_os[i] else None)
-        return TrialOutcome(
-            procedure=self.procedure, rejected_pfs=bool(self.rejected_pfs[i]),
-            rejected_os=bool(self.rejected_os[i]),
-            rejected_global=bool(self.rejected_global[i]),
-            early_stop=bool(self.early_stop[i]),
-            case_label=str(self.case_label[i]),
-            analysis_of_os_rejection=when,
-            inflation_factors={k: float(v[i])
-                               for k, v in self.inflation_factors.items()
-                               if not np.isnan(v[i])})
 
 
 def _corr2(r) -> np.ndarray:

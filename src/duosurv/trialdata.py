@@ -90,6 +90,7 @@ def _check_endpoint(endpoint: str) -> None:
 def _event_dates(cohort: Cohort, endpoint: str) -> np.ndarray:
     """Calendar date of each patient's endpoint event; +inf if drop-out wins
     or if the date overflows, as the event is then never observed."""
+    _check_endpoint(endpoint)
     t = cohort.t_pfs if endpoint == PFS else cohort.t_os
     with np.errstate(over="ignore"):
         return np.where(t <= cohort.dropout, cohort.entry + t, np.inf)

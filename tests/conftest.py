@@ -6,9 +6,11 @@ cutoffs behave identically in the package and in the brute-force oracles.
 The grids carry heavy tie mass on purpose.
 """
 
+from dataclasses import fields
+
 import numpy as np
 
-from duosurv.logrank import InterimCurves, LogrankResult, joint_covariance
+from duosurv.logrank import InterimCurves, joint_covariance
 from duosurv.multistate import Cohort
 from duosurv.trialdata import observe
 
@@ -51,12 +53,29 @@ def cohort_from_patients(patients) -> Cohort:
 
 
 def one_trial(cohort, t1, t2, n_ref=None):
-    """Log-rank results of (PFS@t1, OS@t1, PFS@t2, OS@t2) and their 4x4
-    joint covariance, of one cohort observed at ``t1`` and ``t2`` as a
-    block of one; ``n_ref`` defaults to the cohort size."""
+    """Log-rank results of (PFS@t1, OS@t1, PFS@t2, OS@t2), each field an
+    array of one entry, and their 4x4 joint covariance, of one cohort
+    observed at ``t1`` and ``t2`` as a block of one; ``n_ref`` defaults to
+    the cohort size."""
     block = Cohort.stack([cohort])
     results, matrix = joint_covariance(
         InterimCurves.of(observe(block, [t1])), observe(block, [t2]),
         len(cohort) if n_ref is None else n_ref)
-    return [LogrankResult(r.u[0], r.var[0], r.n_events[0])
-            for r in results], matrix[0]
+    return results, matrix[0]
+
+
+def factors(outcomes, i=0):
+    """The inflation factors trial ``i`` of a procedure's ``Outcomes``
+    computed; the others are nan there and left out."""
+    return {k: v[i] for k, v in outcomes.inflation_factors.items()
+            if not np.isnan(v[i])}
+
+
+def trial_row(outcomes, i=0):
+    """Trial ``i`` of a procedure's ``Outcomes``: the procedure, its entry
+    of every decision array and the factors it computed, to compare
+    trials of different blocks."""
+    return (outcomes.procedure,
+            *(getattr(outcomes, f.name)[i] for f in fields(outcomes)
+              if isinstance(getattr(outcomes, f.name), np.ndarray)),
+            factors(outcomes, i))

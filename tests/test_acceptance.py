@@ -24,7 +24,7 @@ from duosurv.harness import (
     power_scenario,
     run_experiment,
 )
-from duosurv.multistate import FrailtySpec, simulate_cohort
+from duosurv.multistate import FrailtySpec, simulate_cohorts
 from duosurv.mvnorm import (
     InflationProblem,
     OrthantQuery,
@@ -95,10 +95,10 @@ def test_criterion_3_covariance_estimator_is_consistent():
     sc = null_scenario(1, 1600)
     u, sigma = [], []
     for r in range(2_000):
-        analysis = analyze_cohort(simulate_cohort(sc.model, SEED, r),
+        analysis = analyze_cohort(simulate_cohorts(sc.model, SEED, [r]),
                                   sc.targets)
-        u.append([res.u for res in analysis.results])
-        sigma.append(analysis.covariance.matrix)
+        u.append([res.u[0] for res in analysis.results])
+        sigma.append(analysis.covariance.matrix[0])
     mean_sigma = np.mean(sigma, axis=0)
     empirical = np.cov(np.array(u).T, ddof=1)
     relative = np.abs(mean_sigma - empirical) / np.abs(empirical)

@@ -475,12 +475,20 @@ targets:
   d_os: 16
 """)
     assert cli.main(["analyze", "--data", data, "--config", cfg]) == 0
-    report = parse_report(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    report = parse_report(out)
     assert report["case"] == "1.1"
     assert report["rejected_global"] == "1"
     assert report["rejected_pfs"] == "1"
     assert report["rejected_os"] == "1"
     assert report["early_stop"] == "1"
+    assert "reject os        yes  (at interim)\n" in out
+    # ex_last has no interim OS look: the same data reject OS at the final
+    assert cli.main(["analyze", "--data", data, "--config", cfg,
+                     "--procedures", "ex_last"]) == 0
+    out = capsys.readouterr().out
+    assert parse_report(out)["early_stop"] == "0"
+    assert "reject os        yes  (at final)\n" in out
 
 
 def test_analyze_degenerate_variance_is_runtime_error(tmp_path, capsys):

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 import oracles
 from conftest import one_trial
@@ -22,14 +23,14 @@ from duosurv.harness import (
     plan_events,
     power_scenario,
     run_experiment,
-    simulate_replication,
     table_intensities,
 )
 from duosurv.logrank import correlation
-from duosurv.multistate import (Cohort, CohortModel, FrailtySpec,
-                                TransitionIntensities, simulate_cohort)
+from duosurv.multistate import (CohortModel, FrailtySpec,
+                                TransitionIntensities, simulate_cohorts)
 from duosurv.mvnorm import solve_inflation
-from duosurv.testing import PROCEDURES, AnalysisInputs, DesignSpec
+from duosurv.testing import (PROCEDURES, AnalysisInputs, DesignSpec,
+                             run_procedure)
 from duosurv.trialdata import OS, PFS, CutoffTargets, event_cutoffs
 
 NO_EARLY_STOP = ("bon", "rec", "ex_last", "os")
@@ -115,18 +116,18 @@ def test_default_designs_cover_all_procedures():
     assert len(two) == 2 and two[0].alpha == 0.05
 
 
-def test_simulate_replication_produces_analysis_inputs():
+def test_one_replication_reduces_to_analysis_inputs():
     sc = null_scenario(1, 128)
-    inputs, failure = simulate_replication(sc, seed=0, replication=0)
-    assert failure is None
+    analysis = analyze_cohort(simulate_cohorts(sc.model, 0, [0]), sc.targets)
+    inputs = analysis.inputs
+    assert analysis.errors == [None] and len(inputs) == 1
     for z in (inputs.z_pfs_interim, inputs.z_os_interim, inputs.z_os_final):
         assert np.isfinite(z)
     for r in (inputs.r_p1o1, inputs.r_p1o2, inputs.r_o1o2):
         assert np.isfinite(r) and -1.0 <= r <= 1.0
     assert 0.0 < inputs.os_fraction_interim <= 1.5
-    analysis = analyze_cohort(simulate_cohort(sc.model, 0, 0), sc.targets)
     assert np.isfinite(analysis.results[2].z)
-    assert analysis.covariance.matrix.shape == (4, 4)
+    assert analysis.covariance.matrix.shape == (1, 4, 4)
 
 
 @pytest.mark.parametrize("scenario", [power_scenario(1),
@@ -134,14 +135,15 @@ def test_simulate_replication_produces_analysis_inputs():
                          ids=["power", "null_128"])
 def test_analysis_inputs_hold_the_interim_pfs_and_os_correlations(scenario):
     for rep in range(3):
-        cohort = simulate_cohort(scenario.model, SEED, rep)
-        analysis = analyze_cohort(cohort, scenario.targets)
+        block = simulate_cohorts(scenario.model, SEED, [rep])
+        analysis = analyze_cohort(block, scenario.targets)
         inputs = analysis.inputs
+        t_interim, t_final = analysis.t_interim[0], analysis.t_final[0]
         # the patients entered by the final cutoff alone, at both cutoffs;
         # rows pfs@interim, os@interim, pfs@final, os@final
-        _, m = one_trial(cohort.restricted_to(
-            cohort.entry <= analysis.t_final), analysis.t_interim,
-            analysis.t_final)
+        cohort = block.restricted_to(0)
+        _, m = one_trial(cohort.restricted_to(cohort.entry <= t_final),
+                         t_interim, t_final)
         corr = correlation(m[None])[0][0]
         read = (inputs.r_p1o1[0], inputs.r_p1o2[0], inputs.r_o1o2[0])
         assert read == (corr[0, 1], corr[0, 3], corr[1, 3])
@@ -165,24 +167,26 @@ def test_procedures_of_one_trial_share_inflation_solves(monkeypatch):
     assert sum(solved) == 202
 
 
-def test_simulate_replication_failure_labels():
+def test_failure_labels_of_a_one_replication_experiment():
     sc = null_scenario(1, 128)
-    too_many = Scenario(name="x", model=sc.model,
-                        targets=CutoffTargets(d_pfs=50, d_os=1000))
-    _, failure = simulate_replication(too_many, 0, 0)
-    assert failure == "insufficient_events"
-
-    swapped = Scenario(name="y", model=sc.model,
-                       targets=CutoffTargets(d_pfs=100, d_os=1))
-    _, failure = simulate_replication(swapped, 0, 0)
-    assert failure == "cutoff_order"
+    for targets, label in ((CutoffTargets(d_pfs=50, d_os=1000),
+                            "insufficient_events"),
+                           (CutoffTargets(d_pfs=100, d_os=1),
+                            "cutoff_order")):
+        res = run_experiment(replace(sc, targets=targets),
+                             default_designs(("bon",)), n_reps=1, seed=0)
+        assert res.failures == Counter({label: 1})
+        assert len(res.rep_ids) == 0
 
 
 def test_replication_is_deterministic_in_seed_and_index():
     sc = null_scenario(1, 128)
-    a = simulate_replication(sc, 7, 3)[0]
-    b = simulate_replication(sc, 7, 3)[0]
-    c = simulate_replication(sc, 7, 4)[0]
+
+    def inputs(seed, replication):
+        return harness._reduce(simulate_cohorts(sc.model, seed, [replication]),
+                               sc.targets).inputs
+
+    a, b, c = inputs(7, 3), inputs(7, 3), inputs(7, 4)
     assert a.z_os_final == b.z_os_final
     assert a.z_os_final != c.z_os_final
 
@@ -257,8 +261,8 @@ def test_chunk_and_block_bounds_change_no_decision_and_no_factor(
     # the trials keep different numbers of patients, so a sub-block pads
     # all but its widest
     kept = {int((cohort.entry <= analyze_cohort(
-        cohort, scenario.targets).t_final).sum())
-        for cohort in (simulate_cohort(scenario.model, SEED, r)
+        cohort, scenario.targets).t_final[0]).sum())
+        for cohort in (simulate_cohorts(scenario.model, SEED, [r])
                        for r in whole[0])}
     assert len(kept) > 5
     for k in (1, 17, 39):
@@ -283,12 +287,13 @@ def test_block_rows_match_the_brute_force_scores():
     # each row of a sub-block of 128-patient trials, against the oracle's
     # score and variance over the patients kept by its final cutoff
     sc = null_scenario(1, 128)
-    cohorts = [simulate_cohort(sc.model, SEED, r) for r in range(6)]
-    reduced = harness._reduce(Cohort.stack(cohorts), sc.targets)
+    block = simulate_cohorts(sc.model, SEED, range(6))
+    reduced = harness._reduce(block, sc.targets)
     inputs, t_interim, t_final = (reduced.inputs, reduced.t_interim,
                                   reduced.t_final)
     assert reduced.errors == [None] * 6
-    for i, cohort in enumerate(cohorts):
+    for i in range(6):
+        cohort = block.restricted_to(i)
         keep = cohort.entry <= t_final[i]
         patients = list(zip(cohort.arm[keep], cohort.entry[keep],
                             cohort.t_pfs[keep], cohort.t_os[keep],
@@ -307,12 +312,12 @@ def test_a_mixed_block_labels_each_failure_as_the_per_trial_rule():
     # rule's, and every analyzable trial's numbers are its block of one's
     sc = Scenario(name="mixed", model=null_scenario(1, 128).model,
                   targets=CutoffTargets(d_pfs=124, d_os=122))
-    cohorts = [simulate_cohort(sc.model, SEED, r) for r in range(24)]
-    reduced = harness._reduce(Cohort.stack(cohorts), sc.targets)
+    reduced = harness._reduce(simulate_cohorts(sc.model, SEED, range(24)),
+                              sc.targets)
     inputs, errors = reduced.inputs, reduced.errors
 
-    def per_trial(cohort):
-        block = Cohort.stack([cohort])
+    def per_trial(rep):
+        block = simulate_cohorts(sc.model, SEED, [rep])
         (t_interim,), (e_pfs,) = event_cutoffs(block, PFS, sc.targets.d_pfs)
         (t_final,), (e_os,) = event_cutoffs(block, OS, sc.targets.d_os)
         if e_pfs or e_os:
@@ -321,7 +326,7 @@ def test_a_mixed_block_labels_each_failure_as_the_per_trial_rule():
 
     got = [(None, None) if e is None else (harness._LABELS[type(e)], str(e))
            for e in errors]
-    want = [per_trial(c) for c in cohorts]
+    want = [per_trial(rep) for rep in range(24)]
     assert [g[0] for g in got] == [w[0] for w in want]
     assert {w[0] for w in want} == {None, "insufficient_events",
                                     "cutoff_order"}
@@ -330,15 +335,18 @@ def test_a_mixed_block_labels_each_failure_as_the_per_trial_rule():
             assert message == expected
     ok = [r for r, e in enumerate(errors) if e is None]
     assert len(inputs) == len(ok)
+    alone = [harness._reduce(simulate_cohorts(sc.model, SEED, [rep]),
+                             sc.targets) for rep in range(24)]
     for k, rep in enumerate(ok):
-        alone, failure = simulate_replication(sc, SEED, rep)
-        assert failure is None
-        assert [getattr(alone, name).tobytes() for name in NUMBERS] == [
+        assert alone[rep].errors == [None]
+        assert [getattr(alone[rep].inputs, name).tobytes()
+                for name in NUMBERS] == [
             getattr(inputs, name)[k:k + 1].tobytes() for name in NUMBERS]
     for rep, error in enumerate(errors):
         if error is not None:
-            assert simulate_replication(sc, SEED, rep) == (
-                None, harness._LABELS[type(error)])
+            (alone_error,) = alone[rep].errors
+            assert type(alone_error) is type(error)
+            assert len(alone[rep].inputs) == 0
 
 
 def test_run_experiment_validation():
@@ -365,6 +373,17 @@ def test_outcome_matrix():
         assert not np.any(m[:, 2] & ~m[:, 5])
         assert np.array_equal(m[:, :5].sum(axis=0), res.counts[proc])
         assert res.counts[proc].dtype == np.int64
+
+
+def test_outcome_bits_hold_the_disjunctive_and_conjunctive_rejections():
+    # bon on a trial whose PFS alone falls, then on one where both fall;
+    # columns: pfs, os, disjunctive, conjunctive, early, global
+    for z_os_final, bits in ((5.0, [1, 0, 1, 0, 0, 1]),
+                             (norm.ppf(0.02), [1, 1, 1, 1, 0, 1])):
+        inputs = AnalysisInputs(norm.ppf(0.005), 0.0, z_os_final, 0.71, 0.58,
+                                0.80, 0.644)
+        out = run_procedure(DesignSpec("bon"), inputs)
+        assert harness._outcome_bits(out).tolist() == [bits]
 
 
 def test_worker_count_is_capped_by_replications_and_cpus(monkeypatch):
@@ -565,14 +584,16 @@ def test_a_plan_reads_each_candidate_as_a_standalone_reduction(
         inputs = AnalysisInputs.concatenate([r.inputs for r in got])
         sc = replace(scenario, targets=CutoffTargets(scenario.targets.d_pfs,
                                                      d))
-        alone = [simulate_replication(sc, SEED, rep) for rep in range(n)]
+        alone = [harness._reduce(simulate_cohorts(sc.model, SEED, [rep]),
+                                 sc.targets) for rep in range(n)]
+        failures = [None if a.errors[0] is None
+                    else harness._LABELS[type(a.errors[0])] for a in alone]
         assert [None if e is None else harness._LABELS[type(e)]
-                for e in errors] == [failure for _, failure in alone]
-        want = AnalysisInputs.concatenate(
-            [one for one, failure in alone if failure is None])
+                for e in errors] == failures
+        want = AnalysisInputs.concatenate([a.inputs for a in alone])
         assert [getattr(inputs, name).tobytes() for name in NUMBERS] == [
             getattr(want, name).tobytes() for name in NUMBERS]
-        labels |= {failure for _, failure in alone}
+        labels |= set(failures)
     if scenario.name == "mixed":
         assert {"insufficient_events", "cutoff_order"} <= labels
 
@@ -598,9 +619,10 @@ def test_a_plan_keeps_two_float64_per_patient_entered_by_the_interim_cutoff():
     sc, n = power_scenario(1), 12
     interims = {}
     harness._run_chunk(sc, [DesignSpec("ex_last")], SEED, 0, n, interims)
-    entered = sum(int((cohort.entry <= event_cutoffs(
-        Cohort.stack([cohort]), PFS, sc.targets.d_pfs)[0][0]).sum())
-        for cohort in (simulate_cohort(sc.model, SEED, r) for r in range(n)))
+    entered = sum(int((block.entry <= event_cutoffs(
+        block, PFS, sc.targets.d_pfs)[0][:, None]).sum())
+        for block in (simulate_cohorts(sc.model, SEED, [r])
+                      for r in range(n)))
 
     owners = {}
     for half in interims.values():

@@ -11,7 +11,7 @@ from duosurv.multistate import (
     FrailtySpec,
     TransitionIntensities,
     _rng_for_replication,
-    simulate_cohort,
+    simulate_cohorts,
 )
 
 GOOD = TransitionIntensities(0.06, 0.30, 0.30)
@@ -25,8 +25,13 @@ def model(**overrides) -> CohortModel:
     return replace(base, **overrides)
 
 
+def simulate(m, seed, replication=0):
+    """The cohort of one replication: the row of its block of one."""
+    return simulate_cohorts(m, seed, [replication]).restricted_to(0)
+
+
 def test_entry_grid_is_interleaved_and_deterministic():
-    cohort = simulate_cohort(model(), seed=3)
+    cohort = simulate(model(), seed=3)
     assert len(cohort) == 128
     assert list(cohort.arm[:4]) == [0, 1, 0, 1]
     grid = np.repeat(np.arange(64) / 25.0, 2)
@@ -38,8 +43,7 @@ def test_entry_grid_is_interleaved_and_deterministic():
 def test_branch_probability_and_mean_sojourn():
     # With identical intensities on both arms every patient leaves state 0 at
     # rate 0.36 and progresses with probability 0.06 / 0.36.
-    cohort = simulate_cohort(model(per_arm_rate=1.0, max_per_arm=60_000),
-                             seed=11)
+    cohort = simulate(model(per_arm_rate=1.0, max_per_arm=60_000), seed=11)
     n = len(cohort)
     p = 0.06 / 0.36
     phat = (cohort.t_os > cohort.t_pfs).mean()
@@ -49,9 +53,8 @@ def test_branch_probability_and_mean_sojourn():
 
 
 def test_os_equals_pfs_exactly_when_not_progressed():
-    cohort = simulate_cohort(model(control=BAD, per_arm_rate=5.0,
-                                   max_per_arm=2000, dropout_rate=0.1),
-                             seed=5)
+    cohort = simulate(model(control=BAD, per_arm_rate=5.0, max_per_arm=2000,
+                            dropout_rate=0.1), seed=5)
     assert np.all(cohort.t_os >= cohort.t_pfs)
     # the branch uniform (column 1) decides progression against the share
     # lambda_01 / (lambda_01 + lambda_02) of the patient's arm
@@ -66,9 +69,9 @@ def test_os_equals_pfs_exactly_when_not_progressed():
 
 def test_frailty_divides_event_times_and_nothing_else():
     common = dict(control=BAD, max_per_arm=400, dropout_rate=0.05)
-    base = simulate_cohort(model(**common), seed=17, replication=9)
-    frail = simulate_cohort(model(frailty=FrailtySpec(), **common),
-                            seed=17, replication=9)
+    base = simulate(model(**common), seed=17, replication=9)
+    frail = simulate(model(frailty=FrailtySpec(), **common), seed=17,
+                     replication=9)
     # The base path consumes a fixed block of uniforms, so enabling the
     # frailty leaves everything except the event times untouched.
     assert np.array_equal(base.arm, frail.arm)
@@ -89,16 +92,16 @@ def test_frailty_divides_event_times_and_nothing_else():
 
 def test_replication_is_addressable_not_sequential():
     m = model(max_per_arm=50, dropout_rate=0.01)
-    a = simulate_cohort(m, seed=123, replication=5)
-    b = simulate_cohort(m, seed=123, replication=5)
-    c = simulate_cohort(m, seed=123, replication=6)
+    a = simulate(m, seed=123, replication=5)
+    b = simulate(m, seed=123, replication=5)
+    c = simulate(m, seed=123, replication=6)
     assert np.array_equal(a.t_os, b.t_os)
     assert np.array_equal(a.dropout, b.dropout)
     assert not np.array_equal(a.t_os, c.t_os)
 
 
 def test_zero_dropout_rate_means_no_censoring():
-    cohort = simulate_cohort(model(per_arm_rate=10.0, max_per_arm=20), seed=1)
+    cohort = simulate(model(per_arm_rate=10.0, max_per_arm=20), seed=1)
     assert np.all(np.isinf(cohort.dropout))
 
 
@@ -159,7 +162,7 @@ def test_vanishing_rates_mean_never_without_warnings():
     # RuntimeWarning into an error
     slow = model(control=TransitionIntensities(0.06, 0.30, 1.0e-310),
                  dropout_rate=1.0e-310)
-    cohort = simulate_cohort(slow, seed=4)
+    cohort = simulate(slow, seed=4)
     assert np.all(cohort.dropout > 1.0e300)
     assert np.isinf(cohort.dropout).any()
     progressed = (cohort.arm == 0) & (cohort.t_os > cohort.t_pfs)
@@ -170,19 +173,19 @@ def test_vanishing_rates_mean_never_without_warnings():
 def test_huge_progression_rate_progresses_at_once_without_warnings():
     # the exit intensity 1e308 + 0 is finite: every patient progresses
     fast = TransitionIntensities(1e308, 0.0, 0.1)
-    cohort = simulate_cohort(model(control=fast, experimental=fast), seed=4)
+    cohort = simulate(model(control=fast, experimental=fast), seed=4)
     assert np.all(cohort.t_os > cohort.t_pfs)
 
 
 def test_vanishing_recruitment_rate_means_never_entered():
-    cohort = simulate_cohort(model(per_arm_rate=1.0e-310, max_per_arm=4), seed=4)
+    cohort = simulate(model(per_arm_rate=1.0e-310, max_per_arm=4), seed=4)
     assert np.array_equal(cohort.entry[:2], [0.0, 0.0])
     assert np.all(np.isinf(cohort.entry[2:]))
 
 
 def test_zero_frailty_draws_mean_never():
     frail = model(frailty=FrailtySpec(shape=1.0e-300, rate=1.0), max_per_arm=8)
-    cohort = simulate_cohort(frail, seed=4)
+    cohort = simulate(frail, seed=4)
     assert np.all(np.isinf(cohort.t_pfs))
     assert np.all(np.isinf(cohort.t_os))
 
@@ -192,15 +195,13 @@ def test_distinct_seeds_draw_distinct_cohorts():
     # seeds (taken mod 2**64) keep their low bits
     m = model(max_per_arm=8)
     for a, b in ((-5, -6), (2**63, 2**63 + 1)):
-        assert not np.array_equal(simulate_cohort(m, a).t_pfs,
-                                  simulate_cohort(m, b).t_pfs)
-    assert np.array_equal(simulate_cohort(m, -1).t_pfs,
-                          simulate_cohort(m, 2**64 - 1).t_pfs)
+        assert not np.array_equal(simulate(m, a).t_pfs, simulate(m, b).t_pfs)
+    assert np.array_equal(simulate(m, -1).t_pfs, simulate(m, 2**64 - 1).t_pfs)
 
 
 def test_cohort_indexing_and_restriction():
-    cohort = simulate_cohort(model(per_arm_rate=2.0, max_per_arm=6,
-                                   dropout_rate=0.2), seed=2)
+    cohort = simulate(model(per_arm_rate=2.0, max_per_arm=6,
+                            dropout_rate=0.2), seed=2)
     sub = cohort.restricted_to(cohort.arm == 1)
     assert len(sub) == 6
     assert np.all(sub.arm == 1)

@@ -25,6 +25,7 @@ from scipy.special import ndtri
 from scipy.stats import norm
 
 import oracles
+from conftest import factors, trial_row
 from duosurv.mvnorm import (XI_TOL, InflationProblem, OrthantQuery,
                             mvn_upper_orthant, solve_inflation)
 from duosurv.testing import (PROCEDURES, AnalysisInputs, DesignSpec,
@@ -118,7 +119,8 @@ def elementary_os_rejects(design, zo1, zo2, corr, tau, budget) -> bool:
 
 def assert_closed_test_properties(case):
     zp1, zo1, zo2, corr, tau = case
-    out = {p: run_procedure(d, make_inputs(*case))[0]
+    # each procedure's decisions on the trial, a block of one
+    out = {p: run_procedure(d, make_inputs(*case))
            for p, d in DESIGNS.items()}
 
     for chain in NESTED:
@@ -126,7 +128,7 @@ def assert_closed_test_properties(case):
             assert out[weaker].rejected_pfs <= out[stronger].rejected_pfs
             assert out[weaker].rejected_os <= out[stronger].rejected_os
     for o in out.values():
-        assert o.rejected_any <= o.rejected_global
+        assert (o.rejected_pfs | o.rejected_os) <= o.rejected_global
     for p, d in DESIGNS.items():
         # bon recycles nothing: its elementary OS test spends the OS share
         budget = d.alpha - d.level_pfs if p in BONFERRONI else d.alpha
@@ -172,14 +174,14 @@ def test_single_final_look_without_an_interim_os_look(case):
                 "rec": (rej_pfs, zo2 <= norm.ppf(alpha if rej_pfs else oa)),
                 "os": (False, zo2 <= norm.ppf(alpha))}
     for p, (pfs, os_) in expected.items():
-        out = run_procedure(DESIGNS[p], inputs)[0]
-        assert (out.rejected_pfs, out.rejected_os) == (pfs, bool(os_)), p
+        out = run_procedure(DESIGNS[p], inputs)
+        assert out.rejected_pfs[0] == pfs and out.rejected_os[0] == os_, p
         # a PFS rejection settles the intersection at the interim (case
         # 1.2, OS has no interim look); otherwise it runs to the final (2)
         assert not out.early_stop, p
-        assert out.case_label == ("1.2" if pfs else "2"), p
+        assert out.case_label[0] == ("1.2" if pfs else "2"), p
         # one look per level: nothing is inflated
-        assert set(out.inflation_factors.values()) <= {1.0}, p
+        assert set(factors(out).values()) <= {1.0}, p
 
 
 @property_settings(30)
@@ -189,8 +191,11 @@ def test_outcome_does_not_depend_on_other_procedures(case):
     for design in DESIGNS.values():
         run_procedure(design, shared)
     for design in DESIGNS.values():
-        assert run_procedure(design, shared)[0] == \
-            run_procedure(design, make_inputs(*case))[0]
+        # every decision array and every factor the trial computed
+        got = run_procedure(design, shared)
+        alone = run_procedure(design, make_inputs(*case))
+        assert len(got) == len(alone) == 1
+        assert trial_row(got) == trial_row(alone)
 
 
 def factor_correlation(draw, dim):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from conftest import factors, trial_row
 from oracles import check_consonance
 from duosurv.errors import ConfigError
 from duosurv.mvnorm import InflationProblem, solve_inflation
@@ -19,7 +20,7 @@ from duosurv.testing import (
     PROCEDURES,
     AnalysisInputs,
     DesignSpec,
-    TrialOutcome,
+    Outcomes,
     run_procedure,
 )
 
@@ -39,9 +40,11 @@ def make_inputs(zp1, zo1, zo2, tau=TAU):
                           os_fraction_interim=tau)
 
 
-def run(procedure, zp1, zo1, zo2, tau=TAU) -> TrialOutcome:
+def run(procedure, zp1, zo1, zo2, tau=TAU) -> Outcomes:
+    """The procedure's decisions on one trial, a block of one: each array
+    has one entry, as true or false as that entry."""
     return run_procedure(DesignSpec(procedure),
-                         make_inputs(zp1, zo1, zo2, tau))[0]
+                         make_inputs(zp1, zo1, zo2, tau))
 
 
 def test_bonferroni_thresholds_are_exact_quantiles():
@@ -51,7 +54,8 @@ def test_bonferroni_thresholds_are_exact_quantiles():
     assert out.rejected_pfs and out.rejected_os and out.rejected_global
     assert not out.early_stop
     assert out.case_label == "1.2"
-    assert out.analysis_of_os_rejection == "final"
+    # OS rejected at the final analysis
+    assert out.rejected_os and not out.early_stop
     # just above the quantile: no rejection
     miss = run("bon", PPF_PA + 1e-9, 0.0, PPF_OA + 1e-9)
     assert not miss.rejected_pfs and not miss.rejected_os
@@ -75,7 +79,7 @@ def test_os_reference_ignores_pfs():
     out = run("os", -9.0, -9.0, PPF_ALPHA)
     assert not out.rejected_pfs
     assert out.rejected_os and out.rejected_global
-    assert out.analysis_of_os_rejection == "final"
+    assert out.rejected_os and not out.early_stop
     assert not run("os", -9.0, -9.0, PPF_ALPHA + 1e-9).rejected_os
     assert not out.early_stop
 
@@ -89,11 +93,11 @@ def test_ex_last_case1_gives_full_alpha_to_os():
     assert out.case_label == "1.2"
     assert out.rejected_os and out.rejected_global
     assert not out.early_stop
-    assert out.inflation_factors["interim_joint"] == 1.0
+    assert factors(out)["interim_joint"] == 1.0
     miss = run("ex_last", PPF_PA, 0.0, PPF_ALPHA + 1e-9)
     assert miss.case_label == "1.2"
     assert miss.rejected_global and not miss.rejected_os
-    assert miss.analysis_of_os_rejection is None
+    assert not miss.early_stop
 
 
 def test_ex_last_never_stops_early():
@@ -112,7 +116,7 @@ def test_ex_last_case2_inflates_the_final_os_level():
     assert out.case_label == "2"
     assert not out.rejected_pfs
     assert out.rejected_os and out.rejected_global
-    xi = out.inflation_factors["final_joint"]
+    xi = factors(out)["final_joint"]
     assert xi > 1.0
     thr = norm.ppf(xi * 0.02)
     assert thr == pytest.approx(-2.0199, abs=2e-4)
@@ -130,7 +134,8 @@ def test_ex_first_can_stop_early_in_design_one():
     assert out.case_label == "1.1"
     assert out.early_stop
     assert out.rejected_pfs and out.rejected_os and out.rejected_global
-    assert out.analysis_of_os_rejection == "interim"
+    # OS rejected at the interim
+    assert out.rejected_os and out.early_stop
     # same inputs under ex_last: no early stop
     assert not run("ex_last", PPF_PA, PPF_PA, 0.0).early_stop
     # interim OS statistic above the elementary level: continue to final
@@ -144,7 +149,7 @@ def test_bon_gs_interim_threshold_is_the_obf_spend():
     assert out.early_stop
     assert out.rejected_os
     assert out.case_label == "1.1"
-    assert out.analysis_of_os_rejection == "interim"
+    assert out.rejected_os and out.early_stop
     assert not run("bon_gs", 0.0, PPF_B1 + 1e-9, 5.0).early_stop
 
 
@@ -156,8 +161,8 @@ def test_bon_gs_final_threshold_solves_the_spending_equation():
     # the intersection's final OS look and the elementary OS test solve
     # the same equation: bon_gs recycles nothing
     assert out.case_label == "2"
-    xi = out.inflation_factors["final_joint"]
-    assert out.inflation_factors["elementary_final"] == xi
+    xi = factors(out)["final_joint"]
+    assert factors(out)["elementary_final"] == xi
     thr = norm.ppf(xi * (0.02 - B1))
     assert thr == pytest.approx(-2.0791, abs=2e-4)
     # defining equation: interim plus final OS looks exhaust the OS share
@@ -174,11 +179,11 @@ def test_rec_gs_recycles_only_after_pfs_rejection():
     out = run("rec_gs", PPF_PA, 0.0, zo2)
     assert out.rejected_pfs and out.rejected_os
     assert out.case_label == "1.2"
-    assert "elementary_final" in out.inflation_factors
+    assert "elementary_final" in factors(out)
     plain = run("rec_gs", 0.0, 0.0, zo2)
     assert not plain.rejected_os
     assert plain.case_label == "2"
-    assert "final_joint" in plain.inflation_factors
+    assert "final_joint" in factors(plain)
     # interim OS look is untouched by recycling
     assert run("rec_gs", PPF_PA, PPF_B1, 5.0).early_stop
 
@@ -188,7 +193,7 @@ def test_ex_gs_interim_intersection_is_jointly_inflated():
     # xi1 about 1.13153: PFS threshold -2.5328, OS threshold -2.6325
     out = run("ex_gs_last", -2.54, 0.0, 5.0)
     assert out.rejected_pfs  # bon would not reject at -2.54 > -2.5758
-    xi1 = out.inflation_factors["interim_joint"]
+    xi1 = factors(out)["interim_joint"]
     assert xi1 == pytest.approx(1.13153, abs=2e-4)
     assert norm.ppf(xi1 * 0.005) == pytest.approx(-2.5328, abs=2e-4)
     assert not run("bon_gs", -2.54, 0.0, 5.0).rejected_pfs
@@ -224,13 +229,13 @@ def test_ex_gs_case2_threshold_and_gate():
     assert out.case_label == "2"
     assert not out.rejected_pfs
     assert out.rejected_global
-    xi = out.inflation_factors["final_joint"]
+    xi = factors(out)["final_joint"]
     thr = norm.ppf(xi * (0.02 - B1))
     assert thr == pytest.approx(-2.0521, abs=2e-4)
     # consonance holds here, so the elementary OS test follows the
     # intersection rejection (threshold about -1.9771)
     assert out.rejected_os
-    assert out.inflation_factors["elementary_final"] > 1.0
+    assert factors(out)["elementary_final"] > 1.0
     miss = run("ex_gs_last", 0.0, 0.0, -2.05)
     assert miss.case_label == "2"
     assert not miss.rejected_global and not miss.rejected_os
@@ -253,11 +258,11 @@ def test_ex_first_os_rejection_requires_its_elementary_test():
     inputs = AnalysisInputs(
         z_pfs_interim=0.0, z_os_interim=0.0, z_os_final=-2.0273,
         r_p1o1=0.2, r_p1o2=0.6, r_o1o2=0.5, os_fraction_interim=0.3)
-    out = run_procedure(DesignSpec("ex_first"), inputs)[0]
+    out = run_procedure(DesignSpec("ex_first"), inputs)
     assert out.case_label == "2" and out.rejected_global
     assert not out.rejected_os
-    assert out.analysis_of_os_rejection is None
-    xi = out.inflation_factors
+    assert not out.early_stop
+    xi = factors(out)
     assert norm.ppf(xi["final_joint"] * 0.02) == pytest.approx(-2.0175,
                                                                abs=1e-4)
     assert norm.ppf(xi["elementary_final"] * 0.02) == pytest.approx(
@@ -265,7 +270,7 @@ def test_ex_first_os_rejection_requires_its_elementary_test():
     assert not check_consonance(DesignSpec("ex_first"), inputs)[0]
     # ex_last has no elementary interim look: its final test at full alpha
     # follows from the intersection rejection
-    assert run_procedure(DesignSpec("ex_last"), inputs)[0].rejected_os
+    assert run_procedure(DesignSpec("ex_last"), inputs).rejected_os
 
 
 def test_consonance_check():
@@ -278,11 +283,11 @@ def test_every_procedure_reports_a_closed_test_case():
     for zp1, zo1 in ((0.0, 0.0), (PPF_PA, 0.0), (0.0, -9.0)):
         inputs = make_inputs(zp1, zo1, 0.0)
         for proc in PROCEDURES:
-            out = run_procedure(DesignSpec(proc), inputs)[0]
-            assert out.case_label in ("1.1", "1.2", "2"), proc
+            out = run_procedure(DesignSpec(proc), inputs)
+            assert out.case_label[0] in ("1.1", "1.2", "2"), proc
             # uninflated procedures test the interim shares at their own
             # levels, so only the exhaustive ones report an interim factor
-            assert ("interim_joint" in out.inflation_factors) == \
+            assert ("interim_joint" in factors(out)) == \
                 proc.startswith("ex_"), proc
 
 
@@ -331,21 +336,12 @@ def test_spending_streams_per_procedure():
     assert DesignSpec("bon").elementary_os_spend(1.0) == 0.025 - pa
 
 
-def test_outcome_convenience_properties():
-    out = run("bon", PPF_PA, 0.0, 5.0)
-    assert out.rejected_any and not out.rejected_all
-    both = run("bon", PPF_PA, 0.0, PPF_OA)
-    assert both.rejected_any and both.rejected_all
-
-
 def test_thresholds_do_not_depend_on_observed_statistics():
     # inflation factors are functions of the design and correlations only
     a = run("ex_gs_last", 0.0, 0.0, -2.2)
     b = run("ex_gs_last", 0.1, 0.2, -1.0)
-    assert a.inflation_factors["interim_joint"] == \
-        b.inflation_factors["interim_joint"]
-    assert a.inflation_factors["final_joint"] == \
-        b.inflation_factors["final_joint"]
+    assert factors(a)["interim_joint"] == factors(b)["interim_joint"]
+    assert factors(a)["final_joint"] == factors(b)["final_joint"]
 
 
 SEVEN = ("z_pfs_interim", "z_os_interim", "z_os_final", "r_p1o1", "r_p1o2",
@@ -369,7 +365,8 @@ def test_a_block_decides_each_trial_as_alone():
         assert len(outcomes) == m
         for i in range(m):
             alone = AnalysisInputs(*(getattr(block, f)[i] for f in SEVEN))
-            assert outcomes[i] == run_procedure(DesignSpec(proc), alone)[0]
+            assert trial_row(outcomes, i) == trial_row(
+                run_procedure(DesignSpec(proc), alone))
 
 
 def test_analysis_inputs_are_equal_length_arrays():

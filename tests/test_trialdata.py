@@ -112,6 +112,13 @@ def test_event_cutoff_failures():
         assert str(error) == message
 
 
+def test_event_cutoffs_reject_an_unknown_endpoint():
+    # any endpoint but PFS would otherwise be read as OS
+    block = Cohort.stack([cohort_from_patients(HAND_PATIENTS)])
+    with pytest.raises(ValueError, match="got 'ttp'"):
+        event_cutoffs(block, "ttp", 1)
+
+
 def test_cutoff_targets():
     CutoffTargets(1, 1)
     for d_pfs, d_os in ((0, 5), (5, 0)):

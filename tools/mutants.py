@@ -130,6 +130,11 @@ MUTANTS = (
            "np.greater_equal(xs[:, 1:], xs[:, :-1], out=first[:, 1:])",
            ("tests/test_acceptance.py::"
             "test_criterion_4_statistics_match_brute_force_oracles",)),
+    Mutant("event_dates_endpoint_unchecked", "src/duosurv/trialdata.py",
+           "    _check_endpoint(endpoint)\n    t = cohort.t_pfs",
+           "    t = cohort.t_pfs",
+           ("tests/test_trialdata.py::"
+            "test_event_cutoffs_reject_an_unknown_endpoint",)),
     Mutant("event_on_cutoff_excluded", "src/duosurv/trialdata.py",
            "d = _event_dates(cohort, endpoint) <= t",
            "d = _event_dates(cohort, endpoint) < t",
@@ -166,6 +171,12 @@ MUTANTS = (
            "interim = None if interims is None else interims.get(first)",
            ("tests/test_harness.py::"
             "test_a_plan_reads_each_candidate_as_a_standalone_reduction",)),
+    # the analyze report of a block of one
+    Mutant("analyze_os_rejection_times_swapped", "src/duosurv/cli.py",
+           'when = "interim" if decided["early_stop"] else "final"',
+           'when = "final" if decided["early_stop"] else "interim"',
+           ("tests/test_cli.py::"
+            "test_analyze_overwhelming_benefit_stops_early",)),
 )
 
 

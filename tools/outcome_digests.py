@@ -44,7 +44,7 @@ from duosurv.harness import (
     power_scenario,
     run_experiment,
 )
-from duosurv.multistate import FrailtySpec, simulate_cohort
+from duosurv.multistate import FrailtySpec, simulate_cohorts
 from duosurv.testing import PROCEDURES
 
 SEED = 20260814
@@ -88,9 +88,9 @@ def analyze_digest(tmp: Path):
         config.write_text(f"targets: {{d_pfs: {scenario.targets.d_pfs}, "
                           f"d_os: {scenario.targets.d_os}}}\n")
         for rep in range(count):
-            cohort = simulate_cohort(scenario.model, SEED, rep)
-            rows = np.column_stack((cohort.arm, cohort.entry, cohort.t_pfs,
-                                    cohort.t_os, cohort.dropout))
+            cohort = simulate_cohorts(scenario.model, SEED, [rep])
+            rows = np.vstack((cohort.arm, cohort.entry, cohort.t_pfs,
+                              cohort.t_os, cohort.dropout)).T
             if rep % 2:
                 rows = rows[rng.permutation(len(rows))]
             data = tmp / f"{scenario.name}_{rep}.txt"
