@@ -16,9 +16,14 @@ The reduction has two halves.  The interim half depends on the cohorts and
 log-rank curves, unscaled.  The final half reads it at one ``d_os``: the OS
 cutoffs, the kept patients, whose count scales every statistic, the final
 snapshots and curves, the covariances and the seven numbers.  ``simulate``
-runs both per sub-block; ``plan`` computes each sub-block's interim half
-once and reads it at every candidate ``d_os``, drawing the cohorts again
-each time.  It keeps two float64 per patient entered by the interim cutoff.
+runs both per sub-block.  ``plan`` draws each sub-block's cohorts and
+computes its interim half once, at its first candidate ``d_os``, and keeps
+the cohort columns that the final half reads at any candidate up to that
+one: every later such candidate reads them and computes the final half
+alone, and only a candidate above the first draws the cohorts again.  It
+keeps two float64 per patient entered by the interim cutoff, and three per
+patient of a sub-block's columns up to the last one that some row entered
+by the later of its two cutoffs at the first candidate.
 
 Replication ``r`` of an experiment derives its random stream from
 ``(seed, r)`` alone; the frailty variates are drawn after the shared base
@@ -30,8 +35,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields, replace
 from functools import partial
@@ -210,7 +213,7 @@ class _Interim:
         return curves.take(np.searchsorted(self.rows, rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Analysis:
     """A block of cohorts analyzed, one row per trial.
 
@@ -299,7 +302,45 @@ def _outcome_bits(out) -> np.ndarray:
         out.rejected_global))
 
 
-def _run_chunk(scenario, designs, seed, start, stop, interims=None):
+class _Kept:
+    """What a plan keeps of a sub-block from its first candidate on: its
+    ``interim`` half, and the cohort columns that the final half reads at
+    any ``d_os`` up to that candidate's, ``self.d_os``.
+
+    A row's OS cutoff comes no later at a smaller ``d_os``, so the final
+    half there reads only the patients entered by the row's final cutoff
+    at ``self.d_os``, or by its interim cutoff if that is later (a row that
+    fails with ``CutoffOrder``); a row that misses either cutoff keeps the
+    whole block.  Of the columns up to the last such patient of the block, it
+    keeps ``t_pfs``, ``t_os`` and ``dropout``, three float64 per patient of
+    each row, and the entry grid and the arms, the same in every row of a
+    drawn block, once.
+    """
+
+    def __init__(self, cohort: Cohort, reduced: Analysis, interim: _Interim,
+                 d_os: int):
+        self.interim, self.d_os = interim, d_os
+        reach = np.maximum(reduced.t_interim, reduced.t_final)
+        width = _span(cohort.entry <= reach[:, None])
+        # copies, so that no kept column holds the whole block alive
+        self.arm, self.entry = (np.array(c[0, :width])
+                                for c in (cohort.arm, cohort.entry))
+        self.t_pfs, self.t_os, self.dropout = (
+            np.array(c[:, :width])
+            for c in (cohort.t_pfs, cohort.t_os, cohort.dropout))
+
+    def cohort(self, d_os: int) -> Cohort | None:
+        """The kept block at ``d_os``: the kept columns, if the final half
+        reads no others there, else None."""
+        if d_os > self.d_os:
+            return None
+        shape = self.t_os.shape
+        return Cohort(np.broadcast_to(self.arm, shape),
+                      np.broadcast_to(self.entry, shape),
+                      self.t_pfs, self.t_os, self.dropout)
+
+
+def _run_chunk(scenario, designs, seed, start, stop, kept=None):
     """Analyzable replication ids in ``[start, stop)``, their outcome bits
     (one row per design) and the failures by label.
 
@@ -309,24 +350,29 @@ def _run_chunk(scenario, designs, seed, start, stop, interims=None):
     block.  No trial's numbers or decision depend on the others of its
     sub-block or block, so the chunk bounds change nothing.
 
-    ``interims``, if given, maps the first replication of a sub-block to
-    its interim half: a sub-block found there reads it, one not found
-    stores its own, for later calls at another ``d_os``.
+    ``kept``, if given, maps the first replication of a sub-block to what
+    a plan keeps of it, a ``_Kept``.  A sub-block not found there is drawn
+    and stores its own, for later calls at another ``d_os``; one found
+    there reads its interim half, and its kept columns unless the scenario's
+    ``d_os`` lies above the one they were kept at, where it is drawn again.
     """
     rep_ids, bits, failures = [], [], Counter()
     rows = max(1, _CELLS // (2 * scenario.model.max_per_arm))
+    d_os = scenario.targets.d_os
     for first in range(start, stop, _BLOCK):
         block = []
         last = min(first + _BLOCK, stop)
         for low in range(first, last, rows):
             reps = range(low, min(low + rows, last))
-            cohort = simulate_cohorts(scenario.model, seed, reps)
-            interim = None if interims is None else interims.get(low)
-            if interim is None:
-                interim = _Interim(cohort, scenario.targets.d_pfs)
-            if interims is not None:
-                interims[low] = interim
+            held = None if kept is None else kept.get(low)
+            cohort = None if held is None else held.cohort(d_os)
+            if cohort is None:
+                cohort = simulate_cohorts(scenario.model, seed, reps)
+            interim = (_Interim(cohort, scenario.targets.d_pfs)
+                       if held is None else held.interim)
             reduced = _reduce(cohort, scenario.targets, interim)
+            if kept is not None and held is None:
+                kept[low] = _Kept(cohort, reduced, interim, d_os)
             for rep, error in zip(reps, reduced.errors):
                 if error is None:
                     rep_ids.append(rep)
@@ -428,6 +474,9 @@ def _mapper(workers: int, scenario: Scenario):
     if workers == 1:
         yield map
         return
+    # imported here, so that a single-worker command loads no process code
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield pool.map
@@ -463,14 +512,14 @@ def run_experiment(scenario: Scenario, designs, n_reps: int, seed: int,
         outcomes={p: bits[:, i] for i, p in enumerate(procs)})
 
 
-def _plan_chunk(scenario, design, seed, start, stop, interims):
+def _plan_chunk(scenario, design, seed, start, stop, kept):
     """OS rejections of ``design`` in replications ``[start, stop)`` at the
-    scenario's ``d_os``, and the chunk's interim halves if ``interims`` is
-    None, else None: the first candidate computes them, and they travel
-    with the chunk's tasks at later candidates."""
-    held = {} if interims is None else interims
+    scenario's ``d_os``, and what the plan keeps of the chunk's sub-blocks
+    if ``kept`` is None, else None: the first candidate draws and keeps
+    them, and they travel with the chunk's tasks at later candidates."""
+    held = {} if kept is None else kept
     _, bits, _ = _run_chunk(scenario, [design], seed, start, stop, held)
-    return int(bits[:, 0, 1].sum()), held if interims is None else None
+    return int(bits[:, 0, 1].sum()), held if kept is None else None
 
 
 @dataclass(frozen=True)
@@ -491,8 +540,10 @@ def plan_events(scenario: Scenario, design: DesignSpec, target_power: float,
     replications: a replication that cannot be analyzed (say, too few
     events for the cutoff) counts as OS not rejected.  Every candidate is
     evaluated with the same seed, so the power curve is monotone up to
-    Monte Carlo wobble.  The interim half of each sub-block of cohorts is
-    computed at the first candidate and read at every later one.
+    Monte Carlo wobble.  Each sub-block of cohorts is drawn, and its
+    interim half computed, at the first candidate, the bracket top; every
+    later candidate reads that interim half, and every one up to the first
+    also reads the cohort columns kept there instead of drawing them again.
 
     The bracket defaults to ``(0.7 * d_os, d_os)`` of the scenario.  Its top
     doubles, up to the cohort size, until it reaches the target.  If the
@@ -515,7 +566,7 @@ def plan_events(scenario: Scenario, design: DesignSpec, target_power: float,
 
     workers = _worker_count(workers, n_reps)
     starts, stops = _chunks(n_reps, workers)
-    interims = [None] * workers
+    kept = [None] * workers
     cache: dict = {}
     with _mapper(workers, scenario) as run:
 
@@ -524,10 +575,10 @@ def plan_events(scenario: Scenario, design: DesignSpec, target_power: float,
                 sc = replace(scenario, targets=CutoffTargets(
                     d_pfs=scenario.targets.d_pfs, d_os=d))
                 parts = list(run(partial(_plan_chunk, sc, design, seed),
-                                 starts, stops, interims))
+                                 starts, stops, kept))
                 for k, (_, held) in enumerate(parts):
                     if held is not None:
-                        interims[k] = held
+                        kept[k] = held
                 cache[d] = sum(count for count, _ in parts) / n_reps
             return cache[d]
 

@@ -46,7 +46,7 @@ __all__ = [
 CORRELATION_CLAMP = 0.9999
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogrankResult:
     """Scaled log-rank score, variance estimate and event count, arrays
     over the rows of a block."""
@@ -178,7 +178,7 @@ def _cross(pfs: np.ndarray, os_: np.ndarray) -> np.ndarray:
     return np.cumsum(pfs[:, :width] * os_[:, :width], axis=1)[:, -1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterimCurves:
     """PFS (P1) and OS (O1) at the interim snapshot of each row of a block,
     unscaled: what the joint covariance reads of them at any later cutoff.
@@ -288,7 +288,7 @@ def correlation(matrix: np.ndarray):
     return corr, clamped, errors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceEstimate:
     """Joint 4x4 covariance of (PFS@t1, OS@t1, PFS@t2, OS@t2), stacked
     over the rows of a block.

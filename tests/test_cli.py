@@ -1,9 +1,9 @@
 """End-to-end CLI behaviour through in-process ``main`` calls."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -619,12 +619,12 @@ def test_plan_opens_one_pool_and_traces_as_one_worker(tmp_path, capsys,
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     pools = []
 
-    class Counted(ProcessPoolExecutor):
+    class Counted(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
     cfg = plan_config(tmp_path, 0.9, "[11, 40]", n_reps=30)
     traces = []
     for workers in (1, 2):
@@ -636,6 +636,20 @@ def test_plan_opens_one_pool_and_traces_as_one_worker(tmp_path, capsys,
     assert pools == [{"max_workers": 2}]
     assert traces[0] == traces[1]
     assert len(traces[0].splitlines()) > 4
+
+
+def test_a_one_worker_plan_loads_no_process_code(tmp_path):
+    # the process pool, and multiprocessing with it, is imported only when
+    # a command runs more than one worker
+    cfg = plan_config(tmp_path, 0.6, "[15, 60]")
+    code = ("import sys\nfrom duosurv import cli\n"
+            f"assert cli.main(['plan', '--config', {cfg!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('multiprocessing', 'concurrent.futures.process'))))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         cwd=os.path.dirname(duosurv.__path__[0]),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_crashed_plan_worker_is_a_runtime_error(tmp_path, capsys,

@@ -443,7 +443,7 @@ def table_power(monkeypatch, power):
     ``power(d)``; returns the candidates in evaluation order."""
     calls = []
 
-    def fake(scenario, design, seed, start, stop, interims):
+    def fake(scenario, design, seed, start, stop, kept):
         d = scenario.targets.d_os
         calls.append(d)
         return round(power(d) * (stop - start)), None
@@ -533,6 +533,14 @@ def mixed_scenario():
                     targets=CutoffTargets(d_pfs=124, d_os=122))
 
 
+def early_scenario():
+    """Cutoffs during accrual, with the PFS target above the OS one: in
+    some trials the interim cutoff comes after the final one, and after
+    every final cutoff of its sub-block."""
+    return Scenario(name="early", model=null_scenario(1, 128).model,
+                    targets=CutoffTargets(d_pfs=36, d_os=34))
+
+
 def record_reductions(monkeypatch):
     """Record the ``d_os`` and the result of every sub-block reduction, and
     each interim half computed, by its cohort rows."""
@@ -558,14 +566,18 @@ def record_reductions(monkeypatch):
     (steep_scenario(), 1, 0.9, (11, 40)),
     (steep_scenario(), 3, 0.9, (11, 40)),
     (steep_scenario(), 7, 0.9, (11, 40)),
+    (steep_scenario(), 3, 0.9, (11, 13)),
     (mixed_scenario(), 3, 0.0, (121, 123)),
-], ids=["steep_rows1", "steep_rows3", "steep_rows7", "mixed_rows3"])
+    (early_scenario(), 3, 0.0, (33, 34)),
+], ids=["steep_rows1", "steep_rows3", "steep_rows7", "steep_doubled_rows3",
+        "mixed_rows3", "early_rows3"])
 def test_a_plan_reads_each_candidate_as_a_standalone_reduction(
         scenario, rows, target, bracket, monkeypatch):
     # at every d_os the plan reads, each trial's seven numbers and failure
     # label are, bit for bit, those of its block of one reduced from
     # scratch at that d_os, though each sub-block's interim half was
-    # computed once, at the first candidate
+    # computed once, at the first candidate, and the candidates below it
+    # read the cohort columns kept there
     n = 20
     monkeypatch.setattr(harness, "_CELLS",
                         rows * 2 * scenario.model.max_per_arm)
@@ -596,6 +608,8 @@ def test_a_plan_reads_each_candidate_as_a_standalone_reduction(
         labels |= set(failures)
     if scenario.name == "mixed":
         assert {"insufficient_events", "cutoff_order"} <= labels
+    if scenario.name == "early":
+        assert "cutoff_order" in labels
 
 
 @pytest.mark.parametrize("scenario", [steep_scenario(), mixed_scenario()],
@@ -612,29 +626,96 @@ def test_a_plan_on_two_workers_evaluates_as_on_one(scenario, monkeypatch):
     assert len(one.evaluations) > 1
 
 
+@pytest.mark.parametrize("bracket, doubled", [((11, 40), False),
+                                             ((11, 13), True)],
+                         ids=["within", "doubled"])
+def test_a_plan_draws_each_cohort_once_up_to_its_first_candidate(
+        bracket, doubled, monkeypatch):
+    # each sub-block is drawn at the first candidate, the bracket top, and
+    # again at every candidate above it (the top doubled), never at one
+    # below it
+    n, rows = 20, 3
+    sc = steep_scenario()
+    monkeypatch.setattr(harness, "_CELLS", rows * 2 * sc.model.max_per_arm)
+    candidates, draws = [], Counter()
+    plan_chunk, draw = harness._plan_chunk, harness.simulate_cohorts
+
+    def planning(scenario, *args):
+        candidates.append(scenario.targets.d_os)
+        return plan_chunk(scenario, *args)
+
+    def drawing(model, seed, reps):
+        draws[candidates[-1]] += 1
+        return draw(model, seed, reps)
+
+    monkeypatch.setattr(harness, "_plan_chunk", planning)
+    monkeypatch.setattr(harness, "simulate_cohorts", drawing)
+    plan = plan_events(sc, DesignSpec("os"), 0.9, n, SEED, bracket=bracket)
+    first = candidates[0]
+    assert first == bracket[1]
+    assert list(plan.evaluations) == sorted(candidates)
+    above = [d for d in candidates if d > first]
+    assert bool(above) == doubled
+    if not doubled:
+        assert any(d < first for d in candidates)
+    assert draws == Counter({d: -(-n // rows) for d in [first] + above})
+
+
 def test_a_plan_keeps_two_float64_per_patient_entered_by_the_interim_cutoff():
-    # the interim halves of a chunk hold no cohort and no view of a larger
-    # block: their residuals take 16 bytes per patient entered by the
-    # interim cutoff, and the rest a few numbers per trial
+    # what a plan keeps of a chunk holds no view of a larger block: the
+    # interim residuals take 16 bytes per patient entered by the interim
+    # cutoff; the cohort columns 24 per cell of each sub-block's prefix,
+    # the columns up to the last patient some row entered by its later
+    # cutoff; the entry grid and the arms 9 per prefix column; and the
+    # rest a few numbers per trial
     sc, n = power_scenario(1), 12
-    interims = {}
-    harness._run_chunk(sc, [DesignSpec("ex_last")], SEED, 0, n, interims)
-    entered = sum(int((block.entry <= event_cutoffs(
-        block, PFS, sc.targets.d_pfs)[0][:, None]).sum())
-        for block in (simulate_cohorts(sc.model, SEED, [r])
-                      for r in range(n)))
+    rows = harness._CELLS // (2 * sc.model.max_per_arm)
+    kept = {}
+    harness._run_chunk(sc, [DesignSpec("ex_last")], SEED, 0, n, kept)
+    assert sorted(kept) == list(range(0, n, rows))
+    entered, reach = 0, []
+    for block in (simulate_cohorts(sc.model, SEED, [r]) for r in range(n)):
+        t_pfs = event_cutoffs(block, PFS, sc.targets.d_pfs)[0]
+        t_os = event_cutoffs(block, OS, sc.targets.d_os)[0]
+        entered += int((block.entry <= t_pfs[:, None]).sum())
+        reach.append(1 + np.flatnonzero(
+            block.entry[0] <= max(t_pfs[0], t_os[0])).max())
+    widths = [max(reach[low:low + rows]) for low in range(0, n, rows)]
+    cells = sum(min(rows, n - low) * w
+                for low, w in zip(range(0, n, rows), widths))
+    assert max(widths) < len(block)
 
     owners = {}
-    for half in interims.values():
-        curves = half.packed
-        for value in (half.t, half.rows, curves.score, curves.info,
-                      curves.n_events, curves.c11, curves.resid):
+    for held in kept.values():
+        half, curves = held.interim, held.interim.packed
+        for value in (held.arm, held.entry, held.t_pfs, held.t_os,
+                      held.dropout, half.t, half.rows, curves.score,
+                      curves.info, curves.n_events, curves.c11, curves.resid):
             while value.base is not None:
                 value = value.base
             owners[id(value)] = value.nbytes
-    resid = sum(half.packed.resid.nbytes for half in interims.values())
+    resid = sum(held.interim.packed.resid.nbytes for held in kept.values())
+    columns = sum(held.t_pfs.nbytes + held.t_os.nbytes + held.dropout.nbytes
+                  for held in kept.values())
+    grid = sum(held.entry.nbytes + held.arm.nbytes for held in kept.values())
     assert resid == 16 * entered
-    assert sum(owners.values()) <= resid + 80 * n
+    assert columns == 24 * cells
+    assert grid == 9 * sum(widths)
+    assert sum(owners.values()) <= resid + columns + grid + 80 * n
+
+
+def test_array_results_compare_by_identity():
+    # two reductions of the same cohorts give equal arrays in distinct
+    # results; == on them reads identity, as no array has one truth value
+    sc = null_scenario(1, 128)
+    blocks = [simulate_cohorts(sc.model, 0, range(3)) for _ in range(2)]
+    one, two = (harness._reduce(block, sc.targets) for block in blocks)
+    assert len(one.inputs) == 3
+    curves = [harness._Interim(block, sc.targets.d_pfs).packed
+              for block in blocks]
+    for a, b in ((one.results[0], two.results[0]),
+                 (one.covariance, two.covariance), (one, two), curves):
+        assert a == a and a != b
 
 
 def test_plan_events_validation():

@@ -167,10 +167,21 @@ MUTANTS = (
            ("tests/test_harness.py::"
             "test_analysis_inputs_hold_the_interim_pfs_and_os_correlations",)),
     Mutant("sub_block_reads_another_interim", "src/duosurv/harness.py",
-           "interim = None if interims is None else interims.get(low)",
-           "interim = None if interims is None else interims.get(first)",
+           "held = None if kept is None else kept.get(low)",
+           "held = None if kept is None else kept.get(first)",
            ("tests/test_harness.py::"
             "test_a_plan_reads_each_candidate_as_a_standalone_reduction",)),
+    # the cohort columns kept from the first candidate of a plan
+    Mutant("kept_columns_end_at_the_final_cutoff", "src/duosurv/harness.py",
+           "reach = np.maximum(reduced.t_interim, reduced.t_final)",
+           "reach = reduced.t_final",
+           ("tests/test_harness.py::"
+            "test_a_plan_reads_each_candidate_as_a_standalone_reduction",)),
+    Mutant("kept_columns_read_above_their_d_os", "src/duosurv/harness.py",
+           "        if d_os > self.d_os:\n            return None\n",
+           "",
+           ("tests/test_harness.py::"
+            "test_a_plan_draws_each_cohort_once_up_to_its_first_candidate",)),
     # the analyze report of a block of one
     Mutant("analyze_os_rejection_times_swapped", "src/duosurv/cli.py",
            'when = "interim" if decided["early_stop"] else "final"',
