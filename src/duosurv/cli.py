@@ -99,6 +99,9 @@ def _number(block, key, where, default=None, required=False):
 
 
 def _integer(block, key, where, default=None, required=False):
+    value = block.get(key)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value  # exact: a float would round a seed above 2**53
     value = _number(block, key, where, default, required)
     if value is None:
         return None

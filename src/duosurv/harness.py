@@ -20,10 +20,11 @@ runs both per sub-block.  ``plan`` draws each sub-block's cohorts and
 computes its interim half once, at its first candidate ``d_os``, and keeps
 the cohort columns that the final half reads at any candidate up to that
 one: every later such candidate reads them and computes the final half
-alone, and only a candidate above the first draws the cohorts again.  It
-keeps two float64 per patient entered by the interim cutoff, and three per
-patient of a sub-block's columns up to the last one that some row entered
-by the later of its two cutoffs at the first candidate.
+alone, and only a candidate above the first draws the cohorts again.  Per
+sub-block it keeps one state, the interim half: two float64 per cell of
+the columns up to the last patient that some row entered by its interim
+cutoff, and three per cell of the columns up to the last one that some
+row entered by its final cutoff at the first candidate.
 
 Replication ``r`` of an experiment derives its random stream from
 ``(seed, r)`` alone; the frailty variates are drawn after the shared base
@@ -178,39 +179,50 @@ def _span(mask: np.ndarray) -> int:
 class _Interim:
     """The half of a sub-block's reduction that does not depend on
     ``d_os``: each row's PFS cutoff ``t`` and its ``InsufficientEvents`` in
-    ``errors``, and the interim curves of the ``rows`` with a cutoff,
-    computed on the columns entered by it.
-
-    It keeps the residuals of the patients entered by the cutoff only, two
-    float64 each, and :meth:`curves` puts them back into the positions of
-    the same cohorts.
+    ``errors``, and the interim ``curves`` of the ``rows`` with a cutoff,
+    computed on the columns up to the last patient some such row entered by
+    it.  A plan keeps it, with the cohort columns of :meth:`keep`.
     """
 
     def __init__(self, cohort: Cohort, d_pfs: int):
         self.t, self.errors = event_cutoffs(cohort, PFS, d_pfs)
         self.rows = np.flatnonzero(np.isfinite(self.t))
-        self.packed = None
+        self.curves = None
         if self.rows.size:
-            entered = self._entered(cohort)
-            curves = InterimCurves.of(observe(
-                cohort.restricted_to((self.rows, slice(entered.shape[1]))),
-                self.t[self.rows]))
-            self.packed = replace(curves, resid=curves.resid[:, entered])
+            t = self.t[self.rows]
+            width = _span(cohort.entry[self.rows] <= t[:, None])
+            self.curves = InterimCurves.of(observe(
+                cohort.restricted_to((self.rows, slice(width))), t))
 
-    def _entered(self, cohort: Cohort) -> np.ndarray:
-        entered = cohort.entry[self.rows] <= self.t[self.rows, None]
-        return entered[:, :_span(entered)]
+    def keep(self, cohort: Cohort, t_final: np.ndarray, d_os: int):
+        """Keep the columns of ``cohort``, the block this half was computed
+        from, that the final half reads at any ``d_os`` up to the given
+        one, where the OS cutoffs are ``t_final``.
 
-    def curves(self, cohort: Cohort, rows: np.ndarray) -> InterimCurves:
-        """The interim curves of the cohorts at ``rows``, each with a
-        cutoff; ``cohort`` is the block this half was computed from."""
-        entered = self._entered(cohort)
-        resid = np.zeros((2,) + entered.shape)
-        resid[:, entered] = self.packed.resid
-        curves = replace(self.packed, resid=resid)
-        if len(rows) == len(self.rows):
-            return curves
-        return curves.take(np.searchsorted(self.rows, rows))
+        A row's OS cutoff comes no later at a smaller ``d_os``, so the final
+        half there reads only the patients entered by the row's final cutoff
+        here; the interim half reads no columns, as its curves are kept.  A
+        row with no final cutoff here keeps the whole block.  Of the columns
+        up to the last such patient of the block, it keeps ``t_pfs``,
+        ``t_os`` and ``dropout``, three float64 per patient of each row, and
+        the entry grid and the arms, the same in every row of a drawn block,
+        once, as ``grid``: :attr:`cohort` broadcasts them, as a pickled
+        broadcast view would copy every row to and from a worker.
+        """
+        self.d_os = d_os
+        width = _span(cohort.entry <= t_final[:, None])
+        # copies, so that no kept column holds the whole block alive
+        self.grid = [np.array(c[0, :width])
+                     for c in (cohort.arm, cohort.entry)]
+        self.columns = [np.array(c[:, :width])
+                        for c in (cohort.t_pfs, cohort.t_os, cohort.dropout)]
+
+    @property
+    def cohort(self) -> Cohort:
+        """The block of the kept columns."""
+        shape = self.columns[0].shape
+        return Cohort(*(np.broadcast_to(c, shape) for c in self.grid),
+                      *self.columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,7 +275,10 @@ def _reduce(cohort: Cohort, targets: CutoffTargets,
     n_ref = kept.sum(axis=1)
     final = observe(cohort.restricted_to((rows, slice(_span(kept)))),
                     t_final[rows])
-    lr, matrix = joint_covariance(interim.curves(cohort, rows), final, n_ref)
+    curves = interim.curves
+    if len(rows) < len(interim.rows):
+        curves = curves.take(np.searchsorted(interim.rows, rows))
+    lr, matrix = joint_covariance(curves, final, n_ref)
     # the testing layer reads no lr[2], but the covariance needs its curve;
     # the rows and columns of corr are pfs@interim, os@interim, pfs@final,
     # os@final
@@ -302,44 +317,6 @@ def _outcome_bits(out) -> np.ndarray:
         out.rejected_global))
 
 
-class _Kept:
-    """What a plan keeps of a sub-block from its first candidate on: its
-    ``interim`` half, and the cohort columns that the final half reads at
-    any ``d_os`` up to that candidate's, ``self.d_os``.
-
-    A row's OS cutoff comes no later at a smaller ``d_os``, so the final
-    half there reads only the patients entered by the row's final cutoff
-    at ``self.d_os``, or by its interim cutoff if that is later (a row that
-    fails with ``CutoffOrder``); a row that misses either cutoff keeps the
-    whole block.  Of the columns up to the last such patient of the block, it
-    keeps ``t_pfs``, ``t_os`` and ``dropout``, three float64 per patient of
-    each row, and the entry grid and the arms, the same in every row of a
-    drawn block, once.
-    """
-
-    def __init__(self, cohort: Cohort, reduced: Analysis, interim: _Interim,
-                 d_os: int):
-        self.interim, self.d_os = interim, d_os
-        reach = np.maximum(reduced.t_interim, reduced.t_final)
-        width = _span(cohort.entry <= reach[:, None])
-        # copies, so that no kept column holds the whole block alive
-        self.arm, self.entry = (np.array(c[0, :width])
-                                for c in (cohort.arm, cohort.entry))
-        self.t_pfs, self.t_os, self.dropout = (
-            np.array(c[:, :width])
-            for c in (cohort.t_pfs, cohort.t_os, cohort.dropout))
-
-    def cohort(self, d_os: int) -> Cohort | None:
-        """The kept block at ``d_os``: the kept columns, if the final half
-        reads no others there, else None."""
-        if d_os > self.d_os:
-            return None
-        shape = self.t_os.shape
-        return Cohort(np.broadcast_to(self.arm, shape),
-                      np.broadcast_to(self.entry, shape),
-                      self.t_pfs, self.t_os, self.dropout)
-
-
 def _run_chunk(scenario, designs, seed, start, stop, kept=None):
     """Analyzable replication ids in ``[start, stop)``, their outcome bits
     (one row per design) and the failures by label.
@@ -351,8 +328,8 @@ def _run_chunk(scenario, designs, seed, start, stop, kept=None):
     sub-block or block, so the chunk bounds change nothing.
 
     ``kept``, if given, maps the first replication of a sub-block to what
-    a plan keeps of it, a ``_Kept``.  A sub-block not found there is drawn
-    and stores its own, for later calls at another ``d_os``; one found
+    a plan keeps of it, its ``_Interim``.  A sub-block not found there is
+    drawn and keeps its own, for later calls at another ``d_os``; one found
     there reads its interim half, and its kept columns unless the scenario's
     ``d_os`` lies above the one they were kept at, where it is drawn again.
     """
@@ -365,14 +342,15 @@ def _run_chunk(scenario, designs, seed, start, stop, kept=None):
         for low in range(first, last, rows):
             reps = range(low, min(low + rows, last))
             held = None if kept is None else kept.get(low)
-            cohort = None if held is None else held.cohort(d_os)
-            if cohort is None:
+            if held is None or d_os > held.d_os:
                 cohort = simulate_cohorts(scenario.model, seed, reps)
-            interim = (_Interim(cohort, scenario.targets.d_pfs)
-                       if held is None else held.interim)
+            else:
+                cohort = held.cohort
+            interim = held or _Interim(cohort, scenario.targets.d_pfs)
             reduced = _reduce(cohort, scenario.targets, interim)
             if kept is not None and held is None:
-                kept[low] = _Kept(cohort, reduced, interim, d_os)
+                interim.keep(cohort, reduced.t_final, d_os)
+                kept[low] = interim
             for rep, error in zip(reps, reduced.errors):
                 if error is None:
                     rep_ids.append(rep)

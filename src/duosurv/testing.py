@@ -301,14 +301,10 @@ class _ClosedTest:
                 [x.r_p1o2, one, x.r_p1o1],
                 [x.r_o1o2, x.r_p1o1, one],
             ]), -1, 0)
-            three = b1 > 0.0
-            xi, thr = _final_os_threshold(x, mask & three, scaled,
+            # where b1 = 0 the interim OS quantile is -inf: the solve drops it
+            xi, thr = _final_os_threshold(x, mask, scaled,
                                           np.column_stack(self.interim), corr,
                                           d.alpha)
-            xi2, thr2 = _final_os_threshold(x, mask & ~three, scaled,
-                                            self.interim[0][:, None],
-                                            _corr2(x.r_p1o2), d.alpha)
-            xi, thr = np.where(three, xi, xi2), np.where(three, thr, thr2)
         self.xi["final_joint"] = xi
         return thr
 

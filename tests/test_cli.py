@@ -103,6 +103,30 @@ def test_simulate_flag_overrides_and_normalization(tmp_path, capsys):
     assert all(l.split(",")[2] == "10" for l in lines[1:])
 
 
+def test_a_config_seed_is_read_as_an_exact_integer(tmp_path, capsys):
+    # a seed is any integer, taken mod 2**64: 2**64 + 5 in the config runs
+    # the stream of seed 5, not that of 2**64, the float it rounds to
+    cfg = simulate_config(tmp_path)
+    text = (tmp_path / "sim.yaml").read_text(encoding="utf-8")
+    big = write(tmp_path / "big.yaml",
+                text.replace("seed: 5", f"seed: {2**64 + 5}"))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli.main(["simulate", "--config", big, "--out", str(a)]) == 0
+    assert cli.main(["simulate", "--config", cfg, "--seed", "0",
+                     "--out", str(b)]) == 0
+    assert a.read_bytes() != b.read_bytes()
+    assert cli.main(["simulate", "--config", cfg, "--seed", "5",
+                     "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    # a bool or a fraction is still no integer
+    capsys.readouterr()
+    for seed in ("true", "2.5"):
+        bad = write(tmp_path / "bad.yaml",
+                    text.replace("seed: 5", f"seed: {seed}"))
+        assert cli.main(["simulate", "--config", bad]) == 2
+        assert "execution.seed" in capsys.readouterr().err
+
+
 def test_simulate_fwer_mode(tmp_path, capsys):
     cfg = write(tmp_path / "fwer.yaml", """\
 mode: fwer

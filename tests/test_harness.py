@@ -1,6 +1,7 @@
 """Scenario builders, the replication pipeline and experiment aggregation."""
 
 import math
+import pickle
 from collections import Counter
 from dataclasses import replace
 
@@ -568,9 +569,10 @@ def record_reductions(monkeypatch):
     (steep_scenario(), 7, 0.9, (11, 40)),
     (steep_scenario(), 3, 0.9, (11, 13)),
     (mixed_scenario(), 3, 0.0, (121, 123)),
+    (mixed_scenario(), 7, 0.0, (121, 123)),
     (early_scenario(), 3, 0.0, (33, 34)),
 ], ids=["steep_rows1", "steep_rows3", "steep_rows7", "steep_doubled_rows3",
-        "mixed_rows3", "early_rows3"])
+        "mixed_rows3", "mixed_rows7", "early_rows3"])
 def test_a_plan_reads_each_candidate_as_a_standalone_reduction(
         scenario, rows, target, bracket, monkeypatch):
     # at every d_os the plan reads, each trial's seven numbers and failure
@@ -661,47 +663,60 @@ def test_a_plan_draws_each_cohort_once_up_to_its_first_candidate(
     assert draws == Counter({d: -(-n // rows) for d in [first] + above})
 
 
-def test_a_plan_keeps_two_float64_per_patient_entered_by_the_interim_cutoff():
+def test_a_plan_keeps_16_bytes_per_cell_of_each_sub_blocks_interim_span():
     # what a plan keeps of a chunk holds no view of a larger block: the
-    # interim residuals take 16 bytes per patient entered by the interim
-    # cutoff; the cohort columns 24 per cell of each sub-block's prefix,
-    # the columns up to the last patient some row entered by its later
-    # cutoff; the entry grid and the arms 9 per prefix column; and the
-    # rest a few numbers per trial
+    # interim residuals take 16 bytes per cell of each sub-block's interim
+    # span, the columns up to the last patient some row entered by its
+    # interim cutoff; the cohort columns 24 per cell of each sub-block's
+    # prefix, the columns up to the last patient some row entered by its
+    # final cutoff; the entry grid and the arms 9 per prefix column; and
+    # the rest a few numbers per trial
     sc, n = power_scenario(1), 12
     rows = harness._CELLS // (2 * sc.model.max_per_arm)
     kept = {}
     harness._run_chunk(sc, [DesignSpec("ex_last")], SEED, 0, n, kept)
     assert sorted(kept) == list(range(0, n, rows))
-    entered, reach = 0, []
+    entered, reach = [], []
     for block in (simulate_cohorts(sc.model, SEED, [r]) for r in range(n)):
         t_pfs = event_cutoffs(block, PFS, sc.targets.d_pfs)[0]
         t_os = event_cutoffs(block, OS, sc.targets.d_os)[0]
-        entered += int((block.entry <= t_pfs[:, None]).sum())
-        reach.append(1 + np.flatnonzero(
-            block.entry[0] <= max(t_pfs[0], t_os[0])).max())
-    widths = [max(reach[low:low + rows]) for low in range(0, n, rows)]
-    cells = sum(min(rows, n - low) * w
-                for low, w in zip(range(0, n, rows), widths))
+        entered.append(1 + np.flatnonzero(block.entry[0] <= t_pfs[0]).max())
+        reach.append(1 + np.flatnonzero(block.entry[0] <= t_os[0]).max())
+
+    def spans(last):
+        """Each sub-block's width and its cells, over all its rows."""
+        widths = [max(last[low:low + rows]) for low in range(0, n, rows)]
+        return widths, sum(min(rows, n - low) * w
+                           for low, w in zip(range(0, n, rows), widths))
+
+    widths, cells = spans(reach)
     assert max(widths) < len(block)
+    _, interim_cells = spans(entered)
+    assert interim_cells < cells
+
+    def owner(value):
+        while value.base is not None:
+            value = value.base
+        return value
 
     owners = {}
     for held in kept.values():
-        half, curves = held.interim, held.interim.packed
-        for value in (held.arm, held.entry, held.t_pfs, held.t_os,
-                      held.dropout, half.t, half.rows, curves.score,
+        curves, cohort = held.curves, held.cohort
+        for value in (cohort.arm, cohort.entry, cohort.t_pfs, cohort.t_os,
+                      cohort.dropout, held.t, held.rows, curves.score,
                       curves.info, curves.n_events, curves.c11, curves.resid):
-            while value.base is not None:
-                value = value.base
-            owners[id(value)] = value.nbytes
-    resid = sum(held.interim.packed.resid.nbytes for held in kept.values())
-    columns = sum(held.t_pfs.nbytes + held.t_os.nbytes + held.dropout.nbytes
-                  for held in kept.values())
-    grid = sum(held.entry.nbytes + held.arm.nbytes for held in kept.values())
-    assert resid == 16 * entered
+            owners[id(owner(value))] = owner(value).nbytes
+    resid = sum(held.curves.resid.nbytes for held in kept.values())
+    columns = sum(held.cohort.t_pfs.nbytes + held.cohort.t_os.nbytes
+                  + held.cohort.dropout.nbytes for held in kept.values())
+    grid = sum(owner(held.cohort.entry).nbytes + owner(held.cohort.arm).nbytes
+               for held in kept.values())
+    assert resid == 16 * interim_cells
     assert columns == 24 * cells
     assert grid == 9 * sum(widths)
     assert sum(owners.values()) <= resid + columns + grid + 80 * n
+    # and a worker pool ships it as small: no broadcast view travels whole
+    assert len(pickle.dumps(kept)) <= resid + columns + grid + 400 * n
 
 
 def test_array_results_compare_by_identity():
@@ -711,7 +726,7 @@ def test_array_results_compare_by_identity():
     blocks = [simulate_cohorts(sc.model, 0, range(3)) for _ in range(2)]
     one, two = (harness._reduce(block, sc.targets) for block in blocks)
     assert len(one.inputs) == 3
-    curves = [harness._Interim(block, sc.targets.d_pfs).packed
+    curves = [harness._Interim(block, sc.targets.d_pfs).curves
               for block in blocks]
     for a, b in ((one.results[0], two.results[0]),
                  (one.covariance, two.covariance), (one, two), curves):

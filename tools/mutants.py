@@ -171,17 +171,28 @@ MUTANTS = (
            "held = None if kept is None else kept.get(first)",
            ("tests/test_harness.py::"
             "test_a_plan_reads_each_candidate_as_a_standalone_reduction",)),
+    Mutant("interim_rows_taken_by_position", "src/duosurv/harness.py",
+           "curves = curves.take(np.searchsorted(interim.rows, rows))",
+           "curves = curves.take(rows)",
+           ("tests/test_harness.py::"
+            "test_a_plan_reads_each_candidate_as_a_standalone_reduction",)),
     # the cohort columns kept from the first candidate of a plan
-    Mutant("kept_columns_end_at_the_final_cutoff", "src/duosurv/harness.py",
-           "reach = np.maximum(reduced.t_interim, reduced.t_final)",
-           "reach = reduced.t_final",
+    Mutant("kept_columns_end_at_the_interim_cutoff", "src/duosurv/harness.py",
+           "width = _span(cohort.entry <= t_final[:, None])",
+           "width = _span(cohort.entry <= self.t[:, None])",
            ("tests/test_harness.py::"
             "test_a_plan_reads_each_candidate_as_a_standalone_reduction",)),
     Mutant("kept_columns_read_above_their_d_os", "src/duosurv/harness.py",
-           "        if d_os > self.d_os:\n            return None\n",
-           "",
+           "if held is None or d_os > held.d_os:",
+           "if held is None:",
            ("tests/test_harness.py::"
             "test_a_plan_draws_each_cohort_once_up_to_its_first_candidate",)),
+    Mutant("kept_grid_stored_per_row", "src/duosurv/harness.py",
+           "self.grid = [np.array(c[0, :width])",
+           "self.grid = [np.array(c[:, :width])",
+           ("tests/test_harness.py::"
+            "test_a_plan_keeps_16_bytes_per_cell_of_each_sub_blocks_interim_span",
+            )),
     # the analyze report of a block of one
     Mutant("analyze_os_rejection_times_swapped", "src/duosurv/cli.py",
            'when = "interim" if decided["early_stop"] else "final"',
