@@ -44,12 +44,7 @@ from .multistate import (
     TransitionIntensities,
     simulate_cohorts,
 )
-from .mvnorm import (
-    InflationProblem,
-    OrthantQuery,
-    mvn_upper_orthant,
-    solve_inflation,
-)
+from .mvnorm import mvn_upper_orthant, solve_inflation
 from .spending import SPENDING_KINDS, SpendingFunction
 from .testing import (
     PROCEDURES,

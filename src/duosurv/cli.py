@@ -494,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "event-number planning.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_out=True):
+    def common(p):
         p.add_argument("--config", required=True, help="YAML configuration")
         p.add_argument("--seed", type=int, help="override execution.seed")
         p.add_argument("--n-reps", type=int, dest="n_reps",
@@ -503,8 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"worker processes (default from {WORKERS_ENV})")
         p.add_argument("--procedures",
                        help="comma-separated procedure ids, e.g. bon,ex/last")
-        if with_out:
-            p.add_argument("--out", help="output file (default stdout)")
+        p.add_argument("--out", help="output file (default stdout)")
 
     sim = sub.add_parser("simulate", help="run replicated experiments")
     common(sim)

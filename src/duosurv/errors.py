@@ -17,8 +17,7 @@ class DegenerateVariance(DuosurvError):
 class InvalidCorrelation(DuosurvError):
     """Raised when a correlation matrix is not symmetric positive
     semi-definite within tolerance, or an entry is not finite or outside
-    [-1, 1]; also
-    when an orthant query's bounds do not fit its matrix or are nan."""
+    [-1, 1]; also when orthant bounds do not fit their matrix or are nan."""
 
 
 class NoSolution(DuosurvError):
@@ -34,8 +33,8 @@ class ConfigError(DuosurvError):
 class InvalidModel(ConfigError):
     """Raised when model, recruitment or event-target parameters are
     unusable (negative intensities, empty event hazard out of state 0, bad
-    frailty shape, event targets below one); the model and target values
-    raise it when they are built."""
+    frailty shape, event targets below one, counts that are not integers);
+    the model and target values raise it when they are built."""
 
 
 class CutoffOrder(ConfigError):

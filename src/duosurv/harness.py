@@ -473,6 +473,8 @@ def run_experiment(scenario: Scenario, designs, n_reps: int, seed: int,
     if n_reps <= 0:
         raise ConfigError("n_reps must be positive")
     procs = tuple(d.procedure for d in designs)
+    if not procs:
+        raise ConfigError("need at least one design")
     if len(set(procs)) != len(procs):
         raise ConfigError("duplicate procedures in design list")
 

@@ -19,6 +19,7 @@ of cohorts, one row per replication, each from its own random stream.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,14 @@ def _check_finite(what: str, *values) -> None:
     every comparison, so a range check alone would let it through."""
     if not all(-math.inf < v < math.inf for v in values):
         raise InvalidModel(f"{what} must be finite")
+
+
+def _check_integer(what: str, *values) -> None:
+    """Raise :class:`InvalidModel` unless every value is an integer (numpy
+    integers count, bools do not), as the counts size and index arrays."""
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+               for v in values):
+        raise InvalidModel(f"{what} must be integers")
 
 
 @dataclass(frozen=True)
@@ -110,6 +119,7 @@ class CohortModel:
     def __post_init__(self):
         _check_finite("recruitment rate", self.per_arm_rate)
         _check_finite("patients per arm", self.max_per_arm)
+        _check_integer("patients per arm", self.max_per_arm)
         _check_finite("drop-out rate", self.dropout_rate)
         if self.per_arm_rate <= 0.0:
             raise InvalidModel("recruitment rate must be positive")

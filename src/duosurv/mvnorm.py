@@ -30,19 +30,12 @@ whose segments start between the same two cuts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
 from .errors import InvalidCorrelation, NoSolution
 
-__all__ = [
-    "OrthantQuery",
-    "InflationProblem",
-    "mvn_upper_orthant",
-    "solve_inflation",
-]
+__all__ = ["mvn_upper_orthant", "solve_inflation"]
 
 _TAIL_CUT = 8.5          # beyond this many sds the integrand mass is < 1e-16
 _EIGEN_TOL = 1e-8        # matrices below -tol are rejected as not PSD
@@ -202,56 +195,23 @@ def _finite_upper_orthant(b, corr) -> np.ndarray:
     return np.minimum(np.maximum(p, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class OrthantQuery:
-    """Lower bounds and correlation for P[Z_k > lower_z_k for all k]: one
-    query, bounds (d,), or a block, bounds (m, d), with one correlation
-    (d, d) for all rows or one per row (m, d, d)."""
-
-    lower_z: tuple
-    corr: np.ndarray
-
-
-def mvn_upper_orthant(query: OrthantQuery):
+def mvn_upper_orthant(lower_z, corr):
     """Probability that every component exceeds its bound: a float for one
-    query, an array with one entry per row for a block.
+    query, bounds ``lower_z`` (d,), an array with one entry per row for a
+    block, bounds (m, d), with one correlation ``corr`` (d, d) for all rows
+    or one per row (m, d, d).
 
     Components with bound -inf are certain and dropped; any +inf bound makes
     the orthant empty.  Supported dimensions after dropping: 0 to 3.
     """
-    lower = np.asarray(query.lower_z, dtype=float)
-    corr = _validated_correlation(query.corr)
+    lower = np.asarray(lower_z, dtype=float)
+    corr = _validated_correlation(corr)
     if corr.shape[-1] != lower.shape[-1]:
         raise InvalidCorrelation("bounds and correlation sizes differ")
     rows = lower.reshape(-1, lower.shape[-1])
     p = _upper_orthant(rows, np.broadcast_to(
         corr, (len(rows),) + corr.shape[-2:]))
     return p if lower.ndim == 2 else float(p[0])
-
-
-@dataclass(frozen=True)
-class InflationProblem:
-    """Exhaust a target level by inflating nominal lower-tail levels.
-
-    ``base_levels`` are the per-test one-sided levels to be scaled by a
-    common factor xi; ``fixed_thresholds`` are z-scale bounds of additional
-    continuation events that are intersected in as-is.  ``corr`` covers the
-    scaled components first, then the fixed ones, in order.  The solved
-    equation is
-
-        1 - P[ Z_k > ppf(xi * level_k) for all k,  Z_f > fixed_f for all f ]
-            = target.
-
-    One problem has levels (k,), thresholds (j,), ``corr`` (k + j, k + j)
-    and a scalar target.  A block of m problems has levels (m, k); its
-    thresholds (m, j), correlations (m, k + j, k + j) and targets (m,) may
-    each also be one for all rows.
-    """
-
-    base_levels: tuple
-    corr: np.ndarray
-    target: float
-    fixed_thresholds: tuple = field(default=())
 
 
 def _conditional_upper(b, corr, k: int) -> np.ndarray:
@@ -269,9 +229,23 @@ def _conditional_upper(b, corr, k: int) -> np.ndarray:
     return _bvn_upper(h[:, 0], h[:, 1], np.clip(r_cond, -1.0, 1.0))
 
 
-def solve_inflation(problem: InflationProblem):
+def solve_inflation(base_levels, corr, target, fixed_thresholds=()):
     """Smallest-level inflation factor that exhausts the target: a float for
     one problem, an array with one factor per row for a block.
+
+    ``base_levels`` are the per-test one-sided levels to be scaled by a
+    common factor xi; ``fixed_thresholds`` are z-scale bounds of additional
+    continuation events that are intersected in as-is.  ``corr`` covers the
+    scaled components first, then the fixed ones, in order.  The solved
+    equation is
+
+        1 - P[ Z_k > ppf(xi * level_k) for all k,  Z_f > fixed_f for all f ]
+            = target.
+
+    One problem has levels (k,), thresholds (j,), ``corr`` (k + j, k + j)
+    and a scalar target.  A block of m problems has levels (m, k); its
+    thresholds (m, j), correlations (m, k + j, k + j) and targets (m,) may
+    each also be one for all rows.
 
     The rejection probability f(xi) is strictly increasing in xi; the root
     lies in the bracket [1, 0.499 / max(level)], whose cap keeps every
@@ -296,11 +270,11 @@ def solve_inflation(problem: InflationProblem):
         NoSolution: some row's target is out of reach inside its bracket,
             or did not converge in ``_MAX_STEPS`` steps.
     """
-    levels = np.asarray(problem.base_levels, dtype=float)
+    levels = np.asarray(base_levels, dtype=float)
     block = levels.ndim == 2
     levels = np.atleast_2d(levels)
     m, k = levels.shape
-    fixed = np.asarray(problem.fixed_thresholds, dtype=float)
+    fixed = np.asarray(fixed_thresholds, dtype=float)
     fixed = np.broadcast_to(fixed, (m, fixed.shape[-1]))
     if np.isnan(levels).any() or np.isnan(fixed).any():
         raise NoSolution("nan base level or fixed threshold")
@@ -308,13 +282,13 @@ def solve_inflation(problem: InflationProblem):
         raise NoSolution("infinite base level")
     if (levels < 0.0).any():
         raise NoSolution("negative base level")
-    target = np.asarray(problem.target, dtype=float)
+    target = np.asarray(target, dtype=float)
     target = target if target.ndim else np.full(m, target)
     outside = ~((0.0 < target) & (target < 0.5))
     if outside.any():
         raise NoSolution(f"target {target[outside][0]} must lie in (0, 0.5)")
     # validated once: any principal submatrix of the result is valid too
-    corr = _validated_correlation(problem.corr)
+    corr = _validated_correlation(corr)
     n = k + fixed.shape[1]
     if corr.shape[-1] != n:
         raise InvalidCorrelation(

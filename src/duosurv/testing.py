@@ -53,7 +53,6 @@ from scipy.special import ndtri
 
 from . import mvnorm
 from .errors import ConfigError
-from .mvnorm import InflationProblem
 from .spending import SpendingFunction
 
 __all__ = [
@@ -211,24 +210,19 @@ def _corr2(r) -> np.ndarray:
     return corr
 
 
-def _solve(inputs: AnalysisInputs, problem: InflationProblem,
-           mask) -> np.ndarray:
+def _solve(inputs: AnalysisInputs, mask, *problem) -> np.ndarray:
     """``solve_inflation`` on the trials of ``mask``, cached in
-    ``inputs.solves``.  ``problem`` holds a row for every trial of the block
-    and is the cache key; the cache holds one factor per trial, nan until
-    solved, and a call solves only the masked trials not solved yet.  So
-    procedures run on one block share solves, and the cache goes with the
-    block (as log-rank curves go with their snapshot)."""
-    key = tuple(np.ascontiguousarray(a).tobytes() for a in (
-        problem.base_levels, problem.fixed_thresholds, problem.corr,
-        problem.target))
+    ``inputs.solves``.  ``problem`` is the solver's four arrays, levels,
+    correlations, targets and fixed thresholds, with a row for every trial
+    of the block, and is the cache key; the cache holds one factor per
+    trial, nan until solved, and a call solves only the masked trials not
+    solved yet.  So procedures run on one block share solves, and the cache
+    goes with the block (as log-rank curves go with their snapshot)."""
+    key = tuple(np.ascontiguousarray(a).tobytes() for a in problem)
     xi = inputs.solves.setdefault(key, np.full(len(inputs), np.nan))
     todo = mask & np.isnan(xi)
     if todo.any():
-        xi[todo] = mvnorm.solve_inflation(InflationProblem(
-            base_levels=problem.base_levels[todo], corr=problem.corr[todo],
-            target=problem.target[todo],
-            fixed_thresholds=problem.fixed_thresholds[todo]))
+        xi[todo] = mvnorm.solve_inflation(*(a[todo] for a in problem))
     return xi
 
 
@@ -247,9 +241,8 @@ def _final_os_threshold(inputs, mask, scaled_level, fixed, corr, target):
     single = (scaled_level == target) & np.isneginf(fixed).all(axis=1)
     xi = np.where(gone, 0.0, np.where(single, 1.0, np.nan))
     todo = mask & np.isnan(xi)
-    xi = np.where(todo, _solve(inputs, InflationProblem(
-        base_levels=scaled_level[:, None], corr=corr, target=target,
-        fixed_thresholds=fixed), todo), np.where(mask, xi, np.nan))
+    xi = np.where(todo, _solve(inputs, todo, scaled_level[:, None], corr,
+                               target, fixed), np.where(mask, xi, np.nan))
     return xi, np.where(gone, -np.inf, ndtri(xi * scaled_level))
 
 
@@ -276,10 +269,9 @@ class _ClosedTest:
         if self.design.procedure not in _EXHAUSTIVE:
             return np.full(b1.shape, ndtri(pa)), ndtri(b1)
         spent = b1 > 0.0
-        xi1 = np.where(spent, _solve(self.inputs, InflationProblem(
-            base_levels=np.column_stack((np.full_like(b1, pa), b1)),
-            corr=_corr2(self.inputs.r_p1o1), target=pa + b1,
-            fixed_thresholds=np.empty((len(b1), 0))), spent), 1.0)
+        xi1 = np.where(spent, _solve(
+            self.inputs, spent, np.column_stack((np.full_like(b1, pa), b1)),
+            _corr2(self.inputs.r_p1o1), pa + b1, np.empty((len(b1), 0))), 1.0)
         self.xi["interim_joint"] = xi1
         return ndtri(xi1 * pa), ndtri(xi1 * b1)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientEvents, InvalidModel
-from .multistate import Cohort, _check_finite
+from .multistate import Cohort, _check_finite, _check_integer
 
 __all__ = [
     "PFS",
@@ -64,13 +64,14 @@ class SnapshotBlock:
 @dataclass(frozen=True)
 class CutoffTargets:
     """Event counts that trigger the interim and the final analysis; both
-    must be at least 1, checked when the targets are built."""
+    must be integers of at least 1, checked when the targets are built."""
 
     d_pfs: int
     d_os: int
 
     def __post_init__(self):
         _check_finite("event targets", self.d_pfs, self.d_os)
+        _check_integer("event targets", self.d_pfs, self.d_os)
         if self.d_pfs < 1 or self.d_os < 1:
             raise InvalidModel("event targets must be at least 1")
 

@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
-from duosurv.mvnorm import OrthantQuery, mvn_upper_orthant
+from duosurv.mvnorm import mvn_upper_orthant
 from duosurv.testing import AnalysisInputs, _ClosedTest, run_procedure
 
 
@@ -193,8 +193,8 @@ class ExactLaw:
         """Probability of each box under N(``mean``, correlation)."""
         mesh = np.meshgrid(*(g - m for g, m in zip(self.grids, mean)),
                            indexing="ij")
-        upper = mvn_upper_orthant(OrthantQuery(
-            np.stack([m.ravel() for m in mesh], axis=1), self.corr))
+        upper = mvn_upper_orthant(
+            np.stack([m.ravel() for m in mesh], axis=1), self.corr)
         mass = upper.reshape(mesh[0].shape)
         # P[a < Z <= b] along an axis is P[Z > a] - P[Z > b]
         for axis in range(3):

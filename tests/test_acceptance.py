@@ -25,12 +25,7 @@ from duosurv.harness import (
     run_experiment,
 )
 from duosurv.multistate import FrailtySpec, simulate_cohorts
-from duosurv.mvnorm import (
-    InflationProblem,
-    OrthantQuery,
-    mvn_upper_orthant,
-    solve_inflation,
-)
+from duosurv.mvnorm import mvn_upper_orthant, solve_inflation
 from duosurv.trialdata import OS, PFS
 
 SEED = 20260814
@@ -128,25 +123,23 @@ def test_criterion_4_statistics_match_brute_force_oracles():
 def test_criterion_5_mvn_layer_numerics():
     equi = np.full((3, 3), 0.5)
     np.fill_diagonal(equi, 1.0)
-    orthant = mvn_upper_orthant(OrthantQuery(lower_z=(0.0, 0.0, 0.0),
-                                             corr=equi))
+    orthant = mvn_upper_orthant(lower_z=(0.0, 0.0, 0.0), corr=equi)
     assert orthant == pytest.approx(0.25, abs=1e-5)
 
     a, b = -0.7, 1.3
-    got = mvn_upper_orthant(OrthantQuery(lower_z=(a, b), corr=np.eye(2)))
+    got = mvn_upper_orthant(lower_z=(a, b), corr=np.eye(2))
     want = (1.0 - norm.cdf(a)) * (1.0 - norm.cdf(b))
     assert got == pytest.approx(want, abs=1e-7)
 
-    xi = solve_inflation(InflationProblem(base_levels=(0.0125, 0.0125),
-                                          corr=np.eye(2), target=0.025))
+    xi = solve_inflation(base_levels=(0.0125, 0.0125), corr=np.eye(2),
+                         target=0.025)
     assert xi == pytest.approx(1.00633, abs=1e-4)
 
     corr = np.array([[1.0, 0.71], [0.71, 1.0]])
-    problem = InflationProblem(base_levels=(0.005, 0.02), corr=corr,
-                               target=0.025)
-    xi = solve_inflation(problem)
-    bounds = tuple(norm.ppf(xi * level) for level in problem.base_levels)
-    achieved = 1.0 - mvn_upper_orthant(OrthantQuery(bounds, corr))
+    levels = (0.005, 0.02)
+    xi = solve_inflation(base_levels=levels, corr=corr, target=0.025)
+    bounds = tuple(norm.ppf(xi * level) for level in levels)
+    achieved = 1.0 - mvn_upper_orthant(bounds, corr)
     assert achieved == pytest.approx(0.025, abs=1e-6)
 
 

@@ -159,9 +159,9 @@ def test_procedures_of_one_trial_share_inflation_solves(monkeypatch):
     # dedupes across the nine procedures (327 trial-solves here without it)
     solved = []
 
-    def counting(problem):
-        solved.append(len(problem.base_levels))
-        return solve_inflation(problem)
+    def counting(base_levels, *args):
+        solved.append(len(base_levels))
+        return solve_inflation(base_levels, *args)
 
     monkeypatch.setattr(mvnorm, "solve_inflation", counting)
     run_experiment(power_scenario(1), default_designs(), 50, SEED)
@@ -357,6 +357,9 @@ def test_run_experiment_validation():
     with pytest.raises(ConfigError, match="duplicate"):
         run_experiment(sc, [DesignSpec("bon"), DesignSpec("bon")],
                        n_reps=10, seed=1)
+    # a typed error, not numpy's "need at least one array to stack"
+    with pytest.raises(ConfigError, match="at least one design"):
+        run_experiment(sc, [], n_reps=5, seed=0)
 
 
 def test_outcome_matrix():

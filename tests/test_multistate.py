@@ -144,6 +144,10 @@ def test_model_and_spec_validation():
             (lambda: model(per_arm_rate=np.nan), "recruitment rate must be finite"),
             (lambda: model(per_arm_rate=np.inf), "recruitment rate must be finite"),
             (lambda: model(max_per_arm=np.nan), "patients per arm must be finite"),
+            # a float size fails later in simulate_cohorts' array shapes
+            (lambda: model(max_per_arm=10.5), "patients per arm must be integers"),
+            (lambda: model(max_per_arm=64.0), "patients per arm must be integers"),
+            (lambda: model(max_per_arm=True), "patients per arm must be integers"),
             (lambda: model(dropout_rate=np.nan), "drop-out rate must be finite"),
             (lambda: model(dropout_rate=np.inf), "drop-out rate must be finite"),
             (lambda: FrailtySpec(shape=np.nan),
@@ -152,6 +156,7 @@ def test_model_and_spec_validation():
              "frailty shape and rate must be finite")]:
         with pytest.raises(InvalidModel, match=message):
             build()
+    assert len(simulate(model(max_per_arm=np.int64(3)), seed=1)) == 6
     # no frailty is None, the default
     assert model().frailty is None
     assert model(frailty=None).frailty is None

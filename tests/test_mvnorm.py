@@ -22,12 +22,7 @@ from scipy.stats import multivariate_normal, norm
 import duosurv
 from duosurv import mvnorm
 from duosurv.errors import InvalidCorrelation, NoSolution
-from duosurv.mvnorm import (
-    InflationProblem,
-    OrthantQuery,
-    mvn_upper_orthant,
-    solve_inflation,
-)
+from duosurv.mvnorm import mvn_upper_orthant, solve_inflation
 
 
 def equicorr(dim, rho):
@@ -37,8 +32,7 @@ def equicorr(dim, rho):
 
 
 def upper(bounds, corr):
-    return mvn_upper_orthant(OrthantQuery(lower_z=tuple(bounds),
-                                          corr=np.asarray(corr, dtype=float)))
+    return mvn_upper_orthant(tuple(bounds), np.asarray(corr, dtype=float))
 
 
 def test_trivariate_zero_thresholds_arcsine_identity():
@@ -175,18 +169,16 @@ def test_correlation_validation_errors():
 def test_inflation_two_independent_tests_closed_form():
     # 1 - (1 - xi a)^2 = target  =>  xi = (1 - sqrt(1 - target)) / a
     a, target = 0.0125, 0.025
-    problem = InflationProblem(base_levels=(a, a), corr=np.eye(2),
-                               target=target)
-    xi = solve_inflation(problem)
+    xi = solve_inflation(base_levels=(a, a), corr=np.eye(2), target=target)
     want = (1.0 - np.sqrt(1.0 - target)) / a
     assert xi == pytest.approx(want, abs=2e-6)
     assert xi == pytest.approx(1.00633, abs=1e-4)
 
 
 def test_inflation_perfectly_correlated_tests():
-    problem = InflationProblem(base_levels=(0.0125, 0.0125),
-                               corr=equicorr(2, 1.0), target=0.025)
-    assert solve_inflation(problem) == pytest.approx(2.0, abs=1e-4)
+    xi = solve_inflation(base_levels=(0.0125, 0.0125), corr=equicorr(2, 1.0),
+                         target=0.025)
+    assert xi == pytest.approx(2.0, abs=1e-4)
 
 
 def test_inflation_round_trip():
@@ -198,87 +190,78 @@ def test_inflation_round_trip():
     # the fixed component mimics an interim continuation threshold: deep in
     # the lower tail so the event is nearly certain
     fixed = norm.ppf(0.005)
-    problem = InflationProblem(base_levels=(0.0125, 0.0125),
-                               fixed_thresholds=(fixed,),
-                               corr=corr, target=0.04)
-    xi = solve_inflation(problem)
+    xi = solve_inflation(base_levels=(0.0125, 0.0125),
+                         fixed_thresholds=(fixed,), corr=corr, target=0.04)
     assert xi >= 1.0
     bounds = (norm.ppf(xi * 0.0125), norm.ppf(xi * 0.0125), fixed)
-    achieved = 1.0 - mvn_upper_orthant(OrthantQuery(bounds, corr))
+    achieved = 1.0 - mvn_upper_orthant(bounds, corr)
     assert achieved == pytest.approx(0.04, abs=2e-6)
 
 
 def test_inflation_exact_one_when_nominal_exhausts():
-    problem = InflationProblem(base_levels=(0.025,), corr=np.eye(1),
-                               target=0.025)
-    assert solve_inflation(problem) == 1.0
+    assert solve_inflation(base_levels=(0.025,), corr=np.eye(1),
+                           target=0.025) == 1.0
 
 
 def test_inflation_memoization_and_determinism():
-    problem = InflationProblem(base_levels=(0.01, 0.015),
-                               corr=equicorr(2, 0.6), target=0.025)
-    first = solve_inflation(problem)
-    again = solve_inflation(InflationProblem(
-        base_levels=(0.01, 0.015), corr=equicorr(2, 0.6), target=0.025))
+    first = solve_inflation(base_levels=(0.01, 0.015), corr=equicorr(2, 0.6),
+                            target=0.025)
+    again = solve_inflation(base_levels=(0.01, 0.015), corr=equicorr(2, 0.6),
+                            target=0.025)
     assert first == again
 
 
 def test_inflation_failure_modes():
     with pytest.raises(NoSolution, match="negative base level"):
-        solve_inflation(InflationProblem((-0.01,), np.eye(1), 0.025))
+        solve_inflation((-0.01,), np.eye(1), 0.025)
     with pytest.raises(NoSolution, match="nan"):
-        solve_inflation(InflationProblem((np.nan, 0.01), np.eye(2), 0.025))
+        solve_inflation((np.nan, 0.01), np.eye(2), 0.025)
     for level in (np.inf, -np.inf):
         with pytest.raises(NoSolution, match="infinite base level"):
-            solve_inflation(InflationProblem((level,), np.eye(1), 0.025))
+            solve_inflation((level,), np.eye(1), 0.025)
     with pytest.raises(NoSolution, match="nan"):
-        solve_inflation(InflationProblem(
-            (0.01,), np.eye(2), 0.025, fixed_thresholds=(np.nan,)))
+        solve_inflation((0.01,), np.eye(2), 0.025, fixed_thresholds=(np.nan,))
     with pytest.raises(NoSolution, match="lie in"):
-        solve_inflation(InflationProblem((0.01,), np.eye(1), 0.5))
+        solve_inflation((0.01,), np.eye(1), 0.5)
     with pytest.raises(NoSolution, match="lie in"):
-        solve_inflation(InflationProblem((0.01,), np.eye(1), 0.0))
+        solve_inflation((0.01,), np.eye(1), 0.0)
     with pytest.raises(NoSolution, match="already exceeds"):
-        solve_inflation(InflationProblem((0.05, 0.05), np.eye(2), 0.02))
+        solve_inflation((0.05, 0.05), np.eye(2), 0.02)
     with pytest.raises(NoSolution, match="no active components"):
-        solve_inflation(InflationProblem((0.0,), np.eye(1), 0.025))
+        solve_inflation((0.0,), np.eye(1), 0.025)
     with pytest.raises(NoSolution, match="no scalable components"):
-        solve_inflation(InflationProblem(
-            (0.0,), np.eye(2), 0.4, fixed_thresholds=(0.5,)))
+        solve_inflation((0.0,), np.eye(2), 0.4, fixed_thresholds=(0.5,))
     with pytest.raises(NoSolution, match="bracket empty"):
-        solve_inflation(InflationProblem((0.499,), np.eye(1), 0.4995))
+        solve_inflation((0.499,), np.eye(1), 0.4995)
     with pytest.raises(NoSolution, match="unreachable"):
-        solve_inflation(InflationProblem((0.4,), np.eye(1), 0.4995))
+        solve_inflation((0.4,), np.eye(1), 0.4995)
     with pytest.raises(InvalidCorrelation, match="scaled plus fixed"):
-        solve_inflation(InflationProblem((0.01, 0.01), np.eye(3), 0.025))
+        solve_inflation((0.01, 0.01), np.eye(3), 0.025)
 
 
 def test_inflation_step_cap_raises(monkeypatch):
     monkeypatch.setattr(mvnorm, "_MAX_STEPS", 1)
     with pytest.raises(NoSolution, match="no convergence in 1 steps"):
-        solve_inflation(InflationProblem(
-            (0.0125, 0.0125), equicorr(2, 0.5), 0.025))
+        solve_inflation((0.0125, 0.0125), equicorr(2, 0.5), 0.025)
 
 
-# one problem per shape the procedures build, plus the extreme correlations
+# one problem per shape the procedures build, plus the extreme correlations:
+# the solver's base levels, correlation, target and fixed thresholds
 SOLVER_WORK_CASES = (
     # interim joint: PFS and interim OS both scaled
-    InflationProblem((0.0125, 0.004), equicorr(2, 0.45), 0.0165),
+    ((0.0125, 0.004), equicorr(2, 0.45), 0.0165, ()),
     # final OS after one interim OS look
-    InflationProblem((0.02,), equicorr(2, 0.7), 0.025,
-                     fixed_thresholds=(norm.ppf(0.005),)),
+    ((0.02,), equicorr(2, 0.7), 0.025, (norm.ppf(0.005),)),
     # final OS after the interim PFS and OS looks
-    InflationProblem((0.0095,), np.array([[1.0, 0.4, 0.7],
-                                        [0.4, 1.0, 0.35],
-                                        [0.7, 0.35, 1.0]]), 0.025,
-                     fixed_thresholds=(norm.ppf(0.0125), norm.ppf(0.003))),
-    InflationProblem((0.0125, 0.0125), equicorr(2, 0.9999), 0.025),
-    InflationProblem((0.0125, 0.0125), equicorr(2, -0.9999), 0.03),
-    InflationProblem((0.0125,), equicorr(2, 0.9999), 0.025,
-                     fixed_thresholds=(norm.ppf(0.01),)),
-    InflationProblem((0.0125, 0.0125), np.ones((2, 2)), 0.025),
-    InflationProblem((0.01,), np.ones((3, 3)), 0.025,
-                     fixed_thresholds=(norm.ppf(0.01), norm.ppf(0.005))),
+    ((0.0095,), np.array([[1.0, 0.4, 0.7],
+                          [0.4, 1.0, 0.35],
+                          [0.7, 0.35, 1.0]]), 0.025,
+     (norm.ppf(0.0125), norm.ppf(0.003))),
+    ((0.0125, 0.0125), equicorr(2, 0.9999), 0.025, ()),
+    ((0.0125, 0.0125), equicorr(2, -0.9999), 0.03, ()),
+    ((0.0125,), equicorr(2, 0.9999), 0.025, (norm.ppf(0.01),)),
+    ((0.0125, 0.0125), np.ones((2, 2)), 0.025, ()),
+    ((0.01,), np.ones((3, 3)), 0.025, (norm.ppf(0.01), norm.ppf(0.005))),
 )
 
 
@@ -293,14 +276,13 @@ def test_inflation_solver_work(monkeypatch):
 
     monkeypatch.setattr(mvnorm, "_upper_orthant", counted)
     evals = []
-    for problem in SOLVER_WORK_CASES:
+    for levels, corr, target, fixed in SOLVER_WORK_CASES:
         rows.clear()
-        xi = solve_inflation(problem)
+        xi = solve_inflation(levels, corr, target, fixed)
         evals.append(sum(rows))
-        bounds = [norm.ppf(xi * a) for a in problem.base_levels]
-        achieved = 1.0 - mvn_upper_orthant(OrthantQuery(
-            tuple(bounds) + problem.fixed_thresholds, problem.corr))
-        assert achieved == pytest.approx(problem.target, abs=2e-6), problem
+        bounds = [norm.ppf(xi * a) for a in levels]
+        achieved = 1.0 - mvn_upper_orthant(tuple(bounds) + fixed, corr)
+        assert achieved == pytest.approx(target, abs=2e-6), (levels, corr)
     assert np.mean(evals) <= 4.5, evals
 
 
@@ -318,11 +300,9 @@ def test_cli_import_leaves_out_scipy_optimize():
 def test_inflation_certain_continuation_is_dropped():
     # a -inf continuation threshold holds with probability one, so the
     # problem reduces to the plain two-test version
-    plain = solve_inflation(InflationProblem(
-        (0.0125, 0.0125), equicorr(2, 0.3), 0.025))
-    padded = solve_inflation(InflationProblem(
-        (0.0125, 0.0125), equicorr(3, 0.3), 0.025,
-        fixed_thresholds=(-np.inf,)))
+    plain = solve_inflation((0.0125, 0.0125), equicorr(2, 0.3), 0.025)
+    padded = solve_inflation((0.0125, 0.0125), equicorr(3, 0.3), 0.025,
+                             fixed_thresholds=(-np.inf,))
     assert padded == pytest.approx(plain, abs=2e-6)
 
 
@@ -349,13 +329,12 @@ def test_a_block_of_queries_gives_the_bits_of_its_rows():
     b3[2, 1] = b3[7, 0] = -np.inf
     b3[4, 2] = np.inf
     for bounds, corr in ((b2, corr2), (b3, corr3)):
-        block = mvn_upper_orthant(OrthantQuery(bounds, corr))
-        alone = [mvn_upper_orthant(OrthantQuery(tuple(b), c))
-                 for b, c in zip(bounds, corr)]
+        block = mvn_upper_orthant(bounds, corr)
+        alone = [mvn_upper_orthant(tuple(b), c) for b, c in zip(bounds, corr)]
         assert block.tolist() == alone
-    assert mvn_upper_orthant(OrthantQuery(b3[4], corr3[4])) == 0.0
+    assert mvn_upper_orthant(b3[4], corr3[4]) == 0.0
     # one matrix for every row
-    shared = mvn_upper_orthant(OrthantQuery(b2, corr2[3]))
+    shared = mvn_upper_orthant(b2, corr2[3])
     assert shared.tolist() == [upper(b, corr2[3]) for b in b2]
 
 
@@ -363,52 +342,46 @@ def test_a_block_of_problems_gives_the_factors_of_its_rows():
     rng = np.random.default_rng(12)
     m = 20
     b1 = rng.uniform(0.001, 0.01, m)
-    interim = InflationProblem(
-        base_levels=np.column_stack((np.full(m, 0.005), b1)),
-        corr=random_correlations(rng, m, 2), target=0.005 + b1,
-        fixed_thresholds=np.empty((m, 0)))
-    final = InflationProblem(
-        base_levels=rng.uniform(0.008, 0.018, (m, 1)),
-        corr=random_correlations(rng, m, 3), target=0.025,
-        fixed_thresholds=rng.uniform(-3.4, -2.7, (m, 2)))
+    # base levels, correlations, targets and fixed thresholds per problem
+    interim = (np.column_stack((np.full(m, 0.005), b1)),
+               random_correlations(rng, m, 2), 0.005 + b1, np.empty((m, 0)))
+    final = (rng.uniform(0.008, 0.018, (m, 1)), random_correlations(rng, m, 3),
+             0.025, rng.uniform(-3.4, -2.7, (m, 2)))
     # a zero level or a -inf threshold drops a component from some rows
-    interim.base_levels[3, 0] = 0.0
-    final.fixed_thresholds[[5, 9], 1] = -np.inf
-    for problem in (interim, final):
-        block = solve_inflation(problem)
-        target = np.broadcast_to(problem.target, (m,))
-        alone = [solve_inflation(InflationProblem(
-            tuple(problem.base_levels[i]), problem.corr[i], target[i],
-            tuple(problem.fixed_thresholds[i]))) for i in range(m)]
+    interim[0][3, 0] = 0.0
+    final[3][[5, 9], 1] = -np.inf
+    for levels, corr, target, fixed in (interim, final):
+        block = solve_inflation(levels, corr, target, fixed)
+        target = np.broadcast_to(target, (m,))
+        alone = [solve_inflation(tuple(levels[i]), corr[i], target[i],
+                                 tuple(fixed[i])) for i in range(m)]
         assert block.tolist() == alone
         assert (block >= 1.0).all()
     # a block of none, and thresholds shared by every row
-    assert solve_inflation(InflationProblem(
-        np.empty((0, 1)), np.empty((0, 3, 3)), 0.025,
-        np.empty((0, 2)))).shape == (0,)
-    shared = solve_inflation(InflationProblem(
-        final.base_levels[:4], final.corr[:4], 0.025, (-3.0, -2.9)))
-    assert shared.tolist() == solve_inflation(InflationProblem(
-        final.base_levels[:4], final.corr[:4], 0.025,
-        np.tile([-3.0, -2.9], (4, 1)))).tolist()
+    assert solve_inflation(np.empty((0, 1)), np.empty((0, 3, 3)), 0.025,
+                           np.empty((0, 2))).shape == (0,)
+    levels, corr = final[0][:4], final[1][:4]
+    shared = solve_inflation(levels, corr, 0.025, (-3.0, -2.9))
+    assert shared.tolist() == solve_inflation(
+        levels, corr, 0.025, np.tile([-3.0, -2.9], (4, 1))).tolist()
 
 
 def test_a_block_solve_raises_what_its_worst_row_raises():
     corr = np.array([equicorr(2, 0.5)] * 3)
     levels = np.array([[0.0125, 0.0125]] * 3)
     with pytest.raises(NoSolution, match="already exceeds"):
-        solve_inflation(InflationProblem(levels, corr, [0.025, 0.02, 0.025]))
+        solve_inflation(levels, corr, [0.025, 0.02, 0.025])
     with pytest.raises(NoSolution, match="lie in"):
-        solve_inflation(InflationProblem(levels, corr, [0.025, 0.5, 0.025]))
+        solve_inflation(levels, corr, [0.025, 0.5, 0.025])
     with pytest.raises(InvalidCorrelation, match="unit diagonal"):
         bad = corr.copy()
         bad[1] = [[2.0, 0.3], [0.3, 2.0]]
-        solve_inflation(InflationProblem(levels, bad, 0.025))
+        solve_inflation(levels, bad, 0.025)
     with pytest.raises(InvalidCorrelation, match="eigenvalue"):
-        solve_inflation(InflationProblem(
+        solve_inflation(
             np.full((2, 3), 0.005),
             np.array([equicorr(3, 0.2), [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9],
-                                         [-0.9, 0.9, 1.0]]]), 0.025))
+                                         [-0.9, 0.9, 1.0]]]), 0.025)
 
 
 def test_a_stack_repairs_each_singular_matrix_as_alone():

@@ -26,8 +26,7 @@ from scipy.stats import norm
 
 import oracles
 from conftest import factors, trial_row
-from duosurv.mvnorm import (XI_TOL, InflationProblem, OrthantQuery,
-                            mvn_upper_orthant, solve_inflation)
+from duosurv.mvnorm import XI_TOL, mvn_upper_orthant, solve_inflation
 from duosurv.testing import (PROCEDURES, AnalysisInputs, DesignSpec,
                              _ClosedTest, run_procedure)
 
@@ -111,9 +110,9 @@ def elementary_os_rejects(design, zo1, zo2, corr, tau, budget) -> bool:
     if e1 >= budget:
         return False
     r = corr[1, 3]
-    xi = solve_inflation(InflationProblem(
-        base_levels=(budget - e1,), corr=np.array([[1.0, r], [r, 1.0]]),
-        target=budget, fixed_thresholds=(norm.ppf(e1),)))
+    xi = solve_inflation(base_levels=(budget - e1,),
+                         corr=np.array([[1.0, r], [r, 1.0]]), target=budget,
+                         fixed_thresholds=(norm.ppf(e1),))
     return bool(zo2 <= norm.ppf(xi * (budget - e1)))
 
 
@@ -224,7 +223,7 @@ def orthant_cases(draw):
 
 
 def upper(bounds, corr):
-    return mvn_upper_orthant(OrthantQuery(lower_z=tuple(bounds), corr=corr))
+    return mvn_upper_orthant(lower_z=tuple(bounds), corr=corr)
 
 
 @property_settings(150)
@@ -261,9 +260,8 @@ def test_inflation_round_trips_its_defining_equation(case):
                            corr)
 
     target = rejection(1.0) + excess
-    xi = solve_inflation(InflationProblem(
-        base_levels=levels, corr=corr, target=target,
-        fixed_thresholds=fixed))
+    xi = solve_inflation(base_levels=levels, corr=corr, target=target,
+                         fixed_thresholds=fixed)
     assert xi >= 1.0
     assert rejection(xi) == pytest.approx(target, abs=2e-6)
     # the derivative-free reference solves the same equation to 1e-10

@@ -14,7 +14,7 @@ from scipy.stats import norm
 from conftest import factors, trial_row
 from oracles import check_consonance
 from duosurv.errors import ConfigError
-from duosurv.mvnorm import InflationProblem, solve_inflation
+from duosurv.mvnorm import mvn_upper_orthant
 from duosurv.spending import SpendingFunction
 from duosurv.testing import (
     PROCEDURES,
@@ -121,9 +121,8 @@ def test_ex_last_case2_inflates_the_final_os_level():
     thr = norm.ppf(xi * 0.02)
     assert thr == pytest.approx(-2.0199, abs=2e-4)
     # the solved threshold exhausts alpha exactly given PFS continuation
-    from duosurv.mvnorm import OrthantQuery, mvn_upper_orthant
-    achieved = 1.0 - mvn_upper_orthant(OrthantQuery(
-        (thr, PPF_PA), np.array([[1.0, R_P1O2], [R_P1O2, 1.0]])))
+    achieved = 1.0 - mvn_upper_orthant(
+        (thr, PPF_PA), np.array([[1.0, R_P1O2], [R_P1O2, 1.0]]))
     assert achieved == pytest.approx(0.025, abs=2e-5)
 
 
@@ -166,9 +165,8 @@ def test_bon_gs_final_threshold_solves_the_spending_equation():
     thr = norm.ppf(xi * (0.02 - B1))
     assert thr == pytest.approx(-2.0791, abs=2e-4)
     # defining equation: interim plus final OS looks exhaust the OS share
-    from duosurv.mvnorm import OrthantQuery, mvn_upper_orthant
-    achieved = 1.0 - mvn_upper_orthant(OrthantQuery(
-        (thr, PPF_B1), np.array([[1.0, R_O1O2], [R_O1O2, 1.0]])))
+    achieved = 1.0 - mvn_upper_orthant(
+        (thr, PPF_B1), np.array([[1.0, R_O1O2], [R_O1O2, 1.0]]))
     assert achieved == pytest.approx(0.02, abs=2e-5)
 
 

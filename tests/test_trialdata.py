@@ -121,6 +121,11 @@ def test_event_cutoffs_reject_an_unknown_endpoint():
 
 def test_cutoff_targets():
     CutoffTargets(1, 1)
+    assert CutoffTargets(np.int64(40), np.int32(60)) == CutoffTargets(40, 60)
+    # a float target fails later as a partition index, and True reads as 1
+    for d_pfs, d_os in ((10.5, 60), (40, 60.0), (True, 60), (40, False)):
+        with pytest.raises(InvalidModel, match="event targets must be integers"):
+            CutoffTargets(d_pfs, d_os)
     for d_pfs, d_os in ((0, 5), (5, 0)):
         with pytest.raises(InvalidModel, match="event targets must be at least 1"):
             CutoffTargets(d_pfs, d_os)

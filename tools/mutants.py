@@ -110,10 +110,14 @@ MUTANTS = (
            ("tests/test_mvnorm.py::test_inflation_solver_work",)),
     # blocks of trials
     Mutant("solved_factors_reversed", "src/duosurv/testing.py",
-           "fixed_thresholds=problem.fixed_thresholds[todo]))",
-           "fixed_thresholds=problem.fixed_thresholds[todo]))[::-1]",
+           "mvnorm.solve_inflation(*(a[todo] for a in problem))",
+           "mvnorm.solve_inflation(*(a[todo] for a in problem))[::-1]",
            ("tests/test_testing.py::"
             "test_a_block_decides_each_trial_as_alone",)),
+    Mutant("solve_cache_keyed_by_shapes", "src/duosurv/testing.py",
+           "key = tuple(np.ascontiguousarray(a).tobytes() for a in problem)",
+           "key = tuple(np.shape(a) for a in problem)",
+           ("tests/test_exact_law.py::test_fwer_under_the_partial_nulls",)),
     Mutant("newton_stops_at_first_converged_row", "src/duosurv/mvnorm.py",
            "if not rows.size:\n            return out",
            "if rows.size < len(out):\n            return out",
